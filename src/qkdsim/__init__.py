@@ -12,7 +12,7 @@ from .geometry import Position, euclidean_distance
 from .links import KeyStorage, PublicChannelStats, QkdLink
 from .qos import TrafficClass
 from .stats import RunStats
-from .topology import Topology, TopologyError, WaxmanConfig, gabrielize, generate_topology, generate_waxman
+from .topology import Topology, TopologyError, WaxmanConfig, gabrielize, generate_topology
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,5 @@ __all__ = [
     "euclidean_distance",
     "gabrielize",
     "generate_topology",
-    "generate_waxman",
     "run_simulation",
 ]

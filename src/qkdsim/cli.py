@@ -10,13 +10,13 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
-from .config import ConfigError, RunConfig, TopologySpec
+from .config import CLASS_NAMES, PROTOCOLS, ConfigError, LinkConfig, RunConfig, TopologySpec, parse_value
 from .engine import Simulation, SimulationError
 from .experiment import run_sweep, topology_for
 from .stats import write_csv
-from .topology import TopologyError, WaxmanConfig, generate_topology, load_topology, save_topology
+from .topology import TopologyError, load_topology, save_topology
 
 
 def _setup_logging() -> None:
@@ -26,23 +26,24 @@ def _setup_logging() -> None:
 
 
 def _add_simulate(sub: argparse._SubParsersAction) -> None:
+    run, spec = RunConfig(), TopologySpec()
     p = sub.add_parser("simulate", help="run one simulation and emit a CSV row")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--topology", metavar="FILE", help="load a topology file")
     src.add_argument("--waxman", type=int, metavar="N", help="generate an N-node random topology")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=run.seed)
     p.add_argument("--gabriel", action="store_true", help="planarize the generated topology")
-    p.add_argument("--grid-size", type=float, default=TopologySpec().grid_size)
-    p.add_argument("--protocol", choices=("gpsrq", "dv"), default="gpsrq")
-    p.add_argument("--beta", type=float, default=0.6)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--t-avg-window", type=int, default=5)
+    p.add_argument("--grid-size", type=float, default=spec.grid_size)
+    p.add_argument("--protocol", choices=PROTOCOLS, default=run.protocol)
+    p.add_argument("--beta", type=float, default=run.beta)
+    p.add_argument("--alpha", type=float, default=run.alpha)
+    p.add_argument("--t-avg-window", type=int, default=run.t_avg_window)
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--duration", type=float, default=150.0)
-    p.add_argument("--traffic-rate", type=float, default=1_000_000.0, help="bits/second")
-    p.add_argument("--packet-bytes", type=int, default=512)
-    p.add_argument("--traffic-class", choices=("best_effort", "real_time", "premium"),
-                   default="best_effort")
+    p.add_argument("--duration", type=float, default=run.duration_s)
+    p.add_argument("--traffic-rate", type=float, default=run.traffic.rate_bps, help="bits/second")
+    p.add_argument("--packet-bytes", type=int, default=run.traffic.packet_bytes)
+    p.add_argument("--traffic-class", choices=tuple(CLASS_NAMES),
+                   default=run.traffic.traffic_class)
     p.add_argument("--link-config", action="append", default=[], metavar="KEY=VALUE",
                    help="override a link config key (e.g. rate_bps=100000)")
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
@@ -53,23 +54,17 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
 
 
 def _apply_link_overrides(cfg: RunConfig, overrides: list[str]) -> None:
-    numeric = {
-        "min_key_bytes", "max_key_bytes", "rate_bps", "charge_period_s",
-        "bandwidth_bps", "round_load_gain", "round_stddev_frac", "round_floor_s",
-    }
+    names = {f.name for f in fields(LinkConfig)}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--link-config expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
-        if key == "auth_key_bits":
-            cfg.link.auth_key_bits = int(raw)
-        elif key == "init_key_bytes_range":
-            lo, hi = raw.split(":")
-            cfg.link.init_key_bytes_range = (float(lo), float(hi))
-        elif key in numeric:
-            setattr(cfg.link, key, float(raw))
-        else:
+        if key not in names:
             raise ConfigError(f"unknown link config key {key!r}")
+        try:
+            setattr(cfg.link, key, parse_value(getattr(cfg.link, key), raw))
+        except ConfigError as exc:
+            raise ConfigError(f"--link-config {key}: {exc}") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -122,29 +117,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _add_gen_topology(sub: argparse._SubParsersAction) -> None:
+    spec = TopologySpec()
     p = sub.add_parser("gen-topology", help="generate a topology file")
     p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--grid-size", type=float, default=TopologySpec().grid_size)
-    p.add_argument("--theta", type=float, default=0.4)
-    p.add_argument("--omega", type=float, default=0.4)
-    p.add_argument("--lambda", dest="lambda_max", type=float, default=None)
-    p.add_argument("--links-per-node", type=int, default=2)
+    p.add_argument("--seed", type=int, default=RunConfig().seed)
+    p.add_argument("--grid-size", type=float, default=spec.grid_size)
+    p.add_argument("--theta", type=float, default=spec.theta)
+    p.add_argument("--omega", type=float, default=spec.omega)
+    p.add_argument("--lambda", dest="lambda_max", type=float, default=spec.lambda_max)
+    p.add_argument("--links-per-node", type=int, default=spec.links_per_node)
     p.add_argument("--gabriel", action="store_true")
     p.add_argument("--out", required=True, metavar="FILE")
 
 
 def _cmd_gen_topology(args: argparse.Namespace) -> int:
-    cfg = WaxmanConfig(
+    spec = TopologySpec(
         node_count=args.nodes,
-        seed=args.seed,
         grid_size=args.grid_size,
         theta=args.theta,
         omega=args.omega,
         lambda_max=args.lambda_max,
         links_per_node=args.links_per_node,
+        gabriel=args.gabriel,
     )
-    topo = generate_topology(cfg, planarize=args.gabriel)
+    topo = topology_for(spec, args.seed)
     save_topology(topo, args.out)
     print(f"wrote {args.out}: {len(topo.nodes)} nodes, {len(topo.edges)} edges, "
           f"{topo.retries} regeneration(s)")

@@ -3,13 +3,47 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
-from .qos import CryptoPolicy, TrafficClass
+from .qos import CRYPTO_MODES, CryptoPolicy, TrafficClass
+from .topology import WaxmanConfig
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+PROTOCOLS = ("gpsrq", "dv")
+
+_BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
+               "off": False, "false": False, "0": False, "no": False}
+
+
+def parse_value(default, raw: str):
+    """Parse ``raw`` as a value of the same type as a config field's ``default``.
+
+    Bools take on/off words, tuples a ``lo:hi`` pair of floats, lists a
+    comma-separated list of their element type, and a ``None`` default marks
+    an optional float. Range checks are left to ``validate``.
+    """
+    raw = raw.strip()
+    try:
+        if isinstance(default, bool):
+            return _BOOL_WORDS[raw.lower()]
+        if isinstance(default, tuple):
+            lo, hi = raw.split(":")
+            return float(lo), float(hi)
+        if isinstance(default, list):
+            return [parse_value(default[0], item) for item in raw.split(",")]
+        if default is None:
+            return float(raw)
+        return type(default)(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"cannot parse {raw!r}") from None
+
+
+def _waxman_default(name: str):
+    return next(f.default for f in fields(WaxmanConfig) if f.name == name)
 
 
 # Grid whose diagonal is 100 length units, the default maximum node distance.
@@ -76,6 +110,8 @@ class TrafficConfig:
             raise ConfigError(f"unknown traffic class {self.traffic_class!r}")
         if self.max_delay_s is not None and self.max_delay_s <= 0.0:
             raise ConfigError("max_delay_s must be positive")
+        if self.crypto_mode not in CRYPTO_MODES:
+            raise ConfigError(f"unknown crypto mode {self.crypto_mode!r}")
 
     def resolved_class(self) -> TrafficClass:
         return CLASS_NAMES[self.traffic_class]
@@ -98,10 +134,10 @@ class TrafficConfig:
 class TopologySpec:
     node_count: int = 30
     grid_size: float = DEFAULT_GRID_SIZE
-    theta: float = 0.4
-    omega: float = 0.4
-    lambda_max: float | None = None
-    links_per_node: int = 2
+    theta: float = _waxman_default("theta")
+    omega: float = _waxman_default("omega")
+    lambda_max: float | None = _waxman_default("lambda_max")
+    links_per_node: int = _waxman_default("links_per_node")
     gabriel: bool = True
 
     def validate(self) -> None:
@@ -132,7 +168,7 @@ class RunConfig:
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
 
     def validate(self) -> None:
-        if self.protocol not in ("gpsrq", "dv"):
+        if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.duration_s <= 0.0:
             raise ConfigError("duration_s must be positive")

@@ -258,11 +258,6 @@ class Simulation:
             key_cost=self.data_key_cost,
         )
 
-    def inject(self, pkt: SimPacket, at: float) -> None:
-        """Schedule an externally built packet to enter the network at its source."""
-        self.sent += 1
-        self.events.push(at, EventKind.PACKET_ARRIVAL, (pkt, pkt.src, None))
-
     # ------------------------------------------------------------------- run
 
     def run(self) -> RunStats:

@@ -2,22 +2,18 @@
 
 A sweep specification is a plain-text file of ``key=value`` lines where any
 value may be a comma-separated list; runs are the cartesian product of all
-list-valued keys. Recognized keys and their defaults mirror the dataclasses
-in config.py; see README for the full table.
+list-valued keys. Each key names one field of the dataclasses in config.py
+(``SWEEP_FIELDS``), which also give its type and default; see README for the
+full table.
 """
 
 from __future__ import annotations
 
 import logging
+from copy import copy
+from operator import attrgetter
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    LinkConfig,
-    RunConfig,
-    TopologySpec,
-    TrafficConfig,
-)
+from .config import ConfigError, ExperimentConfig, RunConfig, TopologySpec, parse_value
 from .engine import run_simulation
 from .stats import RunStats
 from .topology import Topology, WaxmanConfig, generate_topology
@@ -65,63 +61,55 @@ def run_experiment(exp: ExperimentConfig) -> list[RunStats]:
     return results
 
 
-_BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
-               "off": False, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(raw: str) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected on/off value, got {raw!r}") from None
-
-
-def _parse_range(raw: str) -> tuple[float, float]:
-    parts = raw.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"expected lo:hi range, got {raw!r}")
-    return float(parts[0]), float(parts[1])
-
-
-# key -> (per-item parser, is a cartesian sweep axis)
-_SWEEP_KEYS = {
-    "protocol": (str, True),
-    "nodes": (int, False),
-    "seeds": (int, False),
-    "beta": (float, True),
-    "alpha": (float, True),
-    "t_avg_window": (int, True),
-    "cache": (_parse_bool, True),
-    "duration": (float, True),
-    "queue_capacity": (int, True),
-    "gabriel": (_parse_bool, True),
-    "grid_size": (float, True),
-    "theta": (float, True),
-    "omega": (float, True),
-    "lambda": (float, True),
-    "links_per_node": (int, True),
-    "traffic_rate_bps": (float, True),
-    "packet_bytes": (int, True),
-    "traffic_class": (str, True),
-    "max_delay_s": (float, True),
-    "crypto_mode": (str, True),
-    "min_key_bytes": (float, True),
-    "max_key_bytes": (float, True),
-    "init_key_bytes": (_parse_range, True),
-    "rate_bps": (float, True),
-    "charge_period_s": (float, True),
-    "bandwidth_bps": (float, True),
-    "auth_key_bits": (int, True),
-    "round_load_gain": (float, True),
-    "round_stddev_frac": (float, True),
-    "dv_period_s": (float, True),
-    "dv_merge_window_s": (float, True),
-    "dv_liveness": (str, True),
+# Sweep key -> (path of the owning config inside ExperimentConfig, field name).
+# A key left out of a spec keeps the dataclass default.
+SWEEP_FIELDS = {
+    "nodes": ("", "node_counts"),
+    "seeds": ("", "seeds"),
+    "protocol": ("base", "protocol"),
+    "beta": ("base", "beta"),
+    "alpha": ("base", "alpha"),
+    "t_avg_window": ("base", "t_avg_window"),
+    "cache": ("base", "cache_enabled"),
+    "duration": ("base", "duration_s"),
+    "queue_capacity": ("base", "queue_capacity"),
+    "dv_period_s": ("base", "dv_period_s"),
+    "dv_merge_window_s": ("base", "dv_merge_window_s"),
+    "dv_liveness": ("base", "dv_liveness"),
+    "traffic_rate_bps": ("base.traffic", "rate_bps"),
+    "packet_bytes": ("base.traffic", "packet_bytes"),
+    "traffic_class": ("base.traffic", "traffic_class"),
+    "max_delay_s": ("base.traffic", "max_delay_s"),
+    "crypto_mode": ("base.traffic", "crypto_mode"),
+    "min_key_bytes": ("base.link", "min_key_bytes"),
+    "max_key_bytes": ("base.link", "max_key_bytes"),
+    "init_key_bytes": ("base.link", "init_key_bytes_range"),
+    "rate_bps": ("base.link", "rate_bps"),
+    "charge_period_s": ("base.link", "charge_period_s"),
+    "bandwidth_bps": ("base.link", "bandwidth_bps"),
+    "auth_key_bits": ("base.link", "auth_key_bits"),
+    "round_load_gain": ("base.link", "round_load_gain"),
+    "round_stddev_frac": ("base.link", "round_stddev_frac"),
+    "gabriel": ("topology", "gabriel"),
+    "grid_size": ("topology", "grid_size"),
+    "theta": ("topology", "theta"),
+    "omega": ("topology", "omega"),
+    "lambda": ("topology", "lambda_max"),
+    "links_per_node": ("topology", "links_per_node"),
 }
 
 
+def _owner(exp: ExperimentConfig, path: str):
+    return attrgetter(path)(exp) if path else exp
+
+
 def parse_sweep_spec(text: str) -> list[ExperimentConfig]:
-    """Parse key=value lines into experiment configs (cartesian product)."""
+    """Parse key=value lines into experiment configs (cartesian product).
+
+    ``nodes`` and ``seeds`` take a whole list per experiment; a list given
+    for any other key is a sweep axis.
+    """
+    defaults = ExperimentConfig()
     values: dict[str, list] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -130,66 +118,30 @@ def parse_sweep_spec(text: str) -> list[ExperimentConfig]:
         if "=" not in line:
             raise ConfigError(f"sweep spec line {lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _SWEEP_KEYS:
+        if key not in SWEEP_FIELDS:
             raise ConfigError(f"sweep spec line {lineno}: unknown key {key!r}")
-        parser, _ = _SWEEP_KEYS[key]
-        items = raw.split(",") if key != "init_key_bytes" else [raw]
-        values[key] = [parser(item.strip()) for item in items]
+        path, name = SWEEP_FIELDS[key]
+        default = getattr(_owner(defaults, path), name)
+        try:
+            if isinstance(default, list):
+                values[key] = [parse_value(default, raw)]
+            else:
+                values[key] = [parse_value(default, item) for item in raw.split(",")]
+        except ConfigError as exc:
+            raise ConfigError(f"sweep spec line {lineno}: {key}: {exc}") from None
 
-    node_counts = values.pop("nodes", [30])
-    seeds = values.pop("seeds", [1, 2, 3, 4])
-
-    axes = [(key, vals) for key, vals in values.items() if _SWEEP_KEYS[key][1]]
     combos: list[dict] = [{}]
-    for key, vals in axes:
+    for key, vals in values.items():
         combos = [dict(combo, **{key: v}) for combo in combos for v in vals]
 
     experiments = []
     for combo in combos:
-        run = RunConfig(
-            protocol=combo.get("protocol", "gpsrq"),
-            duration_s=combo.get("duration", 150.0),
-            beta=combo.get("beta", 0.6),
-            alpha=combo.get("alpha", 0.5),
-            t_avg_window=combo.get("t_avg_window", 5),
-            cache_enabled=combo.get("cache", True),
-            queue_capacity=combo.get("queue_capacity", 1000),
-            dv_period_s=combo.get("dv_period_s", 15.0),
-            dv_merge_window_s=combo.get("dv_merge_window_s", 1.0),
-            dv_liveness=combo.get("dv_liveness", "probe"),
-            link=LinkConfig(
-                min_key_bytes=combo.get("min_key_bytes", 1_000_000.0),
-                max_key_bytes=combo.get("max_key_bytes", 100_000_000.0),
-                init_key_bytes_range=combo.get("init_key_bytes", (500_000.0, 25_000_000.0)),
-                rate_bps=combo.get("rate_bps", 100_000.0),
-                charge_period_s=combo.get("charge_period_s", 7.0),
-                bandwidth_bps=combo.get("bandwidth_bps", 10_000_000.0),
-                auth_key_bits=combo.get("auth_key_bits", 256),
-                round_load_gain=combo.get("round_load_gain", 2.0),
-                round_stddev_frac=combo.get("round_stddev_frac", 0.1),
-            ),
-            traffic=TrafficConfig(
-                rate_bps=combo.get("traffic_rate_bps", 1_000_000.0),
-                packet_bytes=combo.get("packet_bytes", 512),
-                traffic_class=combo.get("traffic_class", "best_effort"),
-                max_delay_s=combo.get("max_delay_s"),
-                crypto_mode=combo.get("crypto_mode", "otp"),
-            ),
-        )
-        topo = TopologySpec(
-            grid_size=combo.get("grid_size", TopologySpec().grid_size),
-            theta=combo.get("theta", 0.4),
-            omega=combo.get("omega", 0.4),
-            lambda_max=combo.get("lambda"),
-            links_per_node=combo.get("links_per_node", 2),
-            gabriel=combo.get("gabriel", True),
-        )
-        experiments.append(ExperimentConfig(
-            node_counts=list(node_counts),
-            seeds=list(seeds),
-            base=run,
-            topology=topo,
-        ))
+        exp = ExperimentConfig()
+        for key, value in combo.items():
+            path, name = SWEEP_FIELDS[key]
+            # Copied so experiments never share one nodes/seeds list.
+            setattr(_owner(exp, path), name, copy(value))
+        experiments.append(exp)
     return experiments
 
 

@@ -59,13 +59,6 @@ class KeyStorage:
         self.consumed_total += key_bits
         return True
 
-    def max_deliverable(self, horizon: float, premium: bool = False) -> float:
-        """Key bits servable over the next ``horizon`` seconds, floored at zero."""
-        if horizon < 0.0:
-            raise ValueError("horizon must be non-negative")
-        reserve = 0.0 if premium else self.m_min
-        return max(0.0, self.rate * horizon + self.m_cur - reserve)
-
 
 @dataclass
 class PublicChannelStats:
@@ -130,13 +123,6 @@ class QkdLink:
 
     def key(self) -> tuple[int, int]:
         return (min(self.node_a, self.node_b), max(self.node_a, self.node_b))
-
-    def peer(self, node_id: int) -> int:
-        if node_id == self.node_a:
-            return self.node_b
-        if node_id == self.node_b:
-            return self.node_a
-        raise ValueError(f"node {node_id} is not an endpoint of {self.key()}")
 
     def conservation_error(self) -> float:
         """initial + charged - consumed - current; zero when accounting balances."""

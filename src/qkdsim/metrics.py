@@ -10,7 +10,6 @@ are propagated unclamped so the routing layer can filter such links.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .links import PublicChannelStats
@@ -57,33 +56,3 @@ def link_metric(q_m: float, p_m: float, alpha: float) -> float:
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
     return alpha * q_m + (1.0 - alpha) * p_m
-
-
-@dataclass(frozen=True, slots=True)
-class MetricSnapshot:
-    q_frac: float
-    q_m: float
-    p_m: float
-    r_m: float
-    measured_at: float
-    alpha: float
-
-
-def snapshot(
-    m_cur: float,
-    m_thr: float,
-    m_max: float,
-    stats: PublicChannelStats,
-    alpha: float,
-    now: float,
-) -> MetricSnapshot:
-    q_frac, q_m = quantum_metric(m_cur, m_thr, m_max)
-    p_m = public_metric(stats, now)
-    return MetricSnapshot(
-        q_frac=q_frac,
-        q_m=q_m,
-        p_m=p_m,
-        r_m=link_metric(q_m, p_m, alpha),
-        measured_at=now,
-        alpha=alpha,
-    )

@@ -36,6 +36,8 @@ PRIORITY_ORDER: tuple[TrafficClass, ...] = (
     TrafficClass.BEST_EFFORT,
 )
 
+CRYPTO_MODES = ("otp", "aes")
+
 PREMIUM_TAGS = frozenset({"postprocessing", "signaling", "routing"})
 
 
@@ -64,7 +66,7 @@ class CryptoPolicy:
     aes_refresh_packets: int = 100
 
     def __post_init__(self) -> None:
-        if self.mode not in ("otp", "aes"):
+        if self.mode not in CRYPTO_MODES:
             raise ValueError(f"unknown crypto mode {self.mode!r}")
         if self.auth_key_bits <= 0 or self.aes_session_key_bits <= 0 or self.aes_refresh_packets <= 0:
             raise ValueError("crypto sizes must be positive")
@@ -78,10 +80,6 @@ class CryptoPolicy:
     def ratio(self, payload_bits: float) -> float:
         """Key bits consumed per payload bit (above 1 for OTP with authentication)."""
         return self.key_cost(payload_bits) / payload_bits
-
-    def payload_capacity(self, key_bits: float, payload_bits: float) -> float:
-        """Payload bits a key budget can secure at this packet size."""
-        return key_bits / self.ratio(payload_bits)
 
 
 @dataclass(slots=True)
@@ -154,12 +152,10 @@ class PriorityQueueSet:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.queues: dict[TrafficClass, deque] = {c: deque() for c in PRIORITY_ORDER}
-        self.drops: dict[TrafficClass, int] = {c: 0 for c in PRIORITY_ORDER}
 
     def enqueue(self, pkt: SimPacket) -> bool:
         q = self.queues[pkt.traffic_class]
         if len(q) >= self.capacity:
-            self.drops[pkt.traffic_class] += 1
             return False
         q.append(pkt)
         return True

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
 CSV_COLUMNS = [
     "protocol",
@@ -174,24 +174,3 @@ def write_csv(
     if aggregate and good:
         for row in aggregate_means(good):
             out.write(",".join(row) + "\n")
-
-
-def collect_overhead(trace: Iterable[tuple]) -> tuple[int, int]:
-    """Recount routing-overhead packets and bytes from a run's event trace.
-
-    Signaling exchanges count their data message plus the modeled reliable
-    handshake; distance-vector and hello packets count individually.
-    """
-    pkts = 0
-    size = 0
-    for entry in trace:
-        if entry[1] != "tx":
-            continue
-        kind, wire = entry[2], entry[5]
-        if kind == "signaling":
-            pkts += 1 + HANDSHAKE_PACKETS
-            size += wire + HANDSHAKE_BYTES
-        elif kind in ("dv", "hello"):
-            pkts += 1
-            size += wire
-    return pkts, size

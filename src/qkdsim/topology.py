@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .geometry import Position, angle_of, ccw_next_neighbor, euclidean_distance
+from .geometry import Position, euclidean_distance
 
 MAX_CONNECT_RETRIES = 100
 MAX_LINK_PASSES = 100
@@ -98,11 +98,6 @@ def waxman_edge_probability(d: float, cfg: WaxmanConfig) -> float:
     return cfg.theta * math.exp(-d / (cfg.omega * cfg.resolved_lambda()))
 
 
-def waxman_accepts(d: float, cfg: WaxmanConfig, rng: random.Random) -> bool:
-    """One Bernoulli edge-acceptance trial at distance d."""
-    return rng.random() < waxman_edge_probability(d, cfg)
-
-
 def _grow(cfg: WaxmanConfig, rng: random.Random) -> Topology:
     """Incremental growth: each new node draws partners with weight P_e."""
     n = cfg.node_count
@@ -184,10 +179,6 @@ def generate_topology(cfg: WaxmanConfig, planarize: bool = False) -> Topology:
     )
 
 
-def generate_waxman(cfg: WaxmanConfig) -> Topology:
-    return generate_topology(cfg, planarize=False)
-
-
 def gabrielize(topo: Topology) -> Topology:
     """Keep only edges whose diameter circle contains no third node.
 
@@ -216,16 +207,6 @@ def gabrielize(topo: Topology) -> Topology:
         grid_size=topo.grid_size,
         retries=topo.retries,
     )
-
-
-def counterclockwise_next_edge(at: int, reference_angle: float, topo: Topology) -> int:
-    """Neighbor of ``at`` on the first edge counterclockwise from the reference ray."""
-    neighbors = [(v, topo.position(v)) for v in topo.neighbors(at)]
-    return ccw_next_neighbor(topo.position(at), reference_angle, neighbors)
-
-
-def reference_angle_toward(topo: Topology, at: int, target: int) -> float:
-    return angle_of(topo.position(at), topo.position(target))
 
 
 def save_topology(topo: Topology, path: str) -> None:

@@ -1,12 +1,16 @@
 """Shared test fixtures and independent oracles used across test modules."""
 
 import math
+import random
 from itertools import combinations
+from typing import Iterable
 
 from qkdsim.config import RunConfig
 from qkdsim.engine import Simulation
 from qkdsim.geometry import Position, segments_cross
-from qkdsim.topology import Topology
+from qkdsim.links import KeyStorage
+from qkdsim.stats import HANDSHAKE_BYTES, HANDSHAKE_PACKETS
+from qkdsim.topology import Topology, WaxmanConfig, waxman_edge_probability
 
 GRID = 100.0 / math.sqrt(2.0)
 
@@ -40,6 +44,40 @@ def crossing_pairs(topo: Topology) -> list:
         if segments_cross(pos[a], pos[b], pos[c], pos[d]):
             bad.append(((a, b), (c, d)))
     return bad
+
+
+def waxman_accepts(d: float, cfg: WaxmanConfig, rng: random.Random) -> bool:
+    """One Bernoulli edge-acceptance trial at distance d."""
+    return rng.random() < waxman_edge_probability(d, cfg)
+
+
+def max_deliverable(storage: KeyStorage, horizon: float, premium: bool = False) -> float:
+    """Key bits a store can serve over the next ``horizon`` seconds, floored at zero."""
+    if horizon < 0.0:
+        raise ValueError("horizon must be non-negative")
+    reserve = 0.0 if premium else storage.m_min
+    return max(0.0, storage.rate * horizon + storage.m_cur - reserve)
+
+
+def collect_overhead(trace: Iterable[tuple]) -> tuple[int, int]:
+    """Recount routing-overhead packets and bytes from a run's event trace.
+
+    Signaling exchanges count their data message plus the modeled reliable
+    handshake; distance-vector and hello packets count individually.
+    """
+    pkts = 0
+    size = 0
+    for entry in trace:
+        if entry[1] != "tx":
+            continue
+        kind, wire = entry[2], entry[5]
+        if kind == "signaling":
+            pkts += 1 + HANDSHAKE_PACKETS
+            size += wire + HANDSHAKE_BYTES
+        elif kind in ("dv", "hello"):
+            pkts += 1
+            size += wire
+    return pkts, size
 
 
 def bfs_reachable(topo: Topology, src: int, dst: int) -> bool:

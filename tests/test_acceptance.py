@@ -16,14 +16,16 @@ from helpers import (
     GRID,
     crossing_pairs,
     gabriel_violations,
+    max_deliverable,
     narrative_sim,
+    waxman_accepts,
 )
 from qkdsim.config import RunConfig
 from qkdsim.engine import Simulation, run_simulation
 from qkdsim.geometry import euclidean_distance
 from qkdsim.links import KeyStorage, PublicChannelStats
 from qkdsim.metrics import link_metric, local_mean, public_metric, quantum_metric, threshold
-from qkdsim.topology import WaxmanConfig, gabrielize, generate_topology, generate_waxman, waxman_accepts, waxman_edge_probability
+from qkdsim.topology import WaxmanConfig, gabrielize, generate_topology, waxman_edge_probability
 
 SEEDS = (6, 11, 17, 23)
 NODE_SWEEP = (10, 20, 30, 40, 50)
@@ -114,12 +116,12 @@ def test_c02_token_bucket_limit():
 
     def measured_rate(horizon):
         s = KeyStorage(m_min=8e6, m_max=8e8, m_cur=9e6, rate=rate, charge_period=7.0)
-        consumed = s.max_deliverable(0.0)
+        consumed = max_deliverable(s, 0.0)
         s.consume(consumed, premium=False)
         t = 7.0
         while t <= horizon:
             s.charge()
-            take = s.max_deliverable(0.0)
+            take = max_deliverable(s, 0.0)
             if take > 0:
                 s.consume(take, premium=False)
                 consumed += take
@@ -142,7 +144,7 @@ def test_c03_gabriel_planarity_oracle():
     violations = 0
     crossings = 0
     for seed in range(1, 51):
-        topo = generate_waxman(WaxmanConfig(node_count=30, seed=seed, grid_size=GRID))
+        topo = generate_topology(WaxmanConfig(node_count=30, seed=seed, grid_size=GRID))
         out = gabrielize(topo)
         violations += len(gabriel_violations(out))
         crossings += len(crossing_pairs(out))

@@ -125,3 +125,23 @@ def test_process_level_determinism(tmp_path):
     second = subprocess.run(args, capture_output=True, text=True, check=True)
     assert first.stdout == second.stdout
     assert "trace_hash=" in first.stdout
+
+
+@pytest.mark.parametrize("where, item", [
+    ("sweep", "beta=zz"),
+    ("sweep", "nodes=6,x"),
+    ("sweep", "seeds="),
+    ("link", "rate_bps=abc"),
+    ("link", "auth_key_bits=1.5"),
+    ("link", "init_key_bytes_range=5"),
+])
+def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, where, item):
+    if where == "sweep":
+        spec_path = tmp_path / "sweep.txt"
+        spec_path.write_text(f"duration=5\n{item}\n")
+        args = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "s.csv")]
+    else:
+        args = ["simulate", "--waxman", "6", "--duration", "5", "--link-config", item]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

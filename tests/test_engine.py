@@ -1,10 +1,9 @@
 import pytest
 
-from helpers import GRID, ample_cfg, bfs_reachable, narrative_sim, two_node_topology
+from helpers import GRID, ample_cfg, bfs_reachable, collect_overhead, narrative_sim, two_node_topology
 from qkdsim.config import RunConfig
 from qkdsim.engine import EventKind, EventQueue, Simulation, SimulationError, run_simulation
 from qkdsim.geometry import Position, euclidean_distance
-from qkdsim.stats import collect_overhead
 from qkdsim.topology import Topology, WaxmanConfig, generate_topology
 
 

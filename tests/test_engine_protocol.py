@@ -5,12 +5,12 @@ import math
 
 import pytest
 
-from helpers import GRID, ample_cfg, two_node_topology
-from qkdsim.config import RunConfig
+from helpers import GRID, ample_cfg, max_deliverable, two_node_topology
+from qkdsim.config import ConfigError, RunConfig
 from qkdsim.dv import INFINITE_METRIC
 from qkdsim.engine import Simulation, run_simulation
 from qkdsim.geometry import Position
-from qkdsim.topology import Topology, WaxmanConfig, counterclockwise_next_edge, generate_topology, reference_angle_toward
+from qkdsim.topology import Topology, WaxmanConfig, generate_topology
 
 
 def chain_topology():
@@ -67,6 +67,13 @@ def test_aes_mode_consumes_far_less_key():
 
     assert aes.received == otp.received
     assert aes.key_data_bits < 0.1 * otp.key_data_bits
+
+
+def test_unknown_crypto_mode_rejected_by_validate():
+    cfg = RunConfig()
+    cfg.traffic.crypto_mode = "bogus"
+    with pytest.raises(ConfigError, match="crypto mode"):
+        cfg.validate()
 
 
 # --- distance-vector specifics --------------------------------------------------------
@@ -223,9 +230,9 @@ def test_deliverable_payload_division():
     storage = KeyStorage(m_min=8e6, m_max=8e8, m_cur=8e6 + 8000.0,
                          rate=1e5, charge_period=7.0)
     crypto = CryptoPolicy(mode="otp", auth_key_bits=256)
-    key_bits = storage.max_deliverable(0.0)
+    key_bits = max_deliverable(storage, 0.0)
     assert key_bits == 8000.0
-    payload = crypto.payload_capacity(key_bits, payload_bits=512 * 8)
+    payload = key_bits / crypto.ratio(512 * 8)
     assert payload == pytest.approx(8000.0 / 1.0625)
 
 
@@ -240,22 +247,3 @@ def test_dv_overhead_grows_superlinearly():
         sizes[n] = run_simulation(cfg, topo).ovh_bytes
     # Linear growth would give a factor of 3; require clearly more.
     assert sizes[30] > 5 * sizes[10]
-
-
-# --- topology-level edge ordering -------------------------------------------------
-
-def test_counterclockwise_next_edge_wrapper():
-    topo = Topology(
-        nodes=[
-            (0, Position(0, 0)),
-            (1, Position(1, 0)),
-            (2, Position(0, 1)),
-            (3, Position(-1, 0)),
-        ],
-        edges={(0, 1), (0, 2), (0, 3)},
-        grid_size=4.0,
-    )
-    ref = reference_angle_toward(topo, 0, 1)  # pointing at the 0-degree neighbor
-    assert counterclockwise_next_edge(0, ref, topo) == 2
-    ref = reference_angle_toward(topo, 0, 2)
-    assert counterclockwise_next_edge(0, ref, topo) == 3

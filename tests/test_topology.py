@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import crossing_pairs, gabriel_violations
+from helpers import crossing_pairs, gabriel_violations, waxman_accepts
 from qkdsim.geometry import Position
 from qkdsim.topology import (
     Topology,
@@ -12,11 +12,9 @@ from qkdsim.topology import (
     WaxmanConfig,
     gabrielize,
     generate_topology,
-    generate_waxman,
     is_connected,
     load_topology,
     save_topology,
-    waxman_accepts,
     waxman_edge_probability,
 )
 
@@ -70,32 +68,32 @@ def test_bernoulli_acceptance_matches_probability():
 # --- generation -------------------------------------------------------------
 
 def test_two_nodes_yield_single_edge():
-    topo = generate_waxman(_cfg(node_count=2, links_per_node=1))
+    topo = generate_topology(_cfg(node_count=2, links_per_node=1))
     assert len(topo.nodes) == 2
     assert len(topo.edges) == 1
 
 
 def test_same_seed_same_topology():
-    a = generate_waxman(_cfg(node_count=10, seed=42))
-    b = generate_waxman(_cfg(node_count=10, seed=42))
+    a = generate_topology(_cfg(node_count=10, seed=42))
+    b = generate_topology(_cfg(node_count=10, seed=42))
     assert a.nodes == b.nodes
     assert a.edges == b.edges
 
 
 def test_different_seed_different_topology():
-    a = generate_waxman(_cfg(node_count=12, seed=1))
-    b = generate_waxman(_cfg(node_count=12, seed=2))
+    a = generate_topology(_cfg(node_count=12, seed=1))
+    b = generate_topology(_cfg(node_count=12, seed=2))
     assert a.nodes != b.nodes
 
 
 def test_generated_graphs_are_connected():
     for seed in range(1, 6):
-        assert is_connected(generate_waxman(_cfg(node_count=20, seed=seed)))
+        assert is_connected(generate_topology(_cfg(node_count=20, seed=seed)))
         assert is_connected(generate_topology(_cfg(node_count=20, seed=seed), planarize=True))
 
 
 def test_positions_inside_grid():
-    topo = generate_waxman(_cfg(node_count=25, seed=3))
+    topo = generate_topology(_cfg(node_count=25, seed=3))
     for _, pos in topo.nodes:
         assert 0.0 <= pos.x <= GRID
         assert 0.0 <= pos.y <= GRID
@@ -136,7 +134,7 @@ def test_gabriel_two_nodes_unchanged():
 
 def test_gabriel_brute_force_clean_on_random_graphs():
     for seed in range(1, 6):
-        out = gabrielize(generate_waxman(_cfg(node_count=20, seed=seed)))
+        out = gabrielize(generate_topology(_cfg(node_count=20, seed=seed)))
         assert gabriel_violations(out) == []
 
 
@@ -148,7 +146,7 @@ def test_gabriel_output_planar():
 
 def test_gabriel_idempotent():
     for seed in range(1, 6):
-        first = gabrielize(generate_waxman(_cfg(node_count=15, seed=seed)))
+        first = gabrielize(generate_topology(_cfg(node_count=15, seed=seed)))
         assert gabrielize(first).edges == first.edges
 
 

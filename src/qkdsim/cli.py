@@ -88,7 +88,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         spec = TopologySpec(node_count=args.waxman, grid_size=args.grid_size,
                             gabriel=args.gabriel)
-        spec.validate()
         topo = topology_for(spec, args.seed)
 
     sim = Simulation(run_cfg, topo, metrics_log=bool(args.metrics_csv))

@@ -140,12 +140,6 @@ class TopologySpec:
     links_per_node: int = _waxman_default("links_per_node")
     gabriel: bool = True
 
-    def validate(self) -> None:
-        if self.node_count < 2:
-            raise ConfigError("node_count must be at least 2")
-        if self.grid_size <= 0.0:
-            raise ConfigError("grid_size must be positive")
-
 
 @dataclass(slots=True)
 class RunConfig:
@@ -196,12 +190,6 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
     base: RunConfig = field(default_factory=RunConfig)
     topology: TopologySpec = field(default_factory=TopologySpec)
-
-    def validate(self) -> None:
-        if not self.node_counts or not self.seeds:
-            raise ConfigError("node_counts and seeds must be non-empty")
-        self.base.validate()
-        self.topology.validate()
 
     def expand(self) -> list[tuple[RunConfig, TopologySpec]]:
         if not self.node_counts or not self.seeds:

@@ -2,7 +2,8 @@
 
 The QKD header is 28 bytes, the command header 8 bytes; routing state
 (recovery indicator, loop indicator, recovery interface and position)
-is carried inside these two headers rather than in a separate one.
+is carried inside these two headers rather than in a separate one. A
+max_delay of 0 means the packet has no deadline (premium control traffic).
 
 Normative bit offsets, most-significant bit first:
 
@@ -14,7 +15,7 @@ message_id          32      4..7
 e / a               4 / 4   8   (e in the high nibble)
 z / v / r / l       2 each  9   (z bits 7..6, v 5..4, r 3..2, l 1..0)
 channel             16      10..11
-max_delay           16      12..13  (milliseconds, modulo 2^16)
+max_delay           16      12..13  (milliseconds, modulo 2^16; 0 = none)
 timestamp           16      14..15  (milliseconds, modulo 2^16)
 encryption_key_id   32      16..19
 authentication_key_id  32   20..23

@@ -19,7 +19,6 @@ class KeyStorage:
     m_cur: float
     rate: float
     charge_period: float
-    m_thr: float | None = None
     charged_total: float = 0.0
     consumed_total: float = 0.0
 
@@ -32,10 +31,6 @@ class KeyStorage:
             raise ValueError("charging rate must be non-negative")
         if self.charge_period <= 0.0:
             raise ValueError("charge_period must be positive")
-        if self.m_thr is None:
-            self.m_thr = self.m_max
-        if not (0.0 <= self.m_thr <= self.m_max):
-            raise ValueError("require 0 <= m_thr <= m_max")
 
     def charge(self) -> float:
         """Add one charging burst, discarding overflow; returns bits added."""

@@ -7,11 +7,13 @@ application traffic is served only while the store stays above the reserve.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .headers import (
+    HEADER_OVERHEAD_BYTES,
     QkdCommandHeader,
     QkdHeader,
     encode_ms16,
@@ -108,7 +110,7 @@ class SimPacket:
 
 
 def _wire_length(pkt: SimPacket) -> int:
-    return (pkt.payload_len + 36) & 0xFFFFFFFF
+    return (pkt.payload_len + HEADER_OVERHEAD_BYTES) & 0xFFFFFFFF
 
 
 def build_headers(pkt: SimPacket, channel: int = 0) -> tuple[QkdHeader, QkdCommandHeader]:
@@ -123,7 +125,7 @@ def build_headers(pkt: SimPacket, channel: int = 0) -> tuple[QkdHeader, QkdComma
         r=pkt.in_rec & 0b11,
         l=pkt.loop & 0b11,
         channel=channel & 0xFFFF,
-        max_delay=encode_ms16(pkt.max_delay),
+        max_delay=encode_ms16(pkt.max_delay) if math.isfinite(pkt.max_delay) else 0,
         timestamp=encode_ms16(pkt.created_at),
         encryption_key_id=pkt.uid & 0xFFFFFFFF,
         authentication_key_id=pkt.uid & 0xFFFFFFFF,
@@ -139,7 +141,11 @@ def build_headers(pkt: SimPacket, channel: int = 0) -> tuple[QkdHeader, QkdComma
 
 
 def serialize_headers(pkt: SimPacket, channel: int = 0) -> bytes:
-    """36-byte wire encoding of both headers for one packet."""
+    """36-byte wire encoding of both headers for one packet.
+
+    A packet without a deadline (``max_delay`` infinite, as on every
+    signaling, DV and hello packet) carries max_delay 0.
+    """
     qkd, cmd = build_headers(pkt, channel)
     return serialize_qkd_header(qkd) + serialize_command_header(cmd)
 

@@ -134,14 +134,18 @@ def test_process_level_determinism(tmp_path):
     ("link", "rate_bps=abc"),
     ("link", "auth_key_bits=1.5"),
     ("link", "init_key_bytes_range=5"),
+    ("simulate", "--waxman 1"),
+    ("simulate", "--waxman 6 --grid-size -1"),
 ])
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, where, item):
     if where == "sweep":
         spec_path = tmp_path / "sweep.txt"
         spec_path.write_text(f"duration=5\n{item}\n")
         args = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "s.csv")]
-    else:
+    elif where == "link":
         args = ["simulate", "--waxman", "6", "--duration", "5", "--link-config", item]
+    else:
+        args = ["simulate", "--duration", "5", *item.split()]
     assert run_cli(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from helpers import GRID, ample_cfg, max_deliverable, two_node_topology
-from qkdsim.config import ConfigError, RunConfig
+from qkdsim.config import PROTOCOLS, ConfigError, RunConfig
 from qkdsim.dv import INFINITE_METRIC
 from qkdsim.engine import Simulation, run_simulation
 from qkdsim.geometry import Position
@@ -67,6 +67,21 @@ def test_aes_mode_consumes_far_less_key():
 
     assert aes.received == otp.received
     assert aes.key_data_bits < 0.1 * otp.key_data_bits
+
+
+def test_every_protocol_builds_and_runs_its_own_simulation_class():
+    classes = set()
+    for protocol in PROTOCOLS:
+        sim = Simulation(ample_cfg(protocol=protocol, duration_s=2.0), two_node_topology())
+        assert type(sim) is not Simulation and isinstance(sim, Simulation)
+        assert sim.run().received > 0
+        classes.add(type(sim))
+    assert len(classes) == len(PROTOCOLS)
+
+
+def test_unknown_protocol_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown protocol"):
+        Simulation(RunConfig(protocol="nope"), two_node_topology())
 
 
 def test_unknown_crypto_mode_rejected_by_validate():

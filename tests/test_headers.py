@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -122,6 +124,18 @@ def test_packet_routing_state_lands_in_headers():
     assert cmd.rec_position == 9
     assert qkd.timestamp == encode_ms16(1.25)
     assert qkd.max_delay == encode_ms16(5.0)
+
+
+def test_signaling_packet_without_deadline_round_trips():
+    pkt = _packet(kind="signaling", traffic_class=TrafficClass.PREMIUM,
+                  payload_len=8, max_delay=math.inf)
+    raw = serialize_headers(pkt)
+    assert len(raw) == 36
+    qkd = deserialize_qkd_header(raw[:28])
+    cmd = deserialize_command_header(raw[28:])
+    assert qkd.max_delay == 0  # no deadline
+    assert qkd.length == 8 + HEADER_OVERHEAD_BYTES
+    assert serialize_qkd_header(qkd) + serialize_command_header(cmd) == raw
 
 
 # --- 16-bit millisecond stamps ----------------------------------------------

@@ -394,14 +394,17 @@ class Simulation:
             self._transmit(at, target, pkt, cost)
 
     def _count_drop(self, cause: str, pkt: SimPacket, at: int) -> None:
+        """Count a data packet dropped at ``at`` and record why."""
         if cause == "source":
             self.drop_source += 1
         elif cause == "delay":
             self.drop_delay += 1
         elif cause == "link":
             self.drop_link += 1
-        else:
+        elif cause == "queue":
             self.drop_queue += 1
+        else:
+            raise SimulationError(f"unknown drop cause {cause!r}")
         self._record("drop", cause, pkt.uid, at)
 
     def _schedule_retry(self, at: int) -> None:
@@ -430,8 +433,7 @@ class Simulation:
             # Queue-served packets wait at decision time instead; only the
             # unreliable routing updates can still arrive here and are lost.
             if pkt.kind == "data":
-                self.drop_queue += 1
-                self._record("drop", "queue", pkt.uid, at)
+                self._count_drop("queue", pkt, at)
             else:
                 self._record("tx_blocked", pkt.kind, at, target)
             return False
@@ -577,9 +579,8 @@ class GpsrqSimulation(Simulation):
             pkt.recovery_tried.add(pkt.rec_if)
 
         if not self.queues[at].enqueue(pkt):
-            self.drop_queue += 1
             self.dropped_by_class[pkt.traffic_class.name] += 1
-            self._record("drop", "queue", pkt.uid, at)
+            self._count_drop("queue", pkt, at)
             return
         self._serve(at)
 
@@ -607,8 +608,7 @@ class GpsrqSimulation(Simulation):
         expired = self.now - pkt.created_at > pkt.max_delay
         if expired:
             if at == pkt.src:
-                self.drop_delay += 1
-                self._record("drop", "delay", pkt.uid, at)
+                self._count_drop("delay", pkt, at)
                 return False
             pkt.pending_return = True  # keep loop=1, unwind further at service
             return True

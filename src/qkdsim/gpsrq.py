@@ -11,15 +11,20 @@ entry point is reached.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .geometry import Position, euclidean_distance
 from .links import PublicChannelStats
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class CacheRecord:
-    """Exclusion: do not route via ``via_neighbor`` toward the circle region."""
+    """Exclusion: do not route via ``via_neighbor`` toward the circle region.
+
+    Records hash by identity and order by expiry time, so a node's cache can
+    key them in dicts and keep them directly in its expiry heap.
+    """
 
     via_neighbor: int
     center: Position
@@ -28,6 +33,9 @@ class CacheRecord:
 
     def covers(self, dst_pos: Position) -> bool:
         return euclidean_distance(self.center, dst_pos) <= self.radius
+
+    def __lt__(self, other: CacheRecord) -> bool:
+        return self.expires_at < other.expires_at
 
 
 def cache_ttl(stats: PublicChannelStats) -> float:
@@ -60,7 +68,17 @@ def greedy_choice(candidates: list[tuple[int, float, float]], beta: float) -> in
 
 
 class GpsrqNode:
-    """Routing state owned by one node."""
+    """Routing state owned by one node.
+
+    The exclusion cache holds each record three times: ``cache`` in
+    insertion order, ``_cache_by_via`` bucketed by the neighbour it excludes,
+    and ``_expiry_heap`` as a min-heap on ``expires_at``. A record is live
+    while ``expires_at > now``. ``prune_cache`` pops the heap until its head
+    is live and removes those records from all three, so a prune with
+    nothing expired does no work and a lookup scans one neighbour's bucket.
+    Every lookup prunes first; insertion does not, so ``cache`` may still
+    hold records that expired since the last lookup or expiry event.
+    """
 
     def __init__(self, node_id: int, position: Position, beta: float, alpha: float,
                  cache_enabled: bool = True):
@@ -69,7 +87,9 @@ class GpsrqNode:
         self.beta = beta
         self.alpha = alpha
         self.cache_enabled = cache_enabled
-        self.cache: list[CacheRecord] = []
+        self.cache: dict[CacheRecord, None] = {}
+        self._cache_by_via: dict[int, dict[CacheRecord, None]] = {}
+        self._expiry_heap: list[CacheRecord] = []
         self.l_sent: float | None = None
         self.recv_l: dict[int, float] = {}
         self.upstream: dict[int, int] = {}
@@ -85,14 +105,26 @@ class GpsrqNode:
             return None
         record = CacheRecord(via_neighbor=via, center=center, radius=radius,
                              expires_at=now + ttl)
-        self.cache.append(record)
+        self.cache[record] = None
+        self._cache_by_via.setdefault(via, {})[record] = None
+        heapq.heappush(self._expiry_heap, record)
         return record
 
     def cache_blocked(self, via: int, dst_pos: Position, now: float) -> bool:
         """True when a live record excludes ``via`` for this destination."""
         self.prune_cache(now)
-        return any(r.via_neighbor == via and r.covers(dst_pos) for r in self.cache)
+        for r in self._cache_by_via.get(via, ()):
+            if r.covers(dst_pos):
+                return True
+        return False
 
     def prune_cache(self, now: float) -> None:
-        if self.cache:
-            self.cache = [r for r in self.cache if r.expires_at > now]
+        """Drop every record with ``expires_at <= now``."""
+        heap = self._expiry_heap
+        while heap and heap[0].expires_at <= now:
+            record = heapq.heappop(heap)
+            del self.cache[record]
+            bucket = self._cache_by_via[record.via_neighbor]
+            del bucket[record]
+            if not bucket:
+                del self._cache_by_via[record.via_neighbor]

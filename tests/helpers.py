@@ -7,7 +7,7 @@ from typing import Iterable
 
 from qkdsim.config import RunConfig
 from qkdsim.engine import Simulation
-from qkdsim.geometry import Position, segments_cross
+from qkdsim.geometry import Position, euclidean_distance, segments_cross
 from qkdsim.links import KeyStorage
 from qkdsim.stats import HANDSHAKE_BYTES, HANDSHAKE_PACKETS
 from qkdsim.topology import Topology, WaxmanConfig, waxman_edge_probability
@@ -78,6 +78,35 @@ def collect_overhead(trace: Iterable[tuple]) -> tuple[int, int]:
             pkts += 1
             size += wire
     return pkts, size
+
+
+class NaiveExclusionCache:
+    """List-scan reference for ``GpsrqNode``'s exclusion cache.
+
+    Records are (via, center, radius, expires_at) tuples in insertion order.
+    Every lookup first drops the records with ``expires_at <= now`` and then
+    scans all that remain; insertion never prunes.
+    """
+
+    def __init__(self, cache_enabled: bool = True):
+        self.cache_enabled = cache_enabled
+        self.records: list[tuple[int, Position, float, float]] = []
+
+    def add_cache(self, via: int, center: Position, radius: float,
+                  now: float, ttl: float) -> tuple | None:
+        if not self.cache_enabled:
+            return None
+        record = (via, center, radius, now + ttl)
+        self.records.append(record)
+        return record
+
+    def cache_blocked(self, via: int, dst_pos: Position, now: float) -> bool:
+        self.prune_cache(now)
+        return any(v == via and euclidean_distance(center, dst_pos) <= radius
+                   for v, center, radius, _ in self.records)
+
+    def prune_cache(self, now: float) -> None:
+        self.records = [r for r in self.records if r[3] > now]
 
 
 def bfs_reachable(topo: Topology, src: int, dst: int) -> bool:

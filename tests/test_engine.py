@@ -63,6 +63,17 @@ def test_disconnected_topology_rejected():
         Simulation(RunConfig(seed=1), topo)
 
 
+def test_each_drop_cause_counts_once_and_unknown_causes_raise():
+    sim = Simulation(ample_cfg(seed=3, duration_s=1.0), two_node_topology())
+    pkt = sim._make_data_packet()
+    for cause in ("source", "delay", "link", "queue"):
+        sim._count_drop(cause, pkt, 0)
+    assert (sim.drop_source, sim.drop_delay, sim.drop_link, sim.drop_queue) == (1, 1, 1, 1)
+    assert [e[2] for e in sim.trace if e[1] == "drop"] == ["source", "delay", "link", "queue"]
+    with pytest.raises(SimulationError):
+        sim._count_drop("lost", pkt, 0)
+
+
 def test_delay_floor_on_mean_delay():
     stats = run_simulation(ample_cfg(seed=3, duration_s=20.0), two_node_topology())
     wire_bits = (512 + 36 + 28) * 8

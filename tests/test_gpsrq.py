@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import NaiveExclusionCache
 from qkdsim.geometry import Position
 from qkdsim.gpsrq import CacheRecord, GpsrqNode, cache_ttl, forwarding_score, greedy_choice
 from qkdsim.links import PublicChannelStats
@@ -35,7 +37,7 @@ def test_expired_record_ignored_and_pruned():
     node = _node()
     node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0)
     assert not node.cache_blocked(1, Position(10, 0), now=5.0)
-    assert node.cache == []
+    assert len(node.cache) == 0
 
 
 def test_boundary_of_circle_counts_as_blocked():
@@ -48,6 +50,63 @@ def test_disabled_cache_stores_nothing():
     node = _node(cache_enabled=False)
     assert node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0) is None
     assert not node.cache_blocked(1, Position(10, 0), now=1.0)
+
+
+# Few centres and destinations on a small grid, so lookups both hit and miss
+# (and some land exactly on a circle), and times on a coarse grid, so that
+# records share expiry times and some expire at the moment they are added.
+_POINTS = [Position(0, 0), Position(3, 0), Position(0, 4), Position(1, 1), Position(10, 10)]
+
+
+def _cache_ops(n_neighbors):
+    via = st.integers(1, n_neighbors)
+    point = st.sampled_from(_POINTS)
+    op = st.one_of(
+        st.tuples(st.just("add"), via, point, st.sampled_from([0.0, 1.0, 3.0, 5.0]),
+                  st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
+        st.tuples(st.just("blocked"), via, point),
+        st.tuples(st.just("prune")),
+    )
+    return st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), op), max_size=80)
+
+
+def _fields(record):
+    return (record.via_neighbor, record.center, record.radius, record.expires_at)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(_cache_ops), st.booleans())
+def test_cache_matches_naive_oracle(steps, cache_enabled):
+    node = _node(cache_enabled=cache_enabled)
+    oracle = NaiveExclusionCache(cache_enabled)
+    now = 0.0
+    for dt, (name, *args) in steps:
+        now += dt
+        if name == "add":
+            via, center, radius, ttl = args
+            got = node.add_cache(via, center, radius, now, ttl)
+            want = oracle.add_cache(via, center, radius, now, ttl)
+            assert (got is None) == (want is None)
+        elif name == "blocked":
+            via, dst = args
+            assert node.cache_blocked(via, dst, now) == oracle.cache_blocked(via, dst, now)
+        else:
+            node.prune_cache(now)
+            oracle.prune_cache(now)
+        assert [_fields(r) for r in node.cache] == oracle.records
+
+
+def test_pruned_cache_retains_no_records():
+    node = _node()
+    for i in range(40):
+        node.add_cache(via=1 + i % 4, center=Position(i, 0), radius=2.0,
+                       now=i * 0.25, ttl=1.0 + i % 3)
+    node.prune_cache(now=3.0)
+    assert 0 < len(node.cache) < 40
+    node.prune_cache(now=100.0)
+    assert len(node.cache) == 0
+    assert node._cache_by_via == {}
+    assert node._expiry_heap == []
 
 
 def test_cache_record_covers():

@@ -99,13 +99,20 @@ class EventQueue:
 
 
 class Simulation:
-    def __new__(cls, cfg: RunConfig, topology: Topology, metrics_log: bool = False):
+    """One run. ``metrics_log=True`` keeps a link-metric snapshot per key charge
+    and threshold update in ``metrics_log``. ``trace=True`` keeps one tuple per
+    model step (arrival, transmission, drop, ...) in ``trace``, which otherwise
+    stays empty; ``trace_hash`` covers every event either way."""
+
+    def __new__(cls, cfg: RunConfig, topology: Topology, metrics_log: bool = False,
+                trace: bool = False):
         cfg.validate()
         if cls is Simulation:
             cls = PROTOCOL_SIMULATIONS[cfg.protocol]
         return super().__new__(cls)
 
-    def __init__(self, cfg: RunConfig, topology: Topology, metrics_log: bool = False):
+    def __init__(self, cfg: RunConfig, topology: Topology, metrics_log: bool = False,
+                 trace: bool = False):
         if len(topology.nodes) < 2:
             raise SimulationError("need at least two nodes")
         if not is_connected(topology):
@@ -161,6 +168,7 @@ class Simulation:
         self._warned_reserve: set[tuple[int, int]] = set()
 
         self.trace: list[tuple] = []
+        self._tracing = trace
         self._hasher = hashlib.sha256()
         self.metrics_log: list[tuple] | None = [] if metrics_log else None
 
@@ -229,7 +237,8 @@ class Simulation:
         return self.topo.position(nid)
 
     def _record(self, *entry) -> None:
-        self.trace.append((self.now, *entry))
+        if self._tracing:
+            self.trace.append((self.now, *entry))
 
     def _hash_event(self, ev: SimEvent) -> None:
         parts = [f"{ev.fire_at:.9f}", ev.kind.value]

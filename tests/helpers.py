@@ -155,12 +155,12 @@ def narrative_topology() -> Topology:
     )
 
 
-def narrative_sim() -> Simulation:
+def narrative_sim(trace: bool = False) -> Simulation:
     cfg = RunConfig(seed=1, duration_s=3.0)
     cfg.link.init_key_bytes_range = (5_000_000.0, 5_000_000.0)
     cfg.link.rate_bps = 0.0  # no charging: no signaling noise, stable metrics
     cfg.traffic.rate_bps = 1000.0  # exactly one packet at t=0
-    sim = Simulation(cfg, narrative_topology())
+    sim = Simulation(cfg, narrative_topology(), trace=trace)
     dead = sim.links[(2, 4)]
     dead.storage.m_cur = 0.0
     dead.initial_key = 0.0

@@ -174,7 +174,7 @@ def test_c04_waxman_statistics():
 # ---------------------------------------------------------------------------
 
 def test_c05_recovery_scenario():
-    sim = narrative_sim()
+    sim = narrative_sim(trace=True)
     stats = sim.run()
     a, k, j, l, i, g = 0, 1, 2, 3, 4, 5
 

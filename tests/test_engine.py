@@ -1,8 +1,9 @@
 import pytest
 
 from helpers import GRID, ample_cfg, bfs_reachable, collect_overhead, narrative_sim, two_node_topology
-from qkdsim.config import RunConfig
+from qkdsim.config import PROTOCOLS, RunConfig, TopologySpec
 from qkdsim.engine import EventKind, EventQueue, Simulation, SimulationError, run_simulation
+from qkdsim.experiment import run_sweep, topology_for
 from qkdsim.geometry import Position, euclidean_distance
 from qkdsim.topology import Topology, WaxmanConfig, generate_topology
 
@@ -64,7 +65,7 @@ def test_disconnected_topology_rejected():
 
 
 def test_each_drop_cause_counts_once_and_unknown_causes_raise():
-    sim = Simulation(ample_cfg(seed=3, duration_s=1.0), two_node_topology())
+    sim = Simulation(ample_cfg(seed=3, duration_s=1.0), two_node_topology(), trace=True)
     pkt = sim._make_data_packet()
     for cause in ("source", "delay", "link", "queue"):
         sim._count_drop(cause, pkt, 0)
@@ -72,6 +73,46 @@ def test_each_drop_cause_counts_once_and_unknown_causes_raise():
     assert [e[2] for e in sim.trace if e[1] == "drop"] == ["source", "delay", "link", "queue"]
     with pytest.raises(SimulationError):
         sim._count_drop("lost", pkt, 0)
+
+
+# --- the event trace is opt-in ------------------------------------------------------
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_keeping_the_trace_changes_no_output(protocol):
+    topo = topology_for(TopologySpec(node_count=10), 3)
+    cfg = RunConfig(protocol=protocol, seed=3, duration_s=20.0)
+    plain = Simulation(cfg, topo, metrics_log=True)
+    traced = Simulation(cfg, topo, metrics_log=True, trace=True)
+    a, b = plain.run(), traced.run()
+    assert (a.csv_row(), a.trace_hash) == (b.csv_row(), b.trace_hash)
+    assert plain.metrics_log and plain.metrics_log == traced.metrics_log
+    assert plain.dump_caches() == traced.dump_caches()
+    # The gpsrq run enters recovery and leaves exclusion records; dv keeps none.
+    assert bool(plain.dump_caches()) == (protocol == "gpsrq")
+    assert plain.trace == [] and traced.trace
+
+
+def test_a_default_run_keeps_no_trace():
+    sim = Simulation(ample_cfg(seed=3, duration_s=5.0), two_node_topology())
+    stats = sim.run()
+    assert stats.received > 0
+    assert sim.trace == []
+
+
+def test_run_simulation_and_sweeps_keep_no_trace(monkeypatch):
+    sims = []
+    init = Simulation.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
+
+    monkeypatch.setattr(Simulation, "__init__", spy)
+    run_simulation(ample_cfg(seed=3, duration_s=5.0), two_node_topology())
+    rows, _ = run_sweep("protocol=gpsrq,dv\nnodes=10\nseeds=3\nduration=5\n")
+    assert [r.error for r in rows] == ["", ""]
+    assert len(sims) == 3
+    assert all(sim.sent > 0 and sim.trace == [] for sim in sims)
 
 
 def test_delay_floor_on_mean_delay():
@@ -93,7 +134,7 @@ def test_dv_two_nodes_converges_and_delivers():
 def test_signaling_overhead_matches_schedule():
     topo = generate_topology(WaxmanConfig(node_count=10, seed=7, grid_size=GRID), planarize=True)
     cfg = ample_cfg(seed=7, duration_s=20.0)
-    sim = Simulation(cfg, topo)
+    sim = Simulation(cfg, topo, trace=True)
     stats = sim.run()
     epochs = int(20.0 / cfg.link.charge_period_s)  # charges at 7 and 14
     exchanges = 2 * len(topo.edges) * epochs
@@ -167,7 +208,7 @@ def test_admitted_costs_equal_consumed_key(two_hop=None):
 # --- the recovery narrative -------------------------------------------------------
 
 def test_recovery_narrative_step_by_step():
-    sim = narrative_sim()
+    sim = narrative_sim(trace=True)
     stats = sim.run()
 
     a, k, j, l, i, g = 0, 1, 2, 3, 4, 5
@@ -211,9 +252,8 @@ def test_recovery_narrative_step_by_step():
     assert stats.received == 0
     assert stats.loop2_count >= 2
     # All circle centers sit on the destination.
-    for e in sim.trace:
-        if e[1] == "cache_add":
-            assert (e[4], e[5]) == (g_pos.x, g_pos.y)
+    centers = [(e[4], e[5]) for e in sim.trace if e[1] == "cache_add"]
+    assert centers and all(c == (g_pos.x, g_pos.y) for c in centers)
     assert sim.max_forwards <= 4 * len(sim.topo.edges)
 
 
@@ -233,10 +273,11 @@ def test_narrative_cache_dump_format():
 def test_cache_soundness_every_record_follows_a_return():
     """No speculative records: each one traces back to a return or a
     perimeter walk arriving back at its origin."""
-    sim = narrative_sim()
+    sim = narrative_sim(trace=True)
     sim.run()
     returns_seen = set()
     recoveries = set()
+    cache_adds = 0
     for e in sim.trace:
         tag = e[1]
         if tag in ("loop_return", "delay_return"):
@@ -246,6 +287,8 @@ def test_cache_soundness_every_record_follows_a_return():
         elif tag == "cache_add":
             node, via = e[2], e[3]
             assert (node, via) in returns_seen or (node, via) in recoveries
+            cache_adds += 1
+    assert cache_adds > 0
 
 
 # --- recovery completeness against a reachability oracle ---------------------------

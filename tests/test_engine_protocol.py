@@ -28,7 +28,7 @@ def test_expired_packet_returns_and_source_drops():
     cfg.link.rate_bps = 0.0
     cfg.traffic.rate_bps = 1000.0           # single packet
     cfg.traffic.max_delay_s = 0.001         # expires during the first hop
-    sim = Simulation(cfg, chain_topology())
+    sim = Simulation(cfg, chain_topology(), trace=True)
     stats = sim.run()
     assert stats.drop_delay == 1
     assert stats.received == 0
@@ -118,7 +118,7 @@ def test_dv_periodic_update_count():
     # One node's table broadcast goes to each neighbor once per period.
     topo = two_node_topology()
     cfg = ample_cfg(protocol="dv", seed=1, duration_s=31.0)
-    sim = Simulation(cfg, topo)
+    sim = Simulation(cfg, topo, trace=True)
     sim.run()
     dv_tx = [e for e in sim.trace if e[1] == "tx" and e[2] == "dv"]
     # Periodic timers start at a jittered offset below ~1 s, so each node
@@ -131,7 +131,7 @@ def test_dv_hello_variant_counts_hellos_and_delivers():
     topo = two_node_topology()
     cfg = ample_cfg(protocol="dv", seed=1, duration_s=25.0)
     cfg.dv_liveness = "hello"
-    sim = Simulation(cfg, topo)
+    sim = Simulation(cfg, topo, trace=True)
     stats = sim.run()
     hello_tx = [e for e in sim.trace if e[1] == "tx" and e[2] == "hello"]
     assert hello_tx, "expected hello beacons"
@@ -146,7 +146,7 @@ def test_dv_poisons_dead_link_and_recovers():
     topo = chain_topology()
     cfg = RunConfig(protocol="dv", seed=4, duration_s=40.0)
     cfg.link.init_key_bytes_range = (25_000_000.0, 25_000_000.0)
-    sim = Simulation(cfg, topo)
+    sim = Simulation(cfg, topo, trace=True)
     weak = sim.links[(1, 2)]
     weak.storage.m_cur = 7.9e6
     weak.initial_key = 7.9e6
@@ -168,7 +168,7 @@ def test_data_never_leaves_storage_below_reserve_in_trace():
     topo = two_node_topology()
     cfg = RunConfig(seed=5, duration_s=30.0)
     cfg.link.init_key_bytes_range = (1_100_000.0, 1_100_000.0)  # thin surplus
-    sim = Simulation(cfg, topo)
+    sim = Simulation(cfg, topo, trace=True)
     sim.run()
     m_min = sim.links[(0, 1)].storage.m_min
     data_tx = [e for e in sim.trace if e[1] == "tx" and e[2] == "data"]
@@ -187,7 +187,7 @@ def test_blocked_packets_wait_and_flow_after_charges():
     cfg = RunConfig(seed=8, duration_s=40.0)
     cfg.link.init_key_bytes_range = (990_000.0, 990_000.0)  # just under reserve
     cfg.traffic.rate_bps = 50_000.0  # ~12 packets/s, queue holds them all
-    sim = Simulation(cfg, topo)
+    sim = Simulation(cfg, topo, trace=True)
     stats = sim.run()
     # Reserve is 8 Mbit, fill starts at 7.92 Mbit and charges 0.7 Mbit per
     # 7 s: the first deliveries need a couple of epochs.

@@ -3,7 +3,8 @@
 A change that alters any of these values changes simulated behaviour and
 must say so. Together the runs reach every GPSRQ decision branch that
 leaves a trace record (recovery entry and exit, loop2, loop returns, delay
-returns, cache insertions) and both DV liveness variants.
+returns, cache insertions) and both DV liveness variants. Every run keeps
+its event trace (``trace=True``), and the records of two runs are pinned too.
 """
 
 import hashlib
@@ -20,11 +21,11 @@ from qkdsim.experiment import topology_for
 def _sim(protocol, nodes, seed, duration, metrics=False, **kw) -> Simulation:
     cfg = RunConfig(protocol=protocol, seed=seed, duration_s=duration, **kw)
     return Simulation(cfg, topology_for(TopologySpec(node_count=nodes), seed),
-                      metrics_log=metrics)
+                      metrics_log=metrics, trace=True)
 
 
 RUNS = {
-    "narrative": narrative_sim,
+    "narrative": lambda: narrative_sim(trace=True),
     "gpsrq-40-s2-cache": lambda: _sim("gpsrq", 40, 2, 90.0, metrics=True),
     "gpsrq-40-s2-nocache": lambda: _sim("gpsrq", 40, 2, 90.0, cache_enabled=False),
     "gpsrq-30-s1": lambda: _sim("gpsrq", 30, 1, 90.0),
@@ -72,6 +73,12 @@ SIDE_OUTPUTS = {
     "dv-probe": ("449f6c09bbb40579", "e3b0c44298fc1c14"),
 }
 
+# name -> digest of the trace records, one repr() per line
+TRACE_RECORDS = {
+    "narrative": "fbfd31d6b6a9148f",
+    "dv-probe": "2527679c32c1571d",
+}
+
 DECISION_RECORDS = ("recovery_enter", "recovery_exit", "loop2", "loop_return",
                     "delay_return", "cache_add")
 
@@ -87,8 +94,10 @@ def _outputs(name: str):
     metrics = None
     if sim.metrics_log is not None:
         metrics = _digest(repr(row) for row in sim.metrics_log)
+    records = _digest(repr(entry) for entry in sim.trace) if name in TRACE_RECORDS else None
     return (",".join(stats.csv_row()), stats.trace_hash,
-            frozenset(entry[1] for entry in sim.trace), metrics, _digest(sim.dump_caches()))
+            frozenset(entry[1] for entry in sim.trace), records, metrics,
+            _digest(sim.dump_caches()))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -101,6 +110,11 @@ def test_row_and_trace_hash_pinned(name):
 def test_metrics_log_and_caches_pinned(name):
     *_, metrics, caches = _outputs(name)
     assert (metrics, caches) == SIDE_OUTPUTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_RECORDS))
+def test_trace_records_pinned(name):
+    assert _outputs(name)[3] == TRACE_RECORDS[name]
 
 
 def test_pinned_runs_reach_every_decision_record():

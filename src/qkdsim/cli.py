@@ -32,7 +32,9 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     src.add_argument("--topology", metavar="FILE", help="load a topology file")
     src.add_argument("--waxman", type=int, metavar="N", help="generate an N-node random topology")
     p.add_argument("--seed", type=int, default=run.seed)
-    p.add_argument("--gabriel", action="store_true", help="planarize the generated topology")
+    p.add_argument("--gabriel", action="store_true",
+                   help="connect the --waxman nodes as their Gabriel graph (planar) "
+                        "instead of drawing Waxman edges")
     p.add_argument("--grid-size", type=float, default=spec.grid_size)
     p.add_argument("--protocol", choices=PROTOCOLS, default=run.protocol)
     p.add_argument("--beta", type=float, default=run.beta)
@@ -125,7 +127,9 @@ def _add_gen_topology(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--omega", type=float, default=spec.omega)
     p.add_argument("--lambda", dest="lambda_max", type=float, default=spec.lambda_max)
     p.add_argument("--links-per-node", type=int, default=spec.links_per_node)
-    p.add_argument("--gabriel", action="store_true")
+    p.add_argument("--gabriel", action="store_true",
+                   help="connect the nodes as their Gabriel graph (planar); it depends only on "
+                        "--nodes, --seed and --grid-size, so the Waxman options have no effect")
     p.add_argument("--out", required=True, metavar="FILE")
 
 
@@ -181,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen-topology":
             return _cmd_gen_topology(args)
         return _cmd_sweep(args)
-    except (ConfigError, TopologyError, SimulationError, OSError) as exc:
+    except (ConfigError, TopologyError, SimulationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,8 +164,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if self.duration_s <= 0.0:
-            raise ConfigError("duration_s must be positive")
+        if not (0.0 < self.duration_s < math.inf):
+            raise ConfigError("duration_s must be positive and finite")
         if not (0.0 <= self.beta <= 1.0) or not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("beta and alpha must lie in [0, 1]")
         if self.t_avg_window < 1:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterable
 
 from .geometry import Position, euclidean_distance
 
@@ -40,10 +42,10 @@ class WaxmanConfig:
             raise TopologyError("node_count must be at least 2")
         if not (0.0 < self.theta <= 1.0) or not (0.0 < self.omega <= 1.0):
             raise TopologyError("theta and omega must lie in (0, 1]")
-        if self.grid_size <= 0.0:
-            raise TopologyError("grid_size must be positive")
-        if self.lambda_max is not None and self.lambda_max <= 0.0:
-            raise TopologyError("lambda_max must be positive")
+        if not (0.0 < self.grid_size < math.inf):
+            raise TopologyError("grid_size must be positive and finite")
+        if self.lambda_max is not None and not (0.0 < self.lambda_max < math.inf):
+            raise TopologyError("lambda_max must be positive and finite")
         if self.links_per_node < 1:
             raise TopologyError("links_per_node must be at least 1")
 
@@ -98,13 +100,18 @@ def waxman_edge_probability(d: float, cfg: WaxmanConfig) -> float:
     return cfg.theta * math.exp(-d / (cfg.omega * cfg.resolved_lambda()))
 
 
+def _place(cfg: WaxmanConfig, rng: random.Random) -> list[Position]:
+    """Draw the node positions, uniform on the grid; node k sits at index k."""
+    return [
+        Position(rng.uniform(0.0, cfg.grid_size), rng.uniform(0.0, cfg.grid_size))
+        for _ in range(cfg.node_count)
+    ]
+
+
 def _grow(cfg: WaxmanConfig, rng: random.Random) -> Topology:
     """Incremental growth: each new node draws partners with weight P_e."""
     n = cfg.node_count
-    points = [
-        Position(rng.uniform(0.0, cfg.grid_size), rng.uniform(0.0, cfg.grid_size))
-        for _ in range(n)
-    ]
+    points = _place(cfg, rng)
     edges: set[tuple[int, int]] = set()
     for i in range(1, n):
         wanted = min(cfg.links_per_node, i)
@@ -154,23 +161,25 @@ def generate_topology(cfg: WaxmanConfig, planarize: bool = False) -> Topology:
     """Generate a connected random topology, optionally Gabriel-planarized.
 
     The planar variant keeps the sampled node placement and connects it as
-    the Gabriel graph of the point set (the complete graph run through the
-    Gabriel filter), which is planar and contains the Euclidean minimum
-    spanning tree. Either way, generation retries with a derived seed until
+    the Gabriel graph of the point set, which is planar and contains the
+    Euclidean minimum spanning tree. It depends only on ``node_count``,
+    ``seed`` and ``grid_size``: no Waxman edges are drawn, and the graph is
+    built straight from the points (see ``_gabriel_pairs``) in O(n^2 log n)
+    time and O(n^2) memory, with the edges the Gabriel filter keeps on the
+    complete graph. Either way, generation retries with a derived seed until
     the result is connected; the retry count lands in ``retries``.
     """
     for attempt in range(MAX_CONNECT_RETRIES):
         rng = random.Random(f"{cfg.seed}:waxman:{attempt}")
-        candidate = _grow(cfg, rng)
         if planarize:
-            complete = Topology(
-                nodes=list(candidate.nodes),
-                edges={(u, v) for u in range(cfg.node_count) for v in range(u + 1, cfg.node_count)},
+            points = _place(cfg, rng)
+            final = Topology(
+                nodes=list(enumerate(points)),
+                edges=_gabriel_pairs(points, combinations(range(len(points)), 2)),
                 grid_size=cfg.grid_size,
             )
-            final = gabrielize(complete)
         else:
-            final = candidate
+            final = _grow(cfg, rng)
         if is_connected(final):
             final.retries = attempt
             return final
@@ -179,31 +188,53 @@ def generate_topology(cfg: WaxmanConfig, planarize: bool = False) -> Topology:
     )
 
 
+def _gabriel_pairs(points: list[Position], pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The index pairs (u, v) of ``pairs`` whose diameter circle holds no other point.
+
+    A witness w has d(u,w)^2 + d(w,v)^2 < d(u,v)^2, hence d(u,w)^2 < d(u,v)^2,
+    since fl(a + b) >= a for b >= 0 under round-to-nearest. So w is scanned
+    in increasing d(u,w)^2, and the first w with d(u,w)^2 >= d(u,v)^2 (v
+    itself at the latest) ends the scan and keeps the pair. Every squared
+    distance is the expression the brute-force test over all w evaluates, so
+    the kept pairs are bit-for-bit the same; u and v never pass the test and
+    need no exclusion. Cost: one O(n^2) distance matrix plus one O(n log n)
+    sort per distinct u.
+    """
+    d2 = [[(p.x - q.x) ** 2 + (p.y - q.y) ** 2 for q in points] for p in points]
+    by_distance: dict[int, list[int]] = {}
+    kept: set[tuple[int, int]] = set()
+    for u, v in pairs:
+        row, dv = d2[u], d2[v]
+        duv = row[v]
+        order = by_distance.get(u)
+        if order is None:
+            order = by_distance[u] = sorted(range(len(points)), key=row.__getitem__)
+        for w in order:
+            duw = row[w]
+            if duw >= duv:
+                kept.add((u, v))
+                break
+            if duw + dv[w] < duv:
+                break
+    return kept
+
+
 def gabrielize(topo: Topology) -> Topology:
     """Keep only edges whose diameter circle contains no third node.
 
     Edge (u, v) is dropped when some node w satisfies
     d(u,w)^2 + d(w,v)^2 < d(u,v)^2, i.e. w lies strictly inside the circle
     whose diameter is the segment uv. Node set and positions are unchanged.
+    Costs O(n^2) for a distance matrix plus at most one O(n log n) sort per
+    node; each edge's scan stops at d(u,v) (see ``_gabriel_pairs``).
     """
-    kept: set[tuple[int, int]] = set()
-    for u, v in topo.edges:
-        pu, pv = topo.position(u), topo.position(v)
-        duv_sq = (pu.x - pv.x) ** 2 + (pu.y - pv.y) ** 2
-        ok = True
-        for w, pw in topo.nodes:
-            if w == u or w == v:
-                continue
-            duw_sq = (pu.x - pw.x) ** 2 + (pu.y - pw.y) ** 2
-            dwv_sq = (pw.x - pv.x) ** 2 + (pw.y - pv.y) ** 2
-            if duw_sq + dwv_sq < duv_sq:
-                ok = False
-                break
-        if ok:
-            kept.add((u, v))
+    ids = topo.node_ids()
+    index = {nid: i for i, nid in enumerate(ids)}
+    kept = _gabriel_pairs([pos for _, pos in topo.nodes],
+                          ((index[u], index[v]) for u, v in topo.edges))
     return Topology(
         nodes=list(topo.nodes),
-        edges=kept,
+        edges={(ids[i], ids[j]) for i, j in kept},
         grid_size=topo.grid_size,
         retries=topo.retries,
     )
@@ -220,7 +251,15 @@ def save_topology(topo: Topology, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {raw!r}")
+    return value
+
+
 def load_topology(path: str) -> Topology:
+    """Read the line-oriented topology format; any malformed line raises TopologyError."""
     with open(path, encoding="ascii") as fh:
         raw = [line.strip() for line in fh if line.strip()]
     if not raw:
@@ -228,18 +267,24 @@ def load_topology(path: str) -> Topology:
     head = raw[0].split()
     if len(head) != 5 or head[0] != "topology" or head[1] != "v1":
         raise TopologyError(f"{path}: bad header line {raw[0]!r}")
-    node_count, edge_count = int(head[2]), int(head[3])
-    grid_size = float(head[4])
+    try:
+        node_count, edge_count = int(head[2]), int(head[3])
+        grid_size = _finite(head[4])
+    except ValueError as exc:
+        raise TopologyError(f"{path}: bad header line {raw[0]!r}: {exc}") from None
     nodes: list[tuple[int, Position]] = []
     edges: set[tuple[int, int]] = set()
     for line in raw[1:]:
         parts = line.split()
-        if parts[0] == "N" and len(parts) == 4:
-            nodes.append((int(parts[1]), Position(float(parts[2]), float(parts[3]))))
-        elif parts[0] == "E" and len(parts) == 3:
-            edges.add((int(parts[1]), int(parts[2])))
-        else:
-            raise TopologyError(f"{path}: bad line {line!r}")
+        try:
+            if parts[0] == "N" and len(parts) == 4:
+                nodes.append((int(parts[1]), Position(_finite(parts[2]), _finite(parts[3]))))
+            elif parts[0] == "E" and len(parts) == 3:
+                edges.add((int(parts[1]), int(parts[2])))
+            else:
+                raise ValueError("expected 'N <id> <x> <y>' or 'E <u> <v>'")
+        except ValueError as exc:
+            raise TopologyError(f"{path}: bad line {line!r}: {exc}") from None
     if len(nodes) != node_count or len(edges) != edge_count:
         raise TopologyError(f"{path}: header counts do not match body")
     return Topology(nodes=nodes, edges=edges, grid_size=grid_size)

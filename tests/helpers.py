@@ -36,6 +36,30 @@ def gabriel_violations(topo: Topology) -> list:
     return bad
 
 
+def naive_gabriel_edges(topo: Topology) -> set[tuple[int, int]]:
+    """Reference Gabriel filter: test every edge against every other node, O(E * n).
+
+    Kept as the oracle for ``qkdsim.topology``'s sorted, early-stopping scan;
+    the float expressions and the grouping of the test are the same.
+    """
+    kept: set[tuple[int, int]] = set()
+    for u, v in topo.edges:
+        pu, pv = topo.position(u), topo.position(v)
+        duv_sq = (pu.x - pv.x) ** 2 + (pu.y - pv.y) ** 2
+        ok = True
+        for w, pw in topo.nodes:
+            if w == u or w == v:
+                continue
+            duw_sq = (pu.x - pw.x) ** 2 + (pu.y - pw.y) ** 2
+            dwv_sq = (pw.x - pv.x) ** 2 + (pw.y - pv.y) ** 2
+            if duw_sq + dwv_sq < duv_sq:
+                ok = False
+                break
+        if ok:
+            kept.add((u, v))
+    return kept
+
+
 def crossing_pairs(topo: Topology) -> list:
     """Brute-force planarity oracle over all edge pairs."""
     pos = {nid: p for nid, p in topo.nodes}

@@ -134,16 +134,32 @@ def test_process_level_determinism(tmp_path):
     ("link", "rate_bps=abc"),
     ("link", "auth_key_bits=1.5"),
     ("link", "init_key_bytes_range=5"),
+    ("sweep", "# caf\u00e9"),
     ("simulate", "--waxman 1"),
     ("simulate", "--waxman 6 --grid-size -1"),
+    ("simulate", "--waxman 6 --grid-size nan"),
+    ("simulate", "--waxman 6 --duration nan"),
+    ("simulate", "--waxman 6 --duration inf"),
+    ("gen-topology", "--nodes 5 --grid-size nan --gabriel"),
+    ("gen-topology", "--nodes 5 --grid-size inf"),
+    ("topology", "topology v1 x 1 10"),
+    ("topology", "topology v1 1 0 10\nN 0 a 1"),
+    ("topology", "topology v1 2 1 10\nN 0 nan 1\nN 1 2 2\nE 0 1"),
+    ("topology", "topology v1 1 0 10\nN 0 1 caf\u00e9"),
 ])
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, where, item):
     if where == "sweep":
         spec_path = tmp_path / "sweep.txt"
-        spec_path.write_text(f"duration=5\n{item}\n")
+        spec_path.write_text(f"duration=5\n{item}\n", encoding="utf-8")
         args = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "s.csv")]
     elif where == "link":
         args = ["simulate", "--waxman", "6", "--duration", "5", "--link-config", item]
+    elif where == "gen-topology":
+        args = ["gen-topology", "--out", str(tmp_path / "t.txt"), *item.split()]
+    elif where == "topology":
+        topo_path = tmp_path / "t.txt"
+        topo_path.write_text(f"{item}\n", encoding="utf-8")
+        args = ["simulate", "--duration", "5", "--topology", str(topo_path)]
     else:
         args = ["simulate", "--duration", "5", *item.split()]
     assert run_cli(args) == 2

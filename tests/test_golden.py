@@ -1,4 +1,5 @@
-"""Pinned outputs: fixed CSV columns, trace_hash and side outputs of chosen runs.
+"""Pinned outputs: fixed CSV columns, trace_hash and side outputs of chosen runs,
+and the files of generated topologies.
 
 A change that alters any of these values changes simulated behaviour and
 must say so. Together the runs reach every GPSRQ decision branch that
@@ -16,6 +17,7 @@ from helpers import narrative_sim
 from qkdsim.config import RunConfig, TopologySpec
 from qkdsim.engine import Simulation
 from qkdsim.experiment import topology_for
+from qkdsim.topology import save_topology
 
 
 def _sim(protocol, nodes, seed, duration, metrics=False, **kw) -> Simulation:
@@ -120,3 +122,34 @@ def test_trace_records_pinned(name):
 def test_pinned_runs_reach_every_decision_record():
     seen = frozenset().union(*(_outputs(name)[2] for name in RUNS))
     assert set(DECISION_RECORDS) <= seen
+
+
+# Generated topologies: (gabriel, nodes, seed) -> (digest of the
+# ``save_topology`` file, ``retries``). Positions are pinned to the file's six
+# decimals, edges exactly.
+TOPOLOGIES = {
+    (True, 30, 1): ("dacf1940eb88651c", 0),
+    (True, 30, 9): ("3a3a907d6de55373", 0),
+    (True, 60, 1): ("2dfd6919c7a7853d", 0),
+    (True, 60, 9): ("8f3a5c1b00fc0c1c", 0),
+    (True, 120, 1): ("38ebc74cfd57719f", 0),
+    (True, 120, 9): ("54a5b9c914d8045a", 0),
+    (True, 200, 1): ("c29c231f66a53f1d", 0),
+    (True, 200, 9): ("b9975dbb0be4e4b3", 0),
+    (False, 30, 1): ("3a980664efe09dc1", 0),
+    (False, 30, 9): ("4883fb0db70763c2", 0),
+    (False, 60, 1): ("c73196c06d5ecb78", 0),
+    (False, 60, 9): ("7f956e3c5ba122a4", 0),
+    (False, 120, 1): ("feeb0edec150ab26", 0),
+    (False, 120, 9): ("dab5cd1ce2a3c80c", 0),
+    (False, 200, 1): ("900d49841834581e", 0),
+    (False, 200, 9): ("4767b8b1132fe315", 0),
+}
+
+
+@pytest.mark.parametrize("gabriel, nodes, seed", sorted(TOPOLOGIES))
+def test_topology_file_pinned(tmp_path, gabriel, nodes, seed):
+    topo = topology_for(TopologySpec(node_count=nodes, gabriel=gabriel), seed)
+    path = tmp_path / "topo.txt"
+    save_topology(topo, str(path))
+    assert (_digest([path.read_text(encoding="ascii")]), topo.retries) == TOPOLOGIES[gabriel, nodes, seed]

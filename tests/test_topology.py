@@ -1,10 +1,11 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import crossing_pairs, gabriel_violations, waxman_accepts
+from helpers import crossing_pairs, gabriel_violations, naive_gabriel_edges, waxman_accepts
 from qkdsim.geometry import Position
 from qkdsim.topology import (
     Topology,
@@ -108,6 +109,11 @@ def test_invalid_configs_rejected():
         WaxmanConfig(node_count=5, seed=1, grid_size=GRID, omega=1.5)
     with pytest.raises(TopologyError):
         WaxmanConfig(node_count=5, seed=1, grid_size=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(TopologyError):
+            WaxmanConfig(node_count=5, seed=1, grid_size=bad)
+        with pytest.raises(TopologyError):
+            WaxmanConfig(node_count=5, seed=1, grid_size=GRID, lambda_max=bad)
 
 
 # --- gabriel filter ---------------------------------------------------------
@@ -164,6 +170,54 @@ def test_gabriel_idempotent_on_complete_graphs(points):
     assert gabriel_violations(once) == []
 
 
+@st.composite
+def _graphs(draw, coord):
+    """A topology on arbitrary distinct node ids with a random subset of all edges."""
+    points = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=14))
+    ids = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(points),
+                        max_size=len(points), unique=True))
+    pairs = list(combinations(ids, 2))
+    keep = draw(st.one_of(
+        st.just([True] * len(pairs)),
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)),
+    ))
+    return Topology(
+        nodes=[(nid, Position(x, y)) for nid, (x, y) in zip(ids, points)],
+        edges={pair for pair, k in zip(pairs, keep) if k},
+        grid_size=50.0,
+    )
+
+
+# Small integer lattices force duplicate points, ties in the scan order and
+# witnesses exactly on the diameter circle.
+@settings(max_examples=300, deadline=None)
+@given(_graphs(st.integers(0, 6).map(float)))
+def test_gabriel_matches_naive_oracle_on_lattices(topo):
+    assert gabrielize(topo).edges == naive_gabriel_edges(topo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs(st.floats(0, 50)))
+def test_gabriel_matches_naive_oracle_on_float_points(topo):
+    assert gabrielize(topo).edges == naive_gabriel_edges(topo)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 30])
+def test_planar_generation_matches_naive_oracle_on_complete_graph(n):
+    for seed in range(1, 6):
+        topo = generate_topology(_cfg(node_count=n, seed=seed), planarize=True)
+        complete = Topology(nodes=list(topo.nodes), edges=set(combinations(range(n), 2)),
+                            grid_size=GRID)
+        assert topo.edges == naive_gabriel_edges(complete)
+
+
+def test_planar_generation_ignores_waxman_parameters():
+    base = generate_topology(_cfg(node_count=25, seed=4), planarize=True)
+    other = generate_topology(_cfg(node_count=25, seed=4, theta=0.9, omega=0.1,
+                                   lambda_max=3.0, links_per_node=5), planarize=True)
+    assert (other.nodes, other.edges) == (base.nodes, base.edges)
+
+
 # --- topology container and file format -------------------------------------
 
 def test_rejects_self_loop():
@@ -206,5 +260,20 @@ def test_file_format_layout(tmp_path):
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("nonsense here\n")
+    with pytest.raises(TopologyError):
+        load_topology(str(path))
+
+
+@pytest.mark.parametrize("text", [
+    "topology v1 x 1 10\n",
+    "topology v1 1 0 inf\nN 0 1 1\n",
+    "topology v1 1 0 10\nN 0 a 1\n",
+    "topology v1 1 0 10\nN 0 nan 1\n",
+    "topology v1 2 1 10\nN 0 1 1\nN 1 2 -inf\nE 0 1\n",
+    "topology v1 2 1 10\nN 0 1 1\nN 1 2 2\nE 0 x\n",
+])
+def test_load_rejects_malformed_numbers(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="ascii")
     with pytest.raises(TopologyError):
         load_topology(str(path))

@@ -83,13 +83,15 @@ class LinkConfig:
         lo, hi = self.init_key_bytes_range
         if not (0.0 <= lo <= hi):
             raise ConfigError("init_key_bytes_range must be a non-decreasing pair")
-        if self.rate_bps < 0.0:
-            raise ConfigError("rate_bps must be non-negative")
-        if self.charge_period_s <= 0.0 or self.bandwidth_bps <= 0.0:
-            raise ConfigError("charge_period_s and bandwidth_bps must be positive")
+        # Written so that NaN fails each check.
+        if not (0.0 <= self.rate_bps < math.inf):
+            raise ConfigError("rate_bps must be non-negative and finite")
+        if not (0.0 < self.charge_period_s < math.inf and 0.0 < self.bandwidth_bps < math.inf):
+            raise ConfigError("charge_period_s and bandwidth_bps must be positive and finite")
         if self.auth_key_bits <= 0:
             raise ConfigError("auth_key_bits must be positive")
-        if self.round_stddev_frac < 0.0 or self.round_floor_s <= 0.0 or self.round_load_gain < 0.0:
+        if not (0.0 <= self.round_stddev_frac < math.inf and 0.0 < self.round_floor_s < math.inf
+                and 0.0 <= self.round_load_gain < math.inf):
             raise ConfigError("round duration parameters out of range")
 
 
@@ -104,11 +106,12 @@ class TrafficConfig:
     aes_refresh_packets: int = 100
 
     def validate(self) -> None:
-        if self.rate_bps <= 0.0 or self.packet_bytes <= 0:
-            raise ConfigError("traffic rate and packet size must be positive")
+        # An infinite rate would send packets 0 s apart, so the run would never end.
+        if not (0.0 < self.rate_bps < math.inf) or self.packet_bytes <= 0:
+            raise ConfigError("traffic rate must be positive and finite, packet size positive")
         if self.traffic_class not in CLASS_NAMES:
             raise ConfigError(f"unknown traffic class {self.traffic_class!r}")
-        if self.max_delay_s is not None and self.max_delay_s <= 0.0:
+        if self.max_delay_s is not None and not self.max_delay_s > 0.0:
             raise ConfigError("max_delay_s must be positive")
         if self.crypto_mode not in CRYPTO_MODES:
             raise ConfigError(f"unknown crypto mode {self.crypto_mode!r}")
@@ -172,9 +175,11 @@ class RunConfig:
             raise ConfigError("t_avg_window must be at least 1")
         if self.queue_capacity < 1:
             raise ConfigError("queue_capacity must be at least 1")
-        if self.propagation_delay_s < 0.0 or self.retry_fallback_s <= 0.0:
+        if not (0.0 <= self.propagation_delay_s < math.inf
+                and 0.0 < self.retry_fallback_s < math.inf):
             raise ConfigError("delay parameters out of range")
-        if self.dv_period_s <= 0.0 or self.dv_merge_window_s < 0.0:
+        if not (0.0 < self.dv_period_s < math.inf and 0.0 <= self.dv_merge_window_s < math.inf
+                and 0.0 < self.dv_hello_interval_s < math.inf and self.dv_dead_interval_s > 0.0):
             raise ConfigError("distance-vector timing out of range")
         if self.dv_liveness not in ("probe", "hello"):
             raise ConfigError(f"unknown dv_liveness mode {self.dv_liveness!r}")

@@ -17,13 +17,13 @@ own event handlers; ``Simulation(cfg, topology)`` builds the subclass that
 from __future__ import annotations
 
 import hashlib
-import heapq
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from itertools import count
+from typing import NamedTuple
 
 from .config import RunConfig
 from .dv import DvNode
@@ -68,9 +68,23 @@ class EventKind(Enum):
     CACHE_EXPIRY = "CacheExpiry"
     SIMULATION_END = "SimulationEnd"
 
+    # Members are singletons, so identity hashing keeps dispatch lookups in C.
+    __hash__ = object.__hash__
 
-@dataclass(slots=True)
-class SimEvent:
+
+# Each kind's tag in the hash line; built once so no event reads ``.value``.
+KIND_TAG = {kind: kind.value for kind in EventKind}
+# Enum members read on every event; a class attribute lookup costs more.
+_ARRIVAL = EventKind.PACKET_ARRIVAL
+_TRANSMIT_DONE = EventKind.LINK_TRANSMIT_DONE
+_END = EventKind.SIMULATION_END
+_PREMIUM = TrafficClass.PREMIUM
+
+# Hash lines per ``update``; SHA-256 streams, so the digest does not change.
+HASH_BATCH_LINES = 1024
+
+
+class SimEvent(NamedTuple):
     fire_at: float
     sequence: int
     kind: EventKind
@@ -78,21 +92,22 @@ class SimEvent:
 
 
 class EventQueue:
-    """Time-ordered event set; equal times resolve by scheduling order."""
+    """Time-ordered event set; equal times resolve by scheduling order.
+    Sequence numbers are unique, so heap comparisons never reach ``kind``."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[SimEvent] = []
         self._seq = count()
 
     def push(self, fire_at: float, kind: EventKind, payload: tuple = ()) -> SimEvent:
-        ev = SimEvent(fire_at, next(self._seq), kind, payload)
-        heapq.heappush(self._heap, (fire_at, ev.sequence, ev))
+        ev = tuple.__new__(SimEvent, (fire_at, next(self._seq), kind, payload))
+        heappush(self._heap, ev)
         return ev
 
     def pop(self) -> SimEvent | None:
         if not self._heap:
             return None
-        return heapq.heappop(self._heap)[2]
+        return heappop(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -148,11 +163,13 @@ class Simulation:
         self.l2: dict[tuple[int, int], deque] = {}
         self.l2_busy: dict[tuple[int, int], bool] = {}
         self._link_by_dir: dict[tuple[int, int], QkdLink] = {}
+        self._dir_str: dict[tuple[int, int], str] = {}
         for (u, v), lk in self.links.items():
             for d in ((u, v), (v, u)):
                 self.l2[d] = deque()
                 self.l2_busy[d] = False
                 self._link_by_dir[d] = lk
+                self._dir_str[d] = str(d)
 
         self.queues: dict[int, PriorityQueueSet] = {
             nid: PriorityQueueSet(cfg.queue_capacity) for nid in topology.node_ids()
@@ -170,6 +187,7 @@ class Simulation:
         self.trace: list[tuple] = []
         self._tracing = trace
         self._hasher = hashlib.sha256()
+        self._hash_lines: list[str] = []
         self.metrics_log: list[tuple] | None = [] if metrics_log else None
 
         # Statistics accumulators (application data packets only).
@@ -241,13 +259,33 @@ class Simulation:
             self.trace.append((self.now, *entry))
 
     def _hash_event(self, ev: SimEvent) -> None:
-        parts = [f"{ev.fire_at:.9f}", ev.kind.value]
-        for item in ev.payload[:3]:
-            if isinstance(item, SimPacket):
-                parts.append(f"p{item.uid}.{item.hop_count}.{item.loop}")
-            else:
-                parts.append(str(item))
-        self._hasher.update(("|".join(parts) + "\n").encode())
+        """Add the event's line (format in README) to ``trace_hash``. It is built
+        now, when the event is popped, because its packet changes later."""
+        fire_at, _, kind, payload = ev
+        if kind is _ARRIVAL:
+            pkt, at, frm = payload
+            item = "None" if pkt is None else f"p{pkt.uid}.{pkt.hop_count}.{pkt.loop}"
+            line = f"{fire_at:.9f}|{KIND_TAG[kind]}|{item}|{at}|{frm}\n"
+        elif kind is _TRANSMIT_DONE:
+            direction, pkt, wire = payload
+            line = (f"{fire_at:.9f}|{KIND_TAG[kind]}|{self._dir_str[direction]}"
+                    f"|p{pkt.uid}.{pkt.hop_count}.{pkt.loop}|{wire}\n")
+        else:
+            parts = [f"{fire_at:.9f}", KIND_TAG[kind]]
+            for item in payload[:3]:
+                if isinstance(item, SimPacket):
+                    parts.append(f"p{item.uid}.{item.hop_count}.{item.loop}")
+                else:
+                    parts.append(str(item))
+            line = "|".join(parts) + "\n"
+        lines = self._hash_lines
+        lines.append(line)
+        if len(lines) >= HASH_BATCH_LINES:
+            self._flush_hash()
+
+    def _flush_hash(self) -> None:
+        self._hasher.update("".join(self._hash_lines).encode())
+        self._hash_lines.clear()
 
     def _wire_bytes(self, pkt: SimPacket) -> int:
         if pkt.kind == "data":
@@ -297,18 +335,19 @@ class Simulation:
     # ------------------------------------------------------------------- run
 
     def run(self) -> RunStats:
+        pop, hash_event, dispatch = self.events.pop, self._hash_event, self._dispatch
         while True:
-            ev = self.events.pop()
+            ev = pop()
             if ev is None:
                 break
-            if ev.fire_at < self.now - 1e-9:
+            fire_at, _, kind, payload = ev
+            if fire_at < self.now - 1e-9:
                 raise SimulationError("event fired before current time")
-            self.now = ev.fire_at
-            self._hash_event(ev)
-            if ev.kind == EventKind.SIMULATION_END:
+            self.now = fire_at
+            hash_event(ev)
+            if kind is _END:
                 break
-            handler = self._dispatch[ev.kind]
-            handler(self, *ev.payload)
+            dispatch[kind](self, *payload)
         return self._finalize()
 
     def _finalize(self) -> RunStats:
@@ -321,6 +360,7 @@ class Simulation:
         in_flight = self.sent - self.received - drops
         if in_flight < 0:
             raise SimulationError("negative in-flight count")
+        self._flush_hash()
         stats = RunStats(
             protocol=self.cfg.protocol,
             nodes=len(self.topo.nodes),
@@ -359,7 +399,7 @@ class Simulation:
             self.sent += 1
             nxt = self.now + self.cfg.traffic.packet_bytes * 8.0 / self.cfg.traffic.rate_bps
             if nxt < self.cfg.duration_s:
-                self.events.push(nxt, EventKind.PACKET_ARRIVAL, (None, self.src, None))
+                self.events.push(nxt, _ARRIVAL, (None, self.src, None))
         if frm is not None:
             pkt.hop_count += 1
             self.max_forwards = max(self.max_forwards, pkt.hop_count)
@@ -435,10 +475,11 @@ class Simulation:
     # ------------------------------------------------------------ transmission
 
     def _transmit(self, at: int, target: int, pkt: SimPacket, cost: float) -> bool:
-        lk = self.link(at, target)
         direction = (at, target)
+        lk = self._link_by_dir[direction]
+        busy = self.l2_busy[direction]
         wire = self._wire_bytes(pkt)
-        if self._l2_full(at, target):
+        if busy and len(self.l2[direction]) >= self.cfg.queue_capacity:
             # Queue-served packets wait at decision time instead; only the
             # unreliable routing updates can still arrive here and are lost.
             if pkt.kind == "data":
@@ -446,7 +487,7 @@ class Simulation:
             else:
                 self._record("tx_blocked", pkt.kind, at, target)
             return False
-        premium = pkt.traffic_class == TrafficClass.PREMIUM
+        premium = pkt.traffic_class == _PREMIUM
         if not lk.storage.consume(cost, premium):
             raise SimulationError("admission raced ahead of consumption")
         if pkt.kind == "data":
@@ -469,28 +510,24 @@ class Simulation:
             self.ovh_pkts += 1
             self.ovh_bytes += wire
         self._record("tx", pkt.kind, at, target, wire, lk.storage.m_cur)
-        if self.l2_busy[direction]:
+        if busy:
             self.l2[direction].append((pkt, wire))
         else:
             self.l2_busy[direction] = True
             done = self.now + wire * 8.0 / lk.bandwidth
-            self.events.push(done, EventKind.LINK_TRANSMIT_DONE, (direction, pkt, wire))
+            self.events.push(done, _TRANSMIT_DONE, (direction, pkt, wire))
         return True
 
     def _on_transmit_done(self, direction: tuple[int, int], pkt: SimPacket, wire: int) -> None:
         at, target = direction
-        lk = self.link(at, target)
+        lk = self._link_by_dir[direction]
         lk.busy_accum += wire * 8.0 / lk.bandwidth
-        self.events.push(
-            self.now + self.cfg.propagation_delay_s,
-            EventKind.PACKET_ARRIVAL,
-            (pkt, target, at),
-        )
+        self.events.push(self.now + self.cfg.propagation_delay_s, _ARRIVAL, (pkt, target, at))
         queue = self.l2[direction]
         if queue:
             nxt, nwire = queue.popleft()
             done = self.now + nwire * 8.0 / lk.bandwidth
-            self.events.push(done, EventKind.LINK_TRANSMIT_DONE, (direction, nxt, nwire))
+            self.events.push(done, _TRANSMIT_DONE, (direction, nxt, nwire))
         else:
             self.l2_busy[direction] = False
         # Freed transmission capacity may unblock the sender's waiting head.
@@ -572,11 +609,13 @@ class GpsrqSimulation(Simulation):
     def _route_data(self, at: int, frm: int | None, pkt: SimPacket) -> None:
         node = self.gpsrq_nodes[at]
         if frm is not None and pkt.loop != 1:
+            if pkt.upstream is None:
+                pkt.upstream = {}
             if pkt.in_rec:
                 # Perimeter transits only leave a breadcrumb for unwinding.
-                node.upstream.setdefault(pkt.uid, frm)
+                pkt.upstream.setdefault(at, frm)
             else:
-                node.upstream[pkt.uid] = frm
+                pkt.upstream[at] = frm
 
         if pkt.loop == 1 and frm is not None:
             if not self._absorb_return(node, pkt, frm):
@@ -667,6 +706,11 @@ class GpsrqSimulation(Simulation):
         return ccw_next_neighbor(here, angle_of(here, self.position(toward)), pool)
 
     @staticmethod
+    def _upstream(pkt: SimPacket, at: int, default: int | None = None) -> int | None:
+        """The neighbour ``pkt`` first reached ``at`` from, or ``default``."""
+        return pkt.upstream.get(at, default) if pkt.upstream else default
+
+    @staticmethod
     def _clear_recovery(pkt: SimPacket) -> None:
         pkt.in_rec = 0
         pkt.rec_position = None
@@ -706,7 +750,7 @@ class GpsrqSimulation(Simulation):
         arrived = pkt.arrived_from
 
         if pkt.pending_return:
-            target = node.upstream.get(pkt.uid, arrived)
+            target = self._upstream(pkt, at, arrived)
             action = self._forward_action(at, target, pkt)
             if action[0] == "forward":
                 pkt.pending_return = False
@@ -766,7 +810,7 @@ class GpsrqSimulation(Simulation):
             return action
         if at == pkt.src:
             return ("drop", "source")
-        target = arrived if arrived is not None else node.upstream.get(pkt.uid)
+        target = arrived if arrived is not None else self._upstream(pkt, at)
         if target is None:
             return ("drop", "source")
         return self._send_back(at, pkt, target)
@@ -805,7 +849,7 @@ class GpsrqSimulation(Simulation):
         # loop == 2: a retried packet hit another dead end; send it back.
         if at == pkt.src:
             return ("drop", "source")
-        target = node.upstream.get(pkt.uid, arrived)
+        target = self._upstream(pkt, at, arrived)
         if target is None:
             return ("drop", "source")
         return self._send_back(at, pkt, target)
@@ -886,7 +930,7 @@ class DvSimulation(Simulation):
             self._last_hello[(at, frm)] = self.now
             if (at, frm) in self._dead_links:
                 self._dead_links.discard((at, frm))
-                self._send_update(at, frm, self.dv_nodes[at].full_dump())
+                self._send_updates(at, (frm,), self.dv_nodes[at].full_dump())
         elif self.dv_nodes[at].process_update(frm, pkt.entries):
             self._schedule_flush(at)
 
@@ -904,16 +948,22 @@ class DvSimulation(Simulation):
     def _link_threshold(self, u: int, v: int, m_max: float) -> float:
         return m_max
 
-    def _send_update(self, nid: int, nbr: int, entries: list) -> None:
-        payload_bits = (DV_FIXED_PAYLOAD_BYTES + DV_ENTRY_BYTES * len(entries)) * 8.0
-        pkt = self._control_packet("dv", nid, nbr, payload_bits + self.cfg.link.auth_key_bits,
-                                   entries=tuple(entries))
-        if not self._send(nid, nbr, pkt):
-            self._record("dv_update_lost", nid, nbr)
+    def _send_updates(self, nid: int, nbrs, entries: list) -> None:
+        """Send ``entries`` to each of ``nbrs`` as a premium update; a refused one is lost."""
+        entries = tuple(entries)
+        key_cost = ((DV_FIXED_PAYLOAD_BYTES + DV_ENTRY_BYTES * len(entries)) * 8.0
+                    + self.cfg.link.auth_key_bits)
+        for nbr in nbrs:
+            pkt = SimPacket(next(self._uid), "dv", nid, nbr, _PREMIUM, 0, self.now,
+                            math.inf, key_cost, entries=entries)
+            cost = admission_cost(self._link_by_dir[(nid, nbr)], pkt, self.now)
+            if cost is None:
+                self._record("dv_update_lost", nid, nbr)
+            else:
+                self._transmit(nid, nbr, pkt, cost)
 
     def _advertise(self, nid: int, entries: list) -> None:
-        for nbr in self.topo.neighbors(nid):
-            self._send_update(nid, nbr, entries)
+        self._send_updates(nid, self.topo.neighbors(nid), entries)
         self.dv_nodes[nid].pending.clear()
 
     def _on_dv_timer(self, nid: int, mode: str) -> None:
@@ -968,7 +1018,7 @@ class DvSimulation(Simulation):
             and lk.storage.can_consume(self.data_key_cost, premium=False)
         ):
             self._dead_links.discard((nid, nbr))
-            self._send_update(nid, nbr, self.dv_nodes[nid].full_dump())
+            self._send_updates(nid, (nbr,), self.dv_nodes[nid].full_dump())
 
     _dispatch = {**Simulation._dispatch, EventKind.DV_TIMER: _on_dv_timer}
 

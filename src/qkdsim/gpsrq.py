@@ -92,7 +92,6 @@ class GpsrqNode:
         self._expiry_heap: list[CacheRecord] = []
         self.l_sent: float | None = None
         self.recv_l: dict[int, float] = {}
-        self.upstream: dict[int, int] = {}
 
     def m_thr(self, neighbor: int, m_max: float) -> float:
         """Threshold view for the link to ``neighbor``; optimistic before exchange."""

@@ -107,6 +107,8 @@ class SimPacket:
     signal_value: float | None = None
     fixed_egress: int | None = None
     entries: tuple = ()
+    # GPSRQ: node -> the neighbour this packet came from, made on first use.
+    upstream: dict | None = None
 
 
 def _wire_length(pkt: SimPacket) -> int:

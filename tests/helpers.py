@@ -9,6 +9,7 @@ from qkdsim.config import RunConfig
 from qkdsim.engine import Simulation
 from qkdsim.geometry import Position, euclidean_distance, segments_cross
 from qkdsim.links import KeyStorage
+from qkdsim.qos import SimPacket
 from qkdsim.stats import HANDSHAKE_BYTES, HANDSHAKE_PACKETS
 from qkdsim.topology import Topology, WaxmanConfig, waxman_edge_probability
 
@@ -81,6 +82,22 @@ def max_deliverable(storage: KeyStorage, horizon: float, premium: bool = False) 
         raise ValueError("horizon must be non-negative")
     reserve = 0.0 if premium else storage.m_min
     return max(0.0, storage.rate * horizon + storage.m_cur - reserve)
+
+
+def reference_hash_line(ev) -> str:
+    """The line ``trace_hash`` covers for one popped event, by the generic encoding.
+
+    Kept as the oracle for the engine's per-kind line builders: the time to
+    nine decimals, the kind's tag and the first three payload items, joined
+    by ``|``, with a packet written as ``p{uid}.{hop}.{loop}``.
+    """
+    parts = [f"{ev.fire_at:.9f}", ev.kind.value]
+    for item in ev.payload[:3]:
+        if isinstance(item, SimPacket):
+            parts.append(f"p{item.uid}.{item.hop_count}.{item.loop}")
+        else:
+            parts.append(str(item))
+    return "|".join(parts) + "\n"
 
 
 def collect_overhead(trace: Iterable[tuple]) -> tuple[int, int]:

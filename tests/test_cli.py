@@ -134,12 +134,18 @@ def test_process_level_determinism(tmp_path):
     ("link", "rate_bps=abc"),
     ("link", "auth_key_bits=1.5"),
     ("link", "init_key_bytes_range=5"),
+    ("link", "rate_bps=nan"),
+    ("link", "charge_period_s=nan"),
+    ("link", "bandwidth_bps=nan"),
+    ("link", "round_floor_s=nan"),
+    ("link", "round_stddev_frac=nan"),
     ("sweep", "# caf\u00e9"),
     ("simulate", "--waxman 1"),
     ("simulate", "--waxman 6 --grid-size -1"),
     ("simulate", "--waxman 6 --grid-size nan"),
     ("simulate", "--waxman 6 --duration nan"),
     ("simulate", "--waxman 6 --duration inf"),
+    ("simulate", "--waxman 6 --traffic-rate nan"),
     ("gen-topology", "--nodes 5 --grid-size nan --gabriel"),
     ("gen-topology", "--nodes 5 --grid-size inf"),
     ("topology", "topology v1 x 1 10"),

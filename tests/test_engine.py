@@ -1,8 +1,25 @@
+import hashlib
+
 import pytest
 
-from helpers import GRID, ample_cfg, bfs_reachable, collect_overhead, narrative_sim, two_node_topology
+from helpers import (
+    GRID,
+    ample_cfg,
+    bfs_reachable,
+    collect_overhead,
+    narrative_sim,
+    reference_hash_line,
+    two_node_topology,
+)
 from qkdsim.config import PROTOCOLS, RunConfig, TopologySpec
-from qkdsim.engine import EventKind, EventQueue, Simulation, SimulationError, run_simulation
+from qkdsim.engine import (
+    HASH_BATCH_LINES,
+    EventKind,
+    EventQueue,
+    Simulation,
+    SimulationError,
+    run_simulation,
+)
 from qkdsim.experiment import run_sweep, topology_for
 from qkdsim.geometry import Position, euclidean_distance
 from qkdsim.topology import Topology, WaxmanConfig, generate_topology
@@ -18,6 +35,36 @@ def test_events_ordered_by_time_then_sequence():
     order = [q.pop().payload[0] for _ in range(3)]
     assert order == ["b", "a", "c"]
     assert q.pop() is None
+
+
+# --- trace hash ----------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["narrative", "gpsrq", "dv"])
+def test_trace_hash_matches_reference_encoding(monkeypatch, case):
+    """The per-kind line builders and the batched updates give the digest of
+    the generic encoding, for a run shorter than one batch (the narrative) and
+    runs longer than three; both gpsrq runs enter recovery."""
+    if case == "narrative":
+        sim = narrative_sim(trace=True)
+    else:
+        cfg = RunConfig(protocol=case, seed=3, duration_s=20.0 if case == "gpsrq" else 5.0)
+        sim = Simulation(cfg, topology_for(TopologySpec(node_count=10), 3), trace=True)
+    lines = []
+    real = Simulation._hash_event
+
+    def oracle_then_real(self, ev):
+        lines.append(reference_hash_line(ev))
+        real(self, ev)
+
+    monkeypatch.setattr(Simulation, "_hash_event", oracle_then_real)
+    stats = sim.run()
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == stats.trace_hash
+    if case == "narrative":
+        assert len(lines) < HASH_BATCH_LINES
+    else:
+        assert len(lines) > 3 * HASH_BATCH_LINES
+    if case != "dv":
+        assert any(entry[1] == "recovery_enter" for entry in sim.trace)
 
 
 # --- basic runs ----------------------------------------------------------------

@@ -91,6 +91,28 @@ def test_unknown_crypto_mode_rejected_by_validate():
         cfg.validate()
 
 
+@pytest.mark.parametrize("path, value", [
+    *[(f, math.nan) for f in (
+        "traffic.rate_bps", "traffic.max_delay_s", "link.rate_bps", "link.charge_period_s",
+        "link.bandwidth_bps", "link.round_stddev_frac", "link.round_floor_s",
+        "link.round_load_gain", "propagation_delay_s", "retry_fallback_s", "dv_period_s",
+        "dv_merge_window_s", "dv_hello_interval_s", "dv_dead_interval_s")],
+    # Each of these would schedule events 0 s apart or never, so a run would not end.
+    ("traffic.rate_bps", math.inf),
+    ("link.charge_period_s", math.inf),
+    ("retry_fallback_s", math.inf),
+    ("dv_hello_interval_s", math.inf),
+    ("dv_hello_interval_s", 0.0),
+])
+def test_non_finite_values_rejected_by_validate(path, value):
+    # Checked through validate only: a run with an infinite traffic rate never ends.
+    cfg = RunConfig()
+    *owner, name = path.split(".")
+    setattr(cfg if not owner else getattr(cfg, owner[0]), name, value)
+    with pytest.raises(ConfigError):
+        cfg.validate()
+
+
 # --- distance-vector specifics --------------------------------------------------------
 
 def test_dv_tables_loop_free_after_convergence():

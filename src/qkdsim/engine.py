@@ -20,6 +20,7 @@ import hashlib
 import logging
 import math
 from collections import deque
+from collections.abc import Iterable
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import count
@@ -948,7 +949,7 @@ class DvSimulation(Simulation):
     def _link_threshold(self, u: int, v: int, m_max: float) -> float:
         return m_max
 
-    def _send_updates(self, nid: int, nbrs, entries: list) -> None:
+    def _send_updates(self, nid: int, nbrs: Iterable[int], entries: list) -> None:
         """Send ``entries`` to each of ``nbrs`` as a premium update; a refused one is lost."""
         entries = tuple(entries)
         key_cost = ((DV_FIXED_PAYLOAD_BYTES + DV_ENTRY_BYTES * len(entries)) * 8.0

@@ -97,7 +97,8 @@ def test_unknown_crypto_mode_rejected_by_validate():
         "link.bandwidth_bps", "link.round_stddev_frac", "link.round_floor_s",
         "link.round_load_gain", "propagation_delay_s", "retry_fallback_s", "dv_period_s",
         "dv_merge_window_s", "dv_hello_interval_s", "dv_dead_interval_s")],
-    # Each of these would schedule events 0 s apart or never, so a run would not end.
+    # An infinite traffic rate or a zero hello interval schedules events 0 s
+    # apart, so such a run would never end.
     ("traffic.rate_bps", math.inf),
     ("link.charge_period_s", math.inf),
     ("retry_fallback_s", math.inf),

@@ -8,7 +8,7 @@ equal firing times process in scheduling order, which makes complete runs
 bit-reproducible.
 
 ``Simulation`` is the protocol-agnostic core: event loop, hash and trace,
-key charging, admission, class queues, L2 transmission and accounting.
+key charging, admission, L2 transmission and accounting.
 Each routing protocol is a subclass that fills in a few hooks and adds its
 own event handlers; ``Simulation(cfg, topology)`` builds the subclass that
 ``cfg.protocol`` names.
@@ -172,17 +172,12 @@ class Simulation:
                 self._link_by_dir[d] = lk
                 self._dir_str[d] = str(d)
 
-        self.queues: dict[int, PriorityQueueSet] = {
-            nid: PriorityQueueSet(cfg.queue_capacity) for nid in topology.node_ids()
-        }
-
         self.crypto = cfg.traffic.crypto(lc.auth_key_bits)
         self.data_class = classify("application", cfg.traffic.resolved_class())
         self.data_key_cost = self.crypto.key_cost(cfg.traffic.packet_bytes * 8.0)
         self.data_max_delay = cfg.traffic.resolved_max_delay()
 
         self._uid = count()
-        self._retry_pending: set[int] = set()
         self._warned_reserve: set[tuple[int, int]] = set()
 
         self.trace: list[tuple] = []
@@ -231,10 +226,6 @@ class Simulation:
         """Consume a routing control packet sent to ``at`` by its neighbour ``frm``."""
         raise NotImplementedError
 
-    def _decide(self, at: int, pkt: SimPacket) -> tuple:
-        """Head-of-queue decision: ("wait",), ("drop", cause) or ("forward", target, cost)."""
-        raise NotImplementedError
-
     def _after_key_charge(self, u: int, v: int) -> None:
         """React to a charge of link (u, v), before both endpoints are served."""
         raise NotImplementedError
@@ -242,6 +233,10 @@ class Simulation:
     def _link_threshold(self, u: int, v: int, m_max: float) -> float:
         """The threshold m_thr that node u applies to its link to v."""
         raise NotImplementedError
+
+    def _serve(self, at: int) -> None:
+        """Serve the packets waiting at ``at`` after its link state changed;
+        a protocol without waiting queues has nothing to do."""
 
     def dump_caches(self) -> list[str]:
         """Per-node exclusion-cache lines; empty for a protocol without caches."""
@@ -357,10 +352,6 @@ class Simulation:
             scale = max(1.0, lk.initial_key + lk.storage.charged_total)
             if err > 1e-6 * scale:
                 raise SimulationError(f"key accounting broken on link {key}: {err}")
-        drops = self.drop_queue + self.drop_delay + self.drop_source + self.drop_link
-        in_flight = self.sent - self.received - drops
-        if in_flight < 0:
-            raise SimulationError("negative in-flight count")
         self._flush_hash()
         stats = RunStats(
             protocol=self.cfg.protocol,
@@ -382,7 +373,6 @@ class Simulation:
             drop_delay=self.drop_delay,
             drop_source=self.drop_source,
             drop_link=self.drop_link,
-            in_flight=in_flight,
             loop2_count=self.loop2_count,
             reserve_dips=self.reserve_dips,
             trace_hash=self._hasher.hexdigest(),
@@ -390,6 +380,9 @@ class Simulation:
             served_by_class=dict(self.served_by_class),
             dropped_by_class=dict(self.dropped_by_class),
         )
+        stats.in_flight = self.sent - self.received - stats.drops_total
+        if stats.in_flight < 0:
+            raise SimulationError("negative in-flight count")
         return stats
 
     # ------------------------------------------------------------ packet flow
@@ -419,30 +412,6 @@ class Simulation:
             return
         self._route_data(at, frm, pkt)
 
-    def _serve(self, at: int) -> None:
-        qs = self.queues[at]
-        while True:
-            head = qs.head()
-            if head is None:
-                return
-            cls, pkt = head
-            for higher in PRIORITY_ORDER:
-                if higher == cls:
-                    break
-                if qs.queues[higher]:
-                    raise SimulationError("strict priority violated")
-            action = self._decide(at, pkt)
-            if action[0] == "wait":
-                self._schedule_retry(at)
-                return
-            qs.pop(cls)
-            if action[0] == "drop":
-                self._count_drop(action[1], pkt, at)
-                continue
-            self.served_by_class[cls.name] += 1
-            _, target, cost = action
-            self._transmit(at, target, pkt, cost)
-
     def _count_drop(self, cause: str, pkt: SimPacket, at: int) -> None:
         """Count a data packet dropped at ``at`` and record why."""
         if cause == "source":
@@ -457,25 +426,12 @@ class Simulation:
             raise SimulationError(f"unknown drop cause {cause!r}")
         self._record("drop", cause, pkt.uid, at)
 
-    def _schedule_retry(self, at: int) -> None:
-        if at not in self._retry_pending:
-            self._retry_pending.add(at)
-            self.events.push(self.now + self.cfg.retry_fallback_s, EventKind.RETRY_TIMER, (at,))
-
-    def _on_retry_timer(self, nid: int) -> None:
-        self._retry_pending.discard(nid)
-        self._serve(nid)
-
     def _admit(self, u: int, v: int, pkt: SimPacket) -> float | None:
         return admission_cost(self.link(u, v), pkt, self.now)
 
-    def _l2_full(self, at: int, target: int) -> bool:
-        direction = (at, target)
-        return self.l2_busy[direction] and len(self.l2[direction]) >= self.cfg.queue_capacity
-
     # ------------------------------------------------------------ transmission
 
-    def _transmit(self, at: int, target: int, pkt: SimPacket, cost: float) -> bool:
+    def _transmit(self, at: int, target: int, pkt: SimPacket, cost: float) -> None:
         direction = (at, target)
         lk = self._link_by_dir[direction]
         busy = self.l2_busy[direction]
@@ -487,7 +443,7 @@ class Simulation:
                 self._count_drop("queue", pkt, at)
             else:
                 self._record("tx_blocked", pkt.kind, at, target)
-            return False
+            return
         premium = pkt.traffic_class == _PREMIUM
         if not lk.storage.consume(cost, premium):
             raise SimulationError("admission raced ahead of consumption")
@@ -517,7 +473,6 @@ class Simulation:
             self.l2_busy[direction] = True
             done = self.now + wire * 8.0 / lk.bandwidth
             self.events.push(done, _TRANSMIT_DONE, (direction, pkt, wire))
-        return True
 
     def _on_transmit_done(self, direction: tuple[int, int], pkt: SimPacket, wire: int) -> None:
         at, target = direction
@@ -573,19 +528,22 @@ class Simulation:
         EventKind.PACKET_ARRIVAL: _on_packet_arrival,
         EventKind.LINK_TRANSMIT_DONE: _on_transmit_done,
         EventKind.KEY_CHARGE: _on_key_charge,
-        EventKind.RETRY_TIMER: _on_retry_timer,
     }
 
 
 class GpsrqSimulation(Simulation):
     """QoS-aware geographic routing: greedy forwarding scored by the link
-    metric, perimeter recovery, an exclusion cache and returning loops."""
+    metric, perimeter recovery, an exclusion cache and returning loops.
+    Packets wait in per-node class queues and are routed when served."""
 
     def _start_protocol(self) -> None:
         cfg = self.cfg
+        self.queues: dict[int, PriorityQueueSet] = {
+            nid: PriorityQueueSet(cfg.queue_capacity) for nid in self.topo.node_ids()
+        }
+        self._retry_pending: set[int] = set()
         self.gpsrq_nodes = {
-            nid: GpsrqNode(nid, pos, cfg.beta, cfg.alpha, cfg.cache_enabled)
-            for nid, pos in self.topo.nodes
+            nid: GpsrqNode(nid, cfg.beta, cfg.cache_enabled) for nid, _ in self.topo.nodes
         }
         self.signaling_key_cost = (
             SIGNALING_PAYLOAD_BYTES * 8.0
@@ -678,6 +636,44 @@ class GpsrqSimulation(Simulation):
 
     # --------------------------------------------------------------- decision
 
+    def _serve(self, at: int) -> None:
+        """Route head-of-line packets in strict priority until one must wait."""
+        qs = self.queues[at]
+        while True:
+            head = qs.head()
+            if head is None:
+                return
+            cls, pkt = head
+            for higher in PRIORITY_ORDER:
+                if higher == cls:
+                    break
+                if qs.queues[higher]:
+                    raise SimulationError("strict priority violated")
+            action = self._decide(at, pkt)
+            if action[0] == "wait":
+                self._schedule_retry(at)
+                return
+            qs.pop(cls)
+            if action[0] == "drop":
+                self._count_drop(action[1], pkt, at)
+                continue
+            self.served_by_class[cls.name] += 1
+            _, target, cost = action
+            self._transmit(at, target, pkt, cost)
+
+    def _schedule_retry(self, at: int) -> None:
+        if at not in self._retry_pending:
+            self._retry_pending.add(at)
+            self.events.push(self.now + self.cfg.retry_fallback_s, EventKind.RETRY_TIMER, (at,))
+
+    def _on_retry_timer(self, nid: int) -> None:
+        self._retry_pending.discard(nid)
+        self._serve(nid)
+
+    def _l2_full(self, at: int, target: int) -> bool:
+        direction = (at, target)
+        return self.l2_busy[direction] and len(self.l2[direction]) >= self.cfg.queue_capacity
+
     def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> int | None:
         """Best-scoring admissible neighbour closer to the destination, if any."""
         dst_pos = self.position(pkt.dst)
@@ -736,7 +732,8 @@ class GpsrqSimulation(Simulation):
         return action
 
     def _decide(self, at: int, pkt: SimPacket):
-        """Routing decision for the head-of-line packet; may mutate the packet.
+        """Routing decision for the head-of-line packet: ("wait",),
+        ("drop", cause) or ("forward", target, cost); may mutate the packet.
 
         Packet state is only touched on decisions that leave the queue, so a
         "wait" can be retried later with unchanged state.
@@ -889,6 +886,7 @@ class GpsrqSimulation(Simulation):
 
     _dispatch = {
         **Simulation._dispatch,
+        EventKind.RETRY_TIMER: _on_retry_timer,
         EventKind.SIGNALING_TIMER: _on_signaling_timer,
         EventKind.CACHE_EXPIRY: _on_cache_expiry,
     }

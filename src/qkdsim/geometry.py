@@ -1,4 +1,4 @@
-"""Planar geometry primitives: distances, ray angles, edge ordering, crossings."""
+"""Planar geometry primitives: distances, ray angles, edge ordering."""
 
 from __future__ import annotations
 
@@ -46,18 +46,3 @@ def ccw_next_neighbor(
 
     return min(neighbors, key=turn)[0]
 
-
-def orientation(a: Position, b: Position, c: Position) -> float:
-    """Cross product of ab x ac; positive when a->b->c turns counterclockwise."""
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def segments_cross(a: Position, b: Position, c: Position, d: Position) -> bool:
-    """Proper crossing of segments ab and cd; shared endpoints do not count."""
-    if a in (c, d) or b in (c, d):
-        return False
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0

@@ -80,12 +80,9 @@ class GpsrqNode:
     hold records that expired since the last lookup or expiry event.
     """
 
-    def __init__(self, node_id: int, position: Position, beta: float, alpha: float,
-                 cache_enabled: bool = True):
+    def __init__(self, node_id: int, beta: float, cache_enabled: bool = True):
         self.node_id = node_id
-        self.position = position
         self.beta = beta
-        self.alpha = alpha
         self.cache_enabled = cache_enabled
         self.cache: dict[CacheRecord, None] = {}
         self._cache_by_via: dict[int, dict[CacheRecord, None]] = {}

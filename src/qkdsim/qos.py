@@ -7,19 +7,10 @@ application traffic is served only while the store stays above the reserve.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .headers import (
-    HEADER_OVERHEAD_BYTES,
-    QkdCommandHeader,
-    QkdHeader,
-    encode_ms16,
-    serialize_command_header,
-    serialize_qkd_header,
-)
 from .links import QkdLink
 from .metrics import public_metric
 
@@ -63,7 +54,6 @@ class CryptoPolicy:
 
     mode: str = "otp"
     auth_key_bits: int = 256
-    auth_tag_bits: int = 32
     aes_session_key_bits: int = 256
     aes_refresh_packets: int = 100
 
@@ -78,10 +68,6 @@ class CryptoPolicy:
         if self.mode == "otp":
             return payload_bits + self.auth_key_bits
         return self.aes_session_key_bits / self.aes_refresh_packets + self.auth_key_bits
-
-    def ratio(self, payload_bits: float) -> float:
-        """Key bits consumed per payload bit (above 1 for OTP with authentication)."""
-        return self.key_cost(payload_bits) / payload_bits
 
 
 @dataclass(slots=True)
@@ -109,47 +95,6 @@ class SimPacket:
     entries: tuple = ()
     # GPSRQ: node -> the neighbour this packet came from, made on first use.
     upstream: dict | None = None
-
-
-def _wire_length(pkt: SimPacket) -> int:
-    return (pkt.payload_len + HEADER_OVERHEAD_BYTES) & 0xFFFFFFFF
-
-
-def build_headers(pkt: SimPacket, channel: int = 0) -> tuple[QkdHeader, QkdCommandHeader]:
-    """Rearrange live routing state into the two wire headers."""
-    qkd = QkdHeader(
-        length=_wire_length(pkt),
-        message_id=pkt.uid & 0xFFFFFFFF,
-        e=1,
-        a=1,
-        z=0,
-        v=1,
-        r=pkt.in_rec & 0b11,
-        l=pkt.loop & 0b11,
-        channel=channel & 0xFFFF,
-        max_delay=encode_ms16(pkt.max_delay) if math.isfinite(pkt.max_delay) else 0,
-        timestamp=encode_ms16(pkt.created_at),
-        encryption_key_id=pkt.uid & 0xFFFFFFFF,
-        authentication_key_id=pkt.uid & 0xFFFFFFFF,
-        authentication_tag=0,
-    )
-    cmd = QkdCommandHeader(
-        protocol=17,
-        command=0,
-        rec_if=(pkt.rec_if or 0) & 0xFFFF,
-        rec_position=(pkt.rec_position or 0) & 0xFFFF,
-    )
-    return qkd, cmd
-
-
-def serialize_headers(pkt: SimPacket, channel: int = 0) -> bytes:
-    """36-byte wire encoding of both headers for one packet.
-
-    A packet without a deadline (``max_delay`` infinite, as on every
-    signaling, DV and hello packet) carries max_delay 0.
-    """
-    qkd, cmd = build_headers(pkt, channel)
-    return serialize_qkd_header(qkd) + serialize_command_header(cmd)
 
 
 class PriorityQueueSet:

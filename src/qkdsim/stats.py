@@ -80,28 +80,17 @@ class RunStats:
         return self.received / resolved
 
     def csv_row(self) -> list[str]:
-        return [
-            self.protocol,
-            str(self.nodes),
-            str(self.seed),
-            repr(self.beta),
-            repr(self.alpha),
-            str(self.t_avg_window),
-            "on" if self.cache else "off",
-            str(self.sent),
-            str(self.received),
-            repr(self.pdr),
-            repr(self.mean_delay_s),
-            repr(self.mean_hops),
-            str(self.ovh_pkts),
-            str(self.ovh_bytes),
-            repr(self.key_data_bits),
-            repr(self.key_routing_bits),
-            str(self.drop_queue),
-            str(self.drop_delay),
-            str(self.drop_source),
-            str(self.drop_link),
-        ]
+        return [_cell(getattr(self, c)) for c in CSV_COLUMNS]
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return str(value)
+
+
+# The configuration columns, seed included; a mean row averages the rest.
+_KEY_CELLS = CSV_COLUMNS.index("cache") + 1
 
 
 def _group_key(s: RunStats) -> tuple:
@@ -116,30 +105,11 @@ def aggregate_means(stats: list[RunStats]) -> list[list[str]]:
     rows = []
     for key in sorted(groups, key=repr):
         members = groups[key]
-        n = len(members)
-        protocol, nodes, beta, alpha, window, cache = key
-        rows.append([
-            protocol,
-            str(nodes),
-            "mean",
-            repr(beta),
-            repr(alpha),
-            str(window),
-            "on" if cache else "off",
-            repr(sum(m.sent for m in members) / n),
-            repr(sum(m.received for m in members) / n),
-            repr(sum(m.pdr for m in members) / n),
-            repr(sum(m.mean_delay_s for m in members) / n),
-            repr(sum(m.mean_hops for m in members) / n),
-            repr(sum(m.ovh_pkts for m in members) / n),
-            repr(sum(m.ovh_bytes for m in members) / n),
-            repr(sum(m.key_data_bits for m in members) / n),
-            repr(sum(m.key_routing_bits for m in members) / n),
-            repr(sum(m.drop_queue for m in members) / n),
-            repr(sum(m.drop_delay for m in members) / n),
-            repr(sum(m.drop_source for m in members) / n),
-            repr(sum(m.drop_link for m in members) / n),
-        ])
+        row = members[0].csv_row()[:_KEY_CELLS]
+        row[CSV_COLUMNS.index("seed")] = "mean"
+        for column in CSV_COLUMNS[_KEY_CELLS:]:
+            row.append(repr(sum(getattr(m, column) for m in members) / len(members)))
+        rows.append(row)
     return rows
 
 

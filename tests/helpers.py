@@ -7,7 +7,7 @@ from typing import Iterable
 
 from qkdsim.config import RunConfig
 from qkdsim.engine import Simulation
-from qkdsim.geometry import Position, euclidean_distance, segments_cross
+from qkdsim.geometry import Position, euclidean_distance
 from qkdsim.links import KeyStorage
 from qkdsim.qos import SimPacket
 from qkdsim.stats import HANDSHAKE_BYTES, HANDSHAKE_PACKETS
@@ -59,6 +59,22 @@ def naive_gabriel_edges(topo: Topology) -> set[tuple[int, int]]:
         if ok:
             kept.add((u, v))
     return kept
+
+
+def orientation(a: Position, b: Position, c: Position) -> float:
+    """Cross product of ab x ac; positive when a->b->c turns counterclockwise."""
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+
+
+def segments_cross(a: Position, b: Position, c: Position, d: Position) -> bool:
+    """Proper crossing of segments ab and cd; shared endpoints do not count."""
+    if a in (c, d) or b in (c, d):
+        return False
+    o1 = orientation(a, b, c)
+    o2 = orientation(a, b, d)
+    o3 = orientation(c, d, a)
+    o4 = orientation(c, d, b)
+    return o1 * o2 < 0 and o3 * o4 < 0
 
 
 def crossing_pairs(topo: Topology) -> list:

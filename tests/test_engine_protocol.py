@@ -10,6 +10,7 @@ from qkdsim.config import PROTOCOLS, ConfigError, RunConfig
 from qkdsim.dv import INFINITE_METRIC
 from qkdsim.engine import Simulation, run_simulation
 from qkdsim.geometry import Position
+from qkdsim.qos import PriorityQueueSet
 from qkdsim.topology import Topology, WaxmanConfig, generate_topology
 
 
@@ -77,6 +78,18 @@ def test_every_protocol_builds_and_runs_its_own_simulation_class():
         assert sim.run().received > 0
         classes.add(type(sim))
     assert len(classes) == len(PROTOCOLS)
+
+
+def test_only_gpsrq_serves_class_queues(monkeypatch):
+    # DV forwards or drops on arrival, so it keeps no class queues and never
+    # looks at one; GPSRQ serves every data packet through its queues.
+    head = PriorityQueueSet.head
+    for protocol in PROTOCOLS:
+        heads = []
+        monkeypatch.setattr(PriorityQueueSet, "head", lambda qs: heads.append(qs) or head(qs))
+        sim = Simulation(ample_cfg(protocol=protocol, duration_s=2.0), two_node_topology())
+        assert sim.run().received > 0
+        assert hasattr(sim, "queues") == bool(heads) == (protocol == "gpsrq")
 
 
 def test_unknown_protocol_is_a_config_error():
@@ -270,7 +283,7 @@ def test_deliverable_payload_division():
     crypto = CryptoPolicy(mode="otp", auth_key_bits=256)
     key_bits = max_deliverable(storage, 0.0)
     assert key_bits == 8000.0
-    payload = key_bits / crypto.ratio(512 * 8)
+    payload = key_bits / (crypto.key_cost(512 * 8) / (512 * 8))
     assert payload == pytest.approx(8000.0 / 1.0625)
 
 

@@ -3,13 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qkdsim.geometry import (
-    Position,
-    angle_of,
-    ccw_next_neighbor,
-    euclidean_distance,
-    segments_cross,
-)
+from helpers import segments_cross
+from qkdsim.geometry import Position, angle_of, ccw_next_neighbor, euclidean_distance
 
 
 def test_distance_identity():

@@ -1,5 +1,5 @@
 """Pinned outputs: fixed CSV columns, trace_hash and side outputs of chosen runs,
-and the files of generated topologies.
+the files of generated topologies, and the whole CSV output of one sweep.
 
 A change that alters any of these values changes simulated behaviour and
 must say so. Together the runs reach every GPSRQ decision branch that
@@ -9,6 +9,7 @@ its event trace (``trace=True``), and the records of two runs are pinned too.
 """
 
 import hashlib
+import io
 from functools import lru_cache
 
 import pytest
@@ -16,7 +17,8 @@ import pytest
 from helpers import narrative_sim
 from qkdsim.config import RunConfig, TopologySpec
 from qkdsim.engine import Simulation
-from qkdsim.experiment import topology_for
+from qkdsim.experiment import run_sweep, topology_for
+from qkdsim.stats import write_csv
 from qkdsim.topology import save_topology
 
 
@@ -153,3 +155,18 @@ def test_topology_file_pinned(tmp_path, gabriel, nodes, seed):
     path = tmp_path / "topo.txt"
     save_topology(topo, str(path))
     assert (_digest([path.read_text(encoding="ascii")]), topo.retries) == TOPOLOGIES[gabriel, nodes, seed]
+
+
+# Both protocols, two seeds, mean rows, "# run"/"# classes" lines and, from the
+# negative grid size, 16 error rows.
+SWEEP_SPEC = ("protocol=gpsrq,dv\nnodes=10,12\nseeds=1,2\nduration=3\nbeta=0.6,1\n"
+              "grid_size=-1,70.710678\n")
+
+
+def test_full_sweep_csv_pinned():
+    rows, meta = run_sweep(SWEEP_SPEC)
+    out = io.StringIO()
+    write_csv(out, rows, meta)
+    text = out.getvalue()
+    assert (len(rows), sum(1 for r in rows if r.error), text.count(",mean,")) == (32, 16, 8)
+    assert _digest([text]) == "4937d846d326563d"

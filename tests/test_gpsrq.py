@@ -8,7 +8,7 @@ from qkdsim.links import PublicChannelStats
 
 
 def _node(**kw):
-    base = dict(node_id=0, position=Position(0, 0), beta=0.6, alpha=0.5)
+    base = dict(node_id=0, beta=0.6)
     base.update(kw)
     return GpsrqNode(**base)
 

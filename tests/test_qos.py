@@ -58,14 +58,14 @@ def test_otp_key_cost_512_byte_packet():
 
 def test_otp_ratio_above_one():
     policy = CryptoPolicy(mode="otp", auth_key_bits=256)
-    assert policy.ratio(512 * 8) > 1.0
+    assert policy.key_cost(512 * 8) / (512 * 8) > 1.0
 
 
 def test_aes_key_cost_amortized():
     policy = CryptoPolicy(mode="aes", auth_key_bits=256,
                           aes_session_key_bits=256, aes_refresh_packets=100)
     assert policy.key_cost(512 * 8) == pytest.approx(256 / 100 + 256)
-    assert policy.ratio(512 * 8) < 1.0
+    assert policy.key_cost(512 * 8) / (512 * 8) < 1.0
 
 
 def test_unknown_mode_rejected():

@@ -201,7 +201,6 @@ class Simulation:
         self.key_routing_bits = 0.0
         self.loop2_count = 0
         self.reserve_dips = 0
-        self.max_forwards = 0
         self.served_by_class = {c.name: 0 for c in PRIORITY_ORDER}
         self.dropped_by_class = {c.name: 0 for c in PRIORITY_ORDER}
 
@@ -396,8 +395,8 @@ class Simulation:
                 self.events.push(nxt, _ARRIVAL, (None, self.src, None))
         if frm is not None:
             pkt.hop_count += 1
-            self.max_forwards = max(self.max_forwards, pkt.hop_count)
-        self._record("arrive", pkt.kind, pkt.uid, at, frm)
+        if self._tracing:
+            self._record("arrive", pkt.kind, pkt.uid, at, frm)
 
         if pkt.kind != "data":
             self._deliver_control(at, frm, pkt)
@@ -408,7 +407,8 @@ class Simulation:
             self.received += 1
             self.delay_sum += self.now - pkt.created_at
             self.hops_sum += pkt.hop_count
-            self._record("deliver", pkt.uid, self.now - pkt.created_at, pkt.hop_count)
+            if self._tracing:
+                self._record("deliver", pkt.uid, self.now - pkt.created_at, pkt.hop_count)
             return
         self._route_data(at, frm, pkt)
 
@@ -425,9 +425,6 @@ class Simulation:
         else:
             raise SimulationError(f"unknown drop cause {cause!r}")
         self._record("drop", cause, pkt.uid, at)
-
-    def _admit(self, u: int, v: int, pkt: SimPacket) -> float | None:
-        return admission_cost(self.link(u, v), pkt, self.now)
 
     # ------------------------------------------------------------ transmission
 
@@ -466,7 +463,8 @@ class Simulation:
         elif pkt.kind in ("dv", "hello"):
             self.ovh_pkts += 1
             self.ovh_bytes += wire
-        self._record("tx", pkt.kind, at, target, wire, lk.storage.m_cur)
+        if self._tracing:
+            self._record("tx", pkt.kind, at, target, wire, lk.storage.m_cur)
         if busy:
             self.l2[direction].append((pkt, wire))
         else:
@@ -513,16 +511,15 @@ class Simulation:
         if nxt <= self.cfg.duration_s:
             self.events.push(nxt, EventKind.KEY_CHARGE, (key,))
 
-    def _link_metrics(self, u: int, v: int) -> tuple[float, float, float, float]:
-        """(q_frac, q_m, p_m, r_m) of the link u-v as node u sees it."""
-        lk = self.link(u, v)
+    def _link_metrics(self, u: int, v: int, lk: QkdLink) -> tuple[float, float, float, float]:
+        """(q_frac, q_m, p_m, r_m) of the link ``lk`` between u and v as node u sees it."""
         m_thr = self._link_threshold(u, v, lk.storage.m_max)
         q_frac, q_m = quantum_metric(lk.storage.m_cur, m_thr, lk.storage.m_max)
         p_m = public_metric(lk.pub_stats, self.now)
         return q_frac, q_m, p_m, link_metric(q_m, p_m, self.cfg.alpha)
 
     def _log_metrics(self, key: tuple[int, int]) -> None:
-        self.metrics_log.append((self.now, *key, *self._link_metrics(*key)))
+        self.metrics_log.append((self.now, *key, *self._link_metrics(*key, self.links[key])))
 
     _dispatch = {
         EventKind.PACKET_ARRIVAL: _on_packet_arrival,
@@ -552,6 +549,11 @@ class GpsrqSimulation(Simulation):
         )
         self._signal_epoch: dict[int, float] = {}
         self._pending_signals: dict[tuple[int, int], SimPacket] = {}
+        # Nodes do not move and every data packet goes to ``self.dst``, so each
+        # node's position and its distance to the destination are fixed for the run.
+        self._pos = dict(self.topo.nodes)
+        self._dst_pos = self._pos[self.dst]
+        self._to_dst = {nid: euclidean_distance(p, self._dst_pos) for nid, p in self._pos.items()}
 
     def dump_caches(self) -> list[str]:
         lines = []
@@ -670,37 +672,41 @@ class GpsrqSimulation(Simulation):
         self._retry_pending.discard(nid)
         self._serve(nid)
 
-    def _l2_full(self, at: int, target: int) -> bool:
-        direction = (at, target)
-        return self.l2_busy[direction] and len(self.l2[direction]) >= self.cfg.queue_capacity
-
-    def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> int | None:
-        """Best-scoring admissible neighbour closer to the destination, if any."""
-        dst_pos = self.position(pkt.dst)
-        base = euclidean_distance(self.position(at), dst_pos)
-        out = []
+    def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> tuple[int, float] | None:
+        """Best-scoring admissible closer neighbour and its admission cost, if any."""
+        dst_pos, to_dst, now = self._dst_pos, self._to_dst, self.now
+        base = to_dst[at]
+        out, costs = [], {}
         for v in self.topo.neighbors(at):
-            if v in pkt.retry_exclude or node.cache_blocked(v, dst_pos, self.now):
+            if v in pkt.retry_exclude or node.cache_blocked(v, dst_pos, now):
                 continue
-            d = euclidean_distance(self.position(v), dst_pos)
-            if d < base and self._admit(at, v, pkt) is not None:
-                out.append((v, self._link_metrics(at, v)[3], d))
-        return greedy_choice(out, node.beta)
+            d = to_dst[v]
+            if d < base:
+                lk = self._link_by_dir[(at, v)]
+                cost = admission_cost(lk, pkt, now)
+                if cost is not None:
+                    out.append((v, self._link_metrics(at, v, lk)[3], d))
+                    costs[v] = cost
+        choice = greedy_choice(out, node.beta)
+        return None if choice is None else (choice, costs[choice])
 
     def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set,
-                  toward: int | None) -> int | None:
-        """First admissible neighbour counterclockwise from the bearing of ``toward``.
-
-        None when no neighbour qualifies or there is no reference node.
-        """
-        dst_pos = self.position(pkt.dst)
-        pool = [(v, self.position(v)) for v in self.topo.neighbors(at)
-                if v not in exclude and not node.cache_blocked(v, dst_pos, self.now)
-                and self._admit(at, v, pkt) is not None]
+                  toward: int | None) -> tuple[int, float] | None:
+        """First admissible neighbour counterclockwise from the bearing of ``toward``
+        and its admission cost; None when none qualifies or ``toward`` is None."""
+        pos, dst_pos, now = self._pos, self._dst_pos, self.now
+        pool, costs = [], {}
+        for v in self.topo.neighbors(at):
+            if v in exclude or node.cache_blocked(v, dst_pos, now):
+                continue
+            cost = admission_cost(self._link_by_dir[(at, v)], pkt, now)
+            if cost is not None:
+                pool.append((v, pos[v]))
+                costs[v] = cost
         if not pool or toward is None:
             return None
-        here = self.position(at)
-        return ccw_next_neighbor(here, angle_of(here, self.position(toward)), pool)
+        v = ccw_next_neighbor(pos[at], angle_of(pos[at], pos[toward]), pool)
+        return v, costs[v]
 
     @staticmethod
     def _upstream(pkt: SimPacket, at: int, default: int | None = None) -> int | None:
@@ -714,12 +720,16 @@ class GpsrqSimulation(Simulation):
         pkt.rec_if = None
         pkt.recovery_tried = set()
 
-    def _forward_action(self, at: int, target: int, pkt: SimPacket):
-        if self._l2_full(at, target):
+    def _forward_action(self, at: int, target: int, pkt: SimPacket, cost: float | None = None):
+        """Forward to ``target`` unless its L2 queue is full or its link refuses
+        the packet; ``cost`` is the admission cost a pick has just computed."""
+        direction = (at, target)
+        if self.l2_busy[direction] and len(self.l2[direction]) >= self.cfg.queue_capacity:
             return ("wait",)
-        cost = self._admit(at, target, pkt)
         if cost is None:
-            return ("wait",)
+            cost = admission_cost(self._link_by_dir[direction], pkt, self.now)
+            if cost is None:
+                return ("wait",)
         return ("forward", target, cost)
 
     def _send_back(self, at: int, pkt: SimPacket, target: int):
@@ -770,15 +780,13 @@ class GpsrqSimulation(Simulation):
         if pkt.in_rec:
             if at == pkt.rec_position:
                 return self._decide_recovery_origin(at, pkt, node, arrived)
-            dst_pos = self.position(pkt.dst)
-            entry_pos = self.position(pkt.rec_position)
-            if euclidean_distance(self.position(at), dst_pos) < euclidean_distance(entry_pos, dst_pos):
+            if self._to_dst[at] < self._to_dst[pkt.rec_position]:
                 self._clear_recovery(pkt)
                 self._record("recovery_exit", at, pkt.uid)
             else:
-                v = self._ccw_pick(at, pkt, node, set(), arrived)
-                if v is not None:
-                    return self._forward_action(at, v, pkt)
+                pick = self._ccw_pick(at, pkt, node, set(), arrived)
+                if pick is not None:
+                    return self._forward_action(at, pick[0], pkt, pick[1])
                 if arrived is not None:
                     return self._send_back(at, pkt, arrived)
                 return ("drop", "source")
@@ -788,9 +796,9 @@ class GpsrqSimulation(Simulation):
     def _decide_recovery_origin(self, at: int, pkt: SimPacket, node: GpsrqNode,
                                 arrived: int | None):
         """The perimeter walk returned to its entry node: retry alternatives."""
-        choice = self._greedy_pick(at, pkt, node)
-        if choice is not None:
-            action = self._forward_action(at, choice, pkt)
+        pick = self._greedy_pick(at, pkt, node)
+        if pick is not None:
+            action = self._forward_action(at, pick[0], pkt, pick[1])
             if action[0] == "forward":
                 self._clear_recovery(pkt)
                 pkt.retry_exclude = set()
@@ -798,9 +806,10 @@ class GpsrqSimulation(Simulation):
         exclude = set(pkt.recovery_tried)
         if arrived is not None:
             exclude.add(arrived)
-        v = self._ccw_pick(at, pkt, node, exclude, pkt.dst)
-        if v is not None:
-            action = self._forward_action(at, v, pkt)
+        pick = self._ccw_pick(at, pkt, node, exclude, pkt.dst)
+        if pick is not None:
+            v, cost = pick
+            action = self._forward_action(at, v, pkt, cost)
             if action[0] == "forward":
                 pkt.rec_if = v
                 pkt.recovery_tried.add(v)
@@ -814,24 +823,25 @@ class GpsrqSimulation(Simulation):
         return self._send_back(at, pkt, target)
 
     def _decide_greedy(self, at: int, pkt: SimPacket, node: GpsrqNode, arrived: int | None):
-        choice = self._greedy_pick(at, pkt, node)
-        if choice is not None:
-            action = self._forward_action(at, choice, pkt)
+        pick = self._greedy_pick(at, pkt, node)
+        if pick is not None:
+            action = self._forward_action(at, pick[0], pkt, pick[1])
             if action[0] == "forward":
                 pkt.retry_exclude = set()
             return action
 
-        usable = [v for v in self.topo.neighbors(at) if self._admit(at, v, pkt) is not None]
-        if not usable:
+        if all(admission_cost(self._link_by_dir[(at, v)], pkt, self.now) is None
+               for v in self.topo.neighbors(at)):
             return ("wait",)  # no serviceable link: hold for reprocessing
 
         if pkt.loop == 0:
             entry_exclude = set(pkt.retry_exclude)
             if arrived is not None:
                 entry_exclude.add(arrived)
-            v = self._ccw_pick(at, pkt, node, entry_exclude, pkt.dst)
-            if v is not None:
-                action = self._forward_action(at, v, pkt)
+            pick = self._ccw_pick(at, pkt, node, entry_exclude, pkt.dst)
+            if pick is not None:
+                v, cost = pick
+                action = self._forward_action(at, v, pkt, cost)
                 if action[0] == "forward":
                     pkt.in_rec = 1
                     pkt.rec_position = at
@@ -935,7 +945,7 @@ class DvSimulation(Simulation):
 
     def _send(self, at: int, target: int, pkt: SimPacket) -> bool:
         """Transmit at once if the link admits the packet; False when it is refused."""
-        cost = self._admit(at, target, pkt)
+        cost = admission_cost(self._link_by_dir[(at, target)], pkt, self.now)
         if cost is not None:
             self._transmit(at, target, pkt, cost)
         return cost is not None

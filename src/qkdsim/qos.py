@@ -23,6 +23,9 @@ class TrafficClass(IntEnum):
     PREMIUM = 56
 
 
+# Read on every admission; an Enum class attribute lookup costs more.
+_PREMIUM = TrafficClass.PREMIUM
+
 PRIORITY_ORDER: tuple[TrafficClass, ...] = (
     TrafficClass.PREMIUM,
     TrafficClass.REAL_TIME,
@@ -143,7 +146,7 @@ def admission_cost(link: QkdLink, pkt: SimPacket, now: float) -> float | None:
     """
     if public_metric(link.pub_stats, now) > 1.0:
         return None
-    premium = pkt.traffic_class == TrafficClass.PREMIUM
+    premium = pkt.traffic_class == _PREMIUM
     if link.storage.can_consume(pkt.key_cost, premium):
         return pkt.key_cost
     return None

@@ -6,10 +6,11 @@ from itertools import combinations
 from typing import Iterable
 
 from qkdsim.config import RunConfig
-from qkdsim.engine import Simulation
-from qkdsim.geometry import Position, euclidean_distance
+from qkdsim.engine import GpsrqSimulation, Simulation
+from qkdsim.geometry import Position, angle_of, ccw_next_neighbor, euclidean_distance
+from qkdsim.gpsrq import GpsrqNode, greedy_choice
 from qkdsim.links import KeyStorage
-from qkdsim.qos import SimPacket
+from qkdsim.qos import SimPacket, admission_cost
 from qkdsim.stats import HANDSHAKE_BYTES, HANDSHAKE_PACKETS
 from qkdsim.topology import Topology, WaxmanConfig, waxman_edge_probability
 
@@ -222,3 +223,165 @@ def narrative_sim(trace: bool = False) -> Simulation:
     dead.storage.m_cur = 0.0
     dead.initial_key = 0.0
     return sim
+
+
+class ReferenceGpsrqSimulation(GpsrqSimulation):
+    """GPSRQ with the routing decision as it was before it read per-run tables.
+
+    Kept as the oracle for ``GpsrqSimulation``'s decision path: every
+    distance is computed from positions on each decision, and every
+    admission is asked again where the decision needs it. The methods are
+    the earlier ones, except that ``_link_metrics`` is handed its link.
+    """
+
+    def _admit(self, u: int, v: int, pkt: SimPacket) -> float | None:
+        return admission_cost(self.link(u, v), pkt, self.now)
+
+    def _l2_full(self, at: int, target: int) -> bool:
+        direction = (at, target)
+        return self.l2_busy[direction] and len(self.l2[direction]) >= self.cfg.queue_capacity
+
+    def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> int | None:
+        dst_pos = self.position(pkt.dst)
+        base = euclidean_distance(self.position(at), dst_pos)
+        out = []
+        for v in self.topo.neighbors(at):
+            if v in pkt.retry_exclude or node.cache_blocked(v, dst_pos, self.now):
+                continue
+            d = euclidean_distance(self.position(v), dst_pos)
+            if d < base and self._admit(at, v, pkt) is not None:
+                out.append((v, self._link_metrics(at, v, self.link(at, v))[3], d))
+        return greedy_choice(out, node.beta)
+
+    def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set,
+                  toward: int | None) -> int | None:
+        dst_pos = self.position(pkt.dst)
+        pool = [(v, self.position(v)) for v in self.topo.neighbors(at)
+                if v not in exclude and not node.cache_blocked(v, dst_pos, self.now)
+                and self._admit(at, v, pkt) is not None]
+        if not pool or toward is None:
+            return None
+        here = self.position(at)
+        return ccw_next_neighbor(here, angle_of(here, self.position(toward)), pool)
+
+    def _forward_action(self, at: int, target: int, pkt: SimPacket):
+        if self._l2_full(at, target):
+            return ("wait",)
+        cost = self._admit(at, target, pkt)
+        if cost is None:
+            return ("wait",)
+        return ("forward", target, cost)
+
+    def _decide(self, at: int, pkt: SimPacket):
+        if pkt.kind == "signaling":
+            action = self._forward_action(at, pkt.fixed_egress, pkt)
+            if action[0] == "forward":
+                self._pending_signals.pop((at, pkt.fixed_egress), None)
+            return action
+
+        node = self.gpsrq_nodes[at]
+        arrived = pkt.arrived_from
+
+        if pkt.pending_return:
+            target = self._upstream(pkt, at, arrived)
+            action = self._forward_action(at, target, pkt)
+            if action[0] == "forward":
+                pkt.pending_return = False
+                self._record("loop_return", at, pkt.uid, target)
+            return action
+
+        if (
+            pkt.loop == 0
+            and at != pkt.src
+            and arrived is not None
+            and self.now - pkt.created_at > pkt.max_delay
+        ):
+            action = self._forward_action(at, arrived, pkt)
+            if action[0] == "forward":
+                pkt.loop = 1
+                self._record("delay_return", at, pkt.uid, arrived)
+            return action
+
+        if pkt.in_rec:
+            if at == pkt.rec_position:
+                return self._decide_recovery_origin(at, pkt, node, arrived)
+            dst_pos = self.position(pkt.dst)
+            entry_pos = self.position(pkt.rec_position)
+            if euclidean_distance(self.position(at), dst_pos) < euclidean_distance(entry_pos, dst_pos):
+                self._clear_recovery(pkt)
+                self._record("recovery_exit", at, pkt.uid)
+            else:
+                v = self._ccw_pick(at, pkt, node, set(), arrived)
+                if v is not None:
+                    return self._forward_action(at, v, pkt)
+                if arrived is not None:
+                    return self._send_back(at, pkt, arrived)
+                return ("drop", "source")
+
+        return self._decide_greedy(at, pkt, node, arrived)
+
+    def _decide_recovery_origin(self, at: int, pkt: SimPacket, node: GpsrqNode,
+                                arrived: int | None):
+        choice = self._greedy_pick(at, pkt, node)
+        if choice is not None:
+            action = self._forward_action(at, choice, pkt)
+            if action[0] == "forward":
+                self._clear_recovery(pkt)
+                pkt.retry_exclude = set()
+            return action
+        exclude = set(pkt.recovery_tried)
+        if arrived is not None:
+            exclude.add(arrived)
+        v = self._ccw_pick(at, pkt, node, exclude, pkt.dst)
+        if v is not None:
+            action = self._forward_action(at, v, pkt)
+            if action[0] == "forward":
+                pkt.rec_if = v
+                pkt.recovery_tried.add(v)
+                self._record("recovery_enter", at, pkt.uid, v)
+            return action
+        if at == pkt.src:
+            return ("drop", "source")
+        target = arrived if arrived is not None else self._upstream(pkt, at)
+        if target is None:
+            return ("drop", "source")
+        return self._send_back(at, pkt, target)
+
+    def _decide_greedy(self, at: int, pkt: SimPacket, node: GpsrqNode, arrived: int | None):
+        choice = self._greedy_pick(at, pkt, node)
+        if choice is not None:
+            action = self._forward_action(at, choice, pkt)
+            if action[0] == "forward":
+                pkt.retry_exclude = set()
+            return action
+
+        usable = [v for v in self.topo.neighbors(at) if self._admit(at, v, pkt) is not None]
+        if not usable:
+            return ("wait",)  # no serviceable link: hold for reprocessing
+
+        if pkt.loop == 0:
+            entry_exclude = set(pkt.retry_exclude)
+            if arrived is not None:
+                entry_exclude.add(arrived)
+            v = self._ccw_pick(at, pkt, node, entry_exclude, pkt.dst)
+            if v is not None:
+                action = self._forward_action(at, v, pkt)
+                if action[0] == "forward":
+                    pkt.in_rec = 1
+                    pkt.rec_position = at
+                    pkt.rec_if = v
+                    pkt.recovery_tried = {v}
+                    pkt.retry_exclude = set()
+                    self._record("recovery_enter", at, pkt.uid, v)
+                return action
+            if at == pkt.src:
+                return ("drop", "source")
+            return self._send_back(at, pkt, arrived)
+
+        # loop == 2: a retried packet hit another dead end; send it back.
+        if at == pkt.src:
+            return ("drop", "source")
+        target = self._upstream(pkt, at, arrived)
+        if target is None:
+            return ("drop", "source")
+        return self._send_back(at, pkt, target)

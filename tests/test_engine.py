@@ -1,9 +1,12 @@
 import hashlib
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     GRID,
+    ReferenceGpsrqSimulation,
     ample_cfg,
     bfs_reachable,
     collect_overhead,
@@ -139,6 +142,25 @@ def test_keeping_the_trace_changes_no_output(protocol):
     assert plain.trace == [] and traced.trace
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_untraced_runs_skip_the_per_packet_records(monkeypatch, protocol):
+    """Arrivals, deliveries and transmissions reach ``_record`` only when traced."""
+    tags = Counter()
+    record = Simulation._record
+
+    def counting(self, tag, *entry):
+        tags[tag] += 1
+        record(self, tag, *entry)
+
+    monkeypatch.setattr(Simulation, "_record", counting)
+    topo = topology_for(TopologySpec(node_count=10), 3)
+    cfg = RunConfig(protocol=protocol, seed=3, duration_s=5.0)
+    Simulation(cfg, topo).run()
+    assert [tags[t] for t in ("arrive", "deliver", "tx")] == [0, 0, 0]
+    Simulation(cfg, topo, trace=True).run()
+    assert all(tags[t] > 0 for t in ("arrive", "deliver", "tx"))
+
+
 def test_a_default_run_keeps_no_trace():
     sim = Simulation(ample_cfg(seed=3, duration_s=5.0), two_node_topology())
     stats = sim.run()
@@ -254,6 +276,12 @@ def test_admitted_costs_equal_consumed_key(two_hop=None):
 
 # --- the recovery narrative -------------------------------------------------------
 
+def max_forwards(trace: list[tuple]) -> int:
+    """The largest hop count of any data packet: its forwarded arrivals, per uid."""
+    hops = Counter(e[3] for e in trace if e[1] == "arrive" and e[2] == "data" and e[5] is not None)
+    return max(hops.values(), default=0)
+
+
 def test_recovery_narrative_step_by_step():
     sim = narrative_sim(trace=True)
     stats = sim.run()
@@ -301,7 +329,7 @@ def test_recovery_narrative_step_by_step():
     # All circle centers sit on the destination.
     centers = [(e[4], e[5]) for e in sim.trace if e[1] == "cache_add"]
     assert centers and all(c == (g_pos.x, g_pos.y) for c in centers)
-    assert sim.max_forwards <= 4 * len(sim.topo.edges)
+    assert max_forwards(sim.trace) <= 4 * len(sim.topo.edges)
 
 
 def test_narrative_cache_dump_format():
@@ -356,13 +384,53 @@ def test_all_pairs_delivery_on_planar_graphs(seed):
             cfg = ample_cfg(seed=seed, duration_s=3.0)
             cfg.link.rate_bps = 0.0
             cfg.traffic.rate_bps = 1000.0  # a single probe packet
-            sim = Simulation(cfg, topo)
+            sim = Simulation(cfg, topo, trace=True)
             stats = sim.run()
             assert bfs_reachable(topo, src, dst)
             if stats.received != 1:
                 failures.append((src, dst))
-            assert sim.max_forwards <= 4 * len(topo.edges)
+            assert max_forwards(sim.trace) <= 4 * len(topo.edges)
     assert failures == [], f"undelivered pairs: {failures}"
+
+
+# --- the decision path against the reference ----------------------------------------
+
+@st.composite
+def _decision_runs(draw):
+    """A 2-12-node Gabriel topology and a gpsrq run of at most 20 s. Initial key
+    near the reserve starves links, so some runs enter perimeter recovery; the
+    sampled lists start at the values that do so most often. A small key store
+    spreads the link metrics, so the distance term decides between candidates."""
+    topo = topology_for(TopologySpec(node_count=draw(st.sampled_from(range(12, 1, -1)))),
+                        draw(st.integers(1, 10_000)))
+    cfg = RunConfig(seed=draw(st.integers(1, 10_000)), duration_s=draw(st.floats(1.0, 20.0)),
+                    beta=draw(st.floats(0.0, 1.0)), cache_enabled=draw(st.booleans()))
+    cfg.link.max_key_bytes = draw(st.sampled_from([2_000_000.0, 4_000_000.0, 100_000_000.0]))
+    cfg.link.rate_bps = draw(st.sampled_from([0.0, 10_000.0, 100_000.0]))
+    lo = draw(st.floats(1_000_000.0, 1_500_000.0))
+    cfg.link.init_key_bytes_range = (lo, lo + draw(st.floats(0.0, 3_000_000.0)))
+    cfg.traffic.rate_bps = draw(st.sampled_from([3_000_000.0, 1_000_000.0, 300_000.0]))
+    return cfg, topo
+
+
+def test_decision_path_matches_reference():
+    """Reading the per-run distance tables and asking each admission once
+    gives the outputs of the decision path that recomputes both."""
+    recovered = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_decision_runs())
+    def check(run):
+        cfg, topo = run
+        sim = Simulation(cfg, topo, trace=True)
+        ref = ReferenceGpsrqSimulation(cfg, topo)
+        a, b = sim.run(), ref.run()
+        assert (a.csv_row(), a.trace_hash) == (b.csv_row(), b.trace_hash)
+        assert sim.dump_caches() == ref.dump_caches()
+        recovered.append(any(e[1] == "recovery_enter" for e in sim.trace))
+
+    check()
+    assert sum(recovered) >= 5, recovered
 
 
 # --- threshold convergence ----------------------------------------------------------

@@ -78,12 +78,12 @@ class LinkConfig:
     round_load_gain: float = 2.0
 
     def validate(self) -> None:
-        if not (0.0 < self.min_key_bytes < self.max_key_bytes):
-            raise ConfigError("require 0 < min_key_bytes < max_key_bytes")
-        lo, hi = self.init_key_bytes_range
-        if not (0.0 <= lo <= hi):
-            raise ConfigError("init_key_bytes_range must be a non-decreasing pair")
         # Written so that NaN fails each check.
+        if not (0.0 < self.min_key_bytes < self.max_key_bytes < math.inf):
+            raise ConfigError("require 0 < min_key_bytes < max_key_bytes, both finite")
+        lo, hi = self.init_key_bytes_range
+        if not (0.0 <= lo <= hi < math.inf):
+            raise ConfigError("init_key_bytes_range must be a finite non-decreasing pair")
         if not (0.0 <= self.rate_bps < math.inf):
             raise ConfigError("rate_bps must be non-negative and finite")
         if not (0.0 < self.charge_period_s < math.inf and 0.0 < self.bandwidth_bps < math.inf):

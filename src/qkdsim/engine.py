@@ -30,7 +30,6 @@ from .config import RunConfig
 from .dv import DvNode
 from .geometry import Position, angle_of, ccw_next_neighbor, euclidean_distance
 from .gpsrq import GpsrqNode, cache_ttl, greedy_choice
-from .headers import HEADER_OVERHEAD_BYTES, QKD_HEADER_BYTES
 from .links import KeyStorage, PublicChannelStats, QkdLink
 from .metrics import link_metric, local_mean, public_metric, quantum_metric
 from .qos import (
@@ -42,17 +41,27 @@ from .qos import (
     classify,
 )
 from .rng import substream
-from .stats import HANDSHAKE_BYTES, HANDSHAKE_PACKETS, RunStats
+from .stats import RunStats
 from .topology import Topology, is_connected
 
 logger = logging.getLogger(__name__)
 
+# Wire sizes in bytes. Only these counts enter the model: a data or signaling
+# packet carries the QKD header and the command header, a DV update or hello
+# only the QKD header. The routing state (recovery indicator, loop indicator,
+# recovery interface and position) travels inside these two headers.
+QKD_HEADER_BYTES = 28
+COMMAND_HEADER_BYTES = 8
+HEADER_OVERHEAD_BYTES = QKD_HEADER_BYTES + COMMAND_HEADER_BYTES
 UDP_IP_BYTES = 28
 TCP_IP_BYTES = 40
 SIGNALING_PAYLOAD_BYTES = 8
 HELLO_PAYLOAD_BYTES = 8
 DV_FIXED_PAYLOAD_BYTES = 4
 DV_ENTRY_BYTES = 12
+# Modeled reliable-transport handshake around each signaling exchange.
+HANDSHAKE_PACKETS = 3
+HANDSHAKE_BYTES = 120
 
 
 class SimulationError(RuntimeError):
@@ -186,23 +195,10 @@ class Simulation:
         self._hash_lines: list[str] = []
         self.metrics_log: list[tuple] | None = [] if metrics_log else None
 
-        # Statistics accumulators (application data packets only).
-        self.sent = 0
-        self.received = 0
+        # The run's counts; the two sums give the means at the end.
+        self.stats = RunStats.for_run(cfg, len(topology.nodes))
         self.delay_sum = 0.0
         self.hops_sum = 0
-        self.drop_queue = 0
-        self.drop_delay = 0
-        self.drop_source = 0
-        self.drop_link = 0
-        self.ovh_pkts = 0
-        self.ovh_bytes = 0
-        self.key_data_bits = 0.0
-        self.key_routing_bits = 0.0
-        self.loop2_count = 0
-        self.reserve_dips = 0
-        self.served_by_class = {c.name: 0 for c in PRIORITY_ORDER}
-        self.dropped_by_class = {c.name: 0 for c in PRIORITY_ORDER}
 
         if lc.rate_bps > 0.0:
             for key in sorted(self.links):
@@ -343,53 +339,30 @@ class Simulation:
             if kind is _END:
                 break
             dispatch[kind](self, *payload)
-        return self._finalize()
+        self._finalize()
+        return self.stats
 
-    def _finalize(self) -> RunStats:
+    def _finalize(self) -> None:
         for key, lk in sorted(self.links.items()):
             err = abs(lk.conservation_error())
             scale = max(1.0, lk.initial_key + lk.storage.charged_total)
             if err > 1e-6 * scale:
                 raise SimulationError(f"key accounting broken on link {key}: {err}")
         self._flush_hash()
-        stats = RunStats(
-            protocol=self.cfg.protocol,
-            nodes=len(self.topo.nodes),
-            seed=self.cfg.seed,
-            beta=self.cfg.beta,
-            alpha=self.cfg.alpha,
-            t_avg_window=self.cfg.t_avg_window,
-            cache=self.cfg.cache_enabled,
-            sent=self.sent,
-            received=self.received,
-            mean_delay_s=self.delay_sum / self.received if self.received else 0.0,
-            mean_hops=self.hops_sum / self.received if self.received else 0.0,
-            ovh_pkts=self.ovh_pkts,
-            ovh_bytes=self.ovh_bytes,
-            key_data_bits=self.key_data_bits,
-            key_routing_bits=self.key_routing_bits,
-            drop_queue=self.drop_queue,
-            drop_delay=self.drop_delay,
-            drop_source=self.drop_source,
-            drop_link=self.drop_link,
-            loop2_count=self.loop2_count,
-            reserve_dips=self.reserve_dips,
-            trace_hash=self._hasher.hexdigest(),
-            topology_retries=self.topo.retries,
-            served_by_class=dict(self.served_by_class),
-            dropped_by_class=dict(self.dropped_by_class),
-        )
-        stats.in_flight = self.sent - self.received - stats.drops_total
-        if stats.in_flight < 0:
+        st = self.stats
+        if st.received:
+            st.mean_delay_s = self.delay_sum / st.received
+            st.mean_hops = self.hops_sum / st.received
+        st.trace_hash = self._hasher.hexdigest()
+        if st.in_flight < 0:
             raise SimulationError("negative in-flight count")
-        return stats
 
     # ------------------------------------------------------------ packet flow
 
     def _on_packet_arrival(self, pkt: SimPacket | None, at: int, frm: int | None) -> None:
         if pkt is None:
             pkt = self._make_data_packet()
-            self.sent += 1
+            self.stats.sent += 1
             nxt = self.now + self.cfg.traffic.packet_bytes * 8.0 / self.cfg.traffic.rate_bps
             if nxt < self.cfg.duration_s:
                 self.events.push(nxt, _ARRIVAL, (None, self.src, None))
@@ -404,7 +377,7 @@ class Simulation:
 
         pkt.arrived_from = frm
         if at == pkt.dst:
-            self.received += 1
+            self.stats.received += 1
             self.delay_sum += self.now - pkt.created_at
             self.hops_sum += pkt.hop_count
             if self._tracing:
@@ -414,14 +387,15 @@ class Simulation:
 
     def _count_drop(self, cause: str, pkt: SimPacket, at: int) -> None:
         """Count a data packet dropped at ``at`` and record why."""
+        st = self.stats
         if cause == "source":
-            self.drop_source += 1
+            st.drop_source += 1
         elif cause == "delay":
-            self.drop_delay += 1
+            st.drop_delay += 1
         elif cause == "link":
-            self.drop_link += 1
+            st.drop_link += 1
         elif cause == "queue":
-            self.drop_queue += 1
+            st.drop_queue += 1
         else:
             raise SimulationError(f"unknown drop cause {cause!r}")
         self._record("drop", cause, pkt.uid, at)
@@ -444,25 +418,26 @@ class Simulation:
         premium = pkt.traffic_class == _PREMIUM
         if not lk.storage.consume(cost, premium):
             raise SimulationError("admission raced ahead of consumption")
+        st = self.stats
         if pkt.kind == "data":
-            self.key_data_bits += cost
+            st.key_data_bits += cost
             lk.consumed_data += cost
         else:
-            self.key_routing_bits += cost
+            st.key_routing_bits += cost
             lk.consumed_routing += cost
         if premium and lk.storage.m_cur < lk.storage.m_min:
-            self.reserve_dips += 1
+            st.reserve_dips += 1
             if lk.key() not in self._warned_reserve:
                 self._warned_reserve.add(lk.key())
                 logger.warning(
                     "premium traffic dipped below the pre-shared reserve on link %s", lk.key()
                 )
         if pkt.kind == "signaling":
-            self.ovh_pkts += 1 + HANDSHAKE_PACKETS
-            self.ovh_bytes += wire + HANDSHAKE_BYTES
+            st.ovh_pkts += 1 + HANDSHAKE_PACKETS
+            st.ovh_bytes += wire + HANDSHAKE_BYTES
         elif pkt.kind in ("dv", "hello"):
-            self.ovh_pkts += 1
-            self.ovh_bytes += wire
+            st.ovh_pkts += 1
+            st.ovh_bytes += wire
         if self._tracing:
             self._record("tx", pkt.kind, at, target, wire, lk.storage.m_cur)
         if busy:
@@ -588,7 +563,7 @@ class GpsrqSimulation(Simulation):
             pkt.recovery_tried.add(pkt.rec_if)
 
         if not self.queues[at].enqueue(pkt):
-            self.dropped_by_class[pkt.traffic_class.name] += 1
+            self.stats.dropped_by_class[pkt.traffic_class.name] += 1
             self._count_drop("queue", pkt, at)
             return
         self._serve(at)
@@ -622,7 +597,7 @@ class GpsrqSimulation(Simulation):
             pkt.pending_return = True  # keep loop=1, unwind further at service
             return True
         pkt.loop = 2
-        self.loop2_count += 1
+        self.stats.loop2_count += 1
         self._record("loop2", at, pkt.uid)
         self._clear_recovery(pkt)
         pkt.retry_exclude = {frm}
@@ -659,7 +634,7 @@ class GpsrqSimulation(Simulation):
             if action[0] == "drop":
                 self._count_drop(action[1], pkt, at)
                 continue
-            self.served_by_class[cls.name] += 1
+            self.stats.served_by_class[cls.name] += 1
             _, target, cost = action
             self._transmit(at, target, pkt, cost)
 

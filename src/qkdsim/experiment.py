@@ -48,16 +48,7 @@ def run_experiment(exp: ExperimentConfig) -> list[RunStats]:
         except Exception as exc:  # noqa: BLE001 - sweep must continue
             logger.error("run failed (nodes=%d seed=%d): %s",
                          topo_spec.node_count, run_cfg.seed, exc)
-            results.append(RunStats(
-                protocol=run_cfg.protocol,
-                nodes=topo_spec.node_count,
-                seed=run_cfg.seed,
-                beta=run_cfg.beta,
-                alpha=run_cfg.alpha,
-                t_avg_window=run_cfg.t_avg_window,
-                cache=run_cfg.cache_enabled,
-                error=str(exc),
-            ))
+            results.append(RunStats.for_run(run_cfg, topo_spec.node_count, error=str(exc)))
     return results
 
 

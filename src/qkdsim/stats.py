@@ -1,9 +1,13 @@
-"""Per-run statistics, CSV emission and overhead accounting."""
+"""Per-run statistics and CSV emission."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TextIO
+
+from .config import RunConfig
+from .qos import PRIORITY_ORDER
 
 CSV_COLUMNS = [
     "protocol",
@@ -28,13 +32,15 @@ CSV_COLUMNS = [
     "drop_link",
 ]
 
-# Modeled reliable-transport handshake around each signaling exchange.
-HANDSHAKE_PACKETS = 3
-HANDSHAKE_BYTES = 120
+
+def _per_class() -> dict[str, int]:
+    return {c.name: 0 for c in PRIORITY_ORDER}
 
 
 @dataclass(slots=True)
 class RunStats:
+    """One run's configuration columns and counts; the engine counts into it."""
+
     protocol: str
     nodes: int
     seed: int
@@ -54,18 +60,26 @@ class RunStats:
     drop_delay: int = 0
     drop_source: int = 0
     drop_link: int = 0
-    in_flight: int = 0
     loop2_count: int = 0
     reserve_dips: int = 0
     trace_hash: str = ""
-    topology_retries: int = 0
-    served_by_class: dict = None
-    dropped_by_class: dict = None
+    served_by_class: dict[str, int] = field(default_factory=_per_class)
+    dropped_by_class: dict[str, int] = field(default_factory=_per_class)
     error: str = ""
+
+    @classmethod
+    def for_run(cls, cfg: RunConfig, nodes: int, **fields) -> RunStats:
+        """Stats of a run of ``cfg`` on ``nodes`` nodes, the config columns filled in."""
+        return cls(cfg.protocol, nodes, cfg.seed, cfg.beta, cfg.alpha, cfg.t_avg_window,
+                   cfg.cache_enabled, **fields)
 
     @property
     def drops_total(self) -> int:
         return self.drop_queue + self.drop_delay + self.drop_source + self.drop_link
+
+    @property
+    def in_flight(self) -> int:
+        return self.sent - self.received - self.drops_total
 
     @property
     def pdr(self) -> float:
@@ -93,8 +107,8 @@ def _cell(value) -> str:
 _KEY_CELLS = CSV_COLUMNS.index("cache") + 1
 
 
-def _group_key(s: RunStats) -> tuple:
-    return (s.protocol, s.nodes, s.beta, s.alpha, s.t_avg_window, s.cache)
+# Mean rows group the runs by every configuration column but the seed.
+_group_key = attrgetter(*(c for c in CSV_COLUMNS[:_KEY_CELLS] if c != "seed"))
 
 
 def aggregate_means(stats: list[RunStats]) -> list[list[str]]:
@@ -132,11 +146,8 @@ def write_csv(
             out.write(f"# error seed={s.seed} nodes={s.nodes}: {s.error}\n")
         elif s.trace_hash:
             out.write(f"# run protocol={s.protocol} nodes={s.nodes} seed={s.seed} trace_hash={s.trace_hash}\n")
-            if s.served_by_class is not None:
-                out.write(
-                    f"# classes seed={s.seed} served={s.served_by_class!r} "
-                    f"dropped={s.dropped_by_class!r}\n"
-                )
+            out.write(f"# classes seed={s.seed} served={s.served_by_class!r} "
+                      f"dropped={s.dropped_by_class!r}\n")
     out.write(",".join(CSV_COLUMNS) + "\n")
     good = [s for s in stats if not s.error]
     for s in good:

@@ -6,12 +6,11 @@ from itertools import combinations
 from typing import Iterable
 
 from qkdsim.config import RunConfig
-from qkdsim.engine import GpsrqSimulation, Simulation
+from qkdsim.engine import HANDSHAKE_BYTES, HANDSHAKE_PACKETS, GpsrqSimulation, Simulation
 from qkdsim.geometry import Position, angle_of, ccw_next_neighbor, euclidean_distance
 from qkdsim.gpsrq import GpsrqNode, greedy_choice
 from qkdsim.links import KeyStorage
 from qkdsim.qos import SimPacket, admission_cost
-from qkdsim.stats import HANDSHAKE_BYTES, HANDSHAKE_PACKETS
 from qkdsim.topology import Topology, WaxmanConfig, waxman_edge_probability
 
 GRID = 100.0 / math.sqrt(2.0)

@@ -5,7 +5,7 @@ import pytest
 
 from qkdsim.cli import main
 from qkdsim.config import ConfigError
-from qkdsim.experiment import parse_sweep_spec
+from qkdsim.experiment import parse_sweep_spec, run_sweep
 from qkdsim.topology import load_topology
 
 
@@ -114,6 +114,15 @@ def test_sweep_continues_past_failing_run(tmp_path):
     assert "# error" in text
 
 
+def test_error_row_carries_its_config_columns():
+    (row,), _ = run_sweep("protocol=dv\nnodes=6\nseeds=4\nduration=5\nbeta=0.3\nalpha=0.7\n"
+                          "t_avg_window=3\ncache=off\ninit_key_bytes=9:1\n")
+    assert "init_key_bytes_range" in row.error
+    assert (row.protocol, row.nodes, row.seed, row.beta, row.alpha, row.t_avg_window,
+            row.cache) == ("dv", 6, 4, 0.3, 0.7, 3, False)
+    assert (row.sent, row.in_flight, row.trace_hash) == (0, 0, "")
+
+
 def test_process_level_determinism(tmp_path):
     """Two separate interpreter invocations produce byte-identical CSV."""
     args = [
@@ -139,6 +148,8 @@ def test_process_level_determinism(tmp_path):
     ("link", "bandwidth_bps=nan"),
     ("link", "round_floor_s=nan"),
     ("link", "round_stddev_frac=nan"),
+    ("link", "max_key_bytes=inf"),
+    ("link", "init_key_bytes_range=1:inf"),
     ("sweep", "# caf\u00e9"),
     ("simulate", "--waxman 1"),
     ("simulate", "--waxman 6 --grid-size -1"),

@@ -119,7 +119,8 @@ def test_each_drop_cause_counts_once_and_unknown_causes_raise():
     pkt = sim._make_data_packet()
     for cause in ("source", "delay", "link", "queue"):
         sim._count_drop(cause, pkt, 0)
-    assert (sim.drop_source, sim.drop_delay, sim.drop_link, sim.drop_queue) == (1, 1, 1, 1)
+    st = sim.stats
+    assert (st.drop_source, st.drop_delay, st.drop_link, st.drop_queue) == (1, 1, 1, 1)
     assert [e[2] for e in sim.trace if e[1] == "drop"] == ["source", "delay", "link", "queue"]
     with pytest.raises(SimulationError):
         sim._count_drop("lost", pkt, 0)
@@ -181,7 +182,7 @@ def test_run_simulation_and_sweeps_keep_no_trace(monkeypatch):
     rows, _ = run_sweep("protocol=gpsrq,dv\nnodes=10\nseeds=3\nduration=5\n")
     assert [r.error for r in rows] == ["", ""]
     assert len(sims) == 3
-    assert all(sim.sent > 0 and sim.trace == [] for sim in sims)
+    assert all(sim.stats.sent > 0 and sim.trace == [] for sim in sims)
 
 
 def test_delay_floor_on_mean_delay():

@@ -6,6 +6,11 @@ must say so. Together the runs reach every GPSRQ decision branch that
 leaves a trace record (recovery entry and exit, loop2, loop returns, delay
 returns, cache insertions) and both DV liveness variants. Every run keeps
 its event trace (``trace=True``), and the records of two runs are pinned too.
+
+With the default 100 MB key stores the quantum metric is about 1 on every
+link, so the link metric hardly varies between neighbours. The two
+key-starved runs (4 MB stores, 1-4 MB initial key) make it vary, so the
+shape of GPSRQ's distance term and the beta weighting decide their choices.
 """
 
 import hashlib
@@ -15,7 +20,7 @@ from functools import lru_cache
 import pytest
 
 from helpers import narrative_sim
-from qkdsim.config import RunConfig, TopologySpec
+from qkdsim.config import LinkConfig, RunConfig, TopologySpec
 from qkdsim.engine import Simulation
 from qkdsim.experiment import run_sweep, topology_for
 from qkdsim.stats import write_csv
@@ -28,6 +33,10 @@ def _sim(protocol, nodes, seed, duration, metrics=False, **kw) -> Simulation:
                       metrics_log=metrics, trace=True)
 
 
+def _starved_link() -> LinkConfig:
+    return LinkConfig(max_key_bytes=4_000_000, init_key_bytes_range=(1_000_000, 4_000_000))
+
+
 RUNS = {
     "narrative": lambda: narrative_sim(trace=True),
     "gpsrq-40-s2-cache": lambda: _sim("gpsrq", 40, 2, 90.0, metrics=True),
@@ -35,6 +44,8 @@ RUNS = {
     "gpsrq-30-s1": lambda: _sim("gpsrq", 30, 1, 90.0),
     "dv-probe": lambda: _sim("dv", 30, 1, 60.0, metrics=True),
     "dv-hello": lambda: _sim("dv", 30, 1, 60.0, dv_liveness="hello"),
+    "gpsrq-40-s1-starved": lambda: _sim("gpsrq", 40, 1, 20.0, link=_starved_link()),
+    "dv-40-s1-starved": lambda: _sim("dv", 40, 1, 20.0, link=_starved_link()),
 }
 
 # name -> (CSV row, trace_hash)
@@ -68,6 +79,16 @@ GOLDEN = {
         "1.0,9449,786372,63373824.0,4476768.0,0,0,87,0",
         "0116ddfef282b6c69a1f261cbac5c8474eb89553f2b7dbc9fc7a99409137c829",
     ),
+    "gpsrq-40-s1-starved": (
+        "gpsrq,40,1,0.6,0.5,5,on,4883,1536,0.31456072086831866,0.2387608166666815,"
+        "24.541666666666668,1072,54672,225490176.0,291584.0,0,11,3336,0",
+        "41ee88103923e8ae897c42c00aa5d4f0c63b6993c91b2a70003b0735bee976e8",
+    ),
+    "dv-40-s1-starved": (
+        "dv,40,1,0.6,0.5,5,on,4883,1190,0.24370264181855417,0.004382432968068314,"
+        "3.0,9239,810384,15554048.0,4709184.0,0,0,3689,4",
+        "341e07db5e6fda4fdacb5cf5828c829607418f8b5b030e25570d6233eab9666b",
+    ),
 }
 
 # name -> (metrics_log digest, or None when not logged; dump_caches digest)
@@ -75,6 +96,7 @@ SIDE_OUTPUTS = {
     "narrative": (None, "5a30dc9db2194fc1"),
     "gpsrq-40-s2-cache": ("8bead1f696b01ddb", "c110e5fa2b0f6cbc"),
     "dv-probe": ("449f6c09bbb40579", "e3b0c44298fc1c14"),
+    "gpsrq-40-s1-starved": (None, "4757b7dfa4de5a33"),
 }
 
 # name -> digest of the trace records, one repr() per line

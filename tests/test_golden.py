@@ -11,6 +11,8 @@ With the default 100 MB key stores the quantum metric is about 1 on every
 link, so the link metric hardly varies between neighbours. The two
 key-starved runs (4 MB stores, 1-4 MB initial key) make it vary, so the
 shape of GPSRQ's distance term and the beta weighting decide their choices.
+The two aes runs send real-time data, so they cover the aes key cost and a
+data class other than the default.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from functools import lru_cache
 import pytest
 
 from helpers import narrative_sim
-from qkdsim.config import LinkConfig, RunConfig, TopologySpec
+from qkdsim.config import LinkConfig, RunConfig, TopologySpec, TrafficConfig
 from qkdsim.engine import Simulation
 from qkdsim.experiment import run_sweep, topology_for
 from qkdsim.stats import write_csv
@@ -37,6 +39,10 @@ def _starved_link() -> LinkConfig:
     return LinkConfig(max_key_bytes=4_000_000, init_key_bytes_range=(1_000_000, 4_000_000))
 
 
+def _aes_real_time() -> TrafficConfig:
+    return TrafficConfig(crypto_mode="aes", traffic_class="real_time")
+
+
 RUNS = {
     "narrative": lambda: narrative_sim(trace=True),
     "gpsrq-40-s2-cache": lambda: _sim("gpsrq", 40, 2, 90.0, metrics=True),
@@ -46,6 +52,8 @@ RUNS = {
     "dv-hello": lambda: _sim("dv", 30, 1, 60.0, dv_liveness="hello"),
     "gpsrq-40-s1-starved": lambda: _sim("gpsrq", 40, 1, 20.0, link=_starved_link()),
     "dv-40-s1-starved": lambda: _sim("dv", 40, 1, 20.0, link=_starved_link()),
+    "gpsrq-60-s2-aes-rt": lambda: _sim("gpsrq", 60, 2, 30.0, traffic=_aes_real_time()),
+    "dv-40-s2-aes-rt": lambda: _sim("dv", 40, 2, 30.0, traffic=_aes_real_time()),
 }
 
 # name -> (CSV row, trace_hash)
@@ -88,6 +96,16 @@ GOLDEN = {
         "dv,40,1,0.6,0.5,5,on,4883,1190,0.24370264181855417,0.004382432968068314,"
         "3.0,9239,810384,15554048.0,4709184.0,0,0,3689,4",
         "341e07db5e6fda4fdacb5cf5828c829607418f8b5b030e25570d6233eab9666b",
+    ),
+    "gpsrq-60-s2-aes-rt": (
+        "gpsrq,60,2,0.6,0.5,5,on,7325,7323,1.0,0.007304000436981905,"
+        "5.0,3232,164832,9468467.199996319,879104.0,0,0,0,0",
+        "a306e691bef0e9dc1654ac414273ea4ec6fc652d611b2dd890f5e25d18197db0",
+    ),
+    "dv-40-s2-aes-rt": (
+        "dv,40,2,0.6,0.5,5,on,7325,2992,0.4084641638225256,0.0029216000000005238,"
+        "2.0,9595,813948,1547740.160000217,4669344.0,0,0,4330,3",
+        "b7403ff586b7d3c2c719c1e8051a0563dfbf8ea4d6627e40074b14309c95d04a",
     ),
 }
 

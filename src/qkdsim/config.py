@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .qos import CRYPTO_MODES, CryptoPolicy, TrafficClass
+from .qos import CRYPTO_MODES, TrafficClass
 from .topology import WaxmanConfig
 
 
@@ -115,6 +115,8 @@ class TrafficConfig:
             raise ConfigError("max_delay_s must be positive")
         if self.crypto_mode not in CRYPTO_MODES:
             raise ConfigError(f"unknown crypto mode {self.crypto_mode!r}")
+        if not (self.aes_session_key_bits > 0 and self.aes_refresh_packets > 0):
+            raise ConfigError("aes_session_key_bits and aes_refresh_packets must be positive")
 
     def resolved_class(self) -> TrafficClass:
         return CLASS_NAMES[self.traffic_class]
@@ -124,13 +126,14 @@ class TrafficConfig:
             return self.max_delay_s
         return DEFAULT_MAX_DELAY_S[self.resolved_class()]
 
-    def crypto(self, auth_key_bits: int) -> CryptoPolicy:
-        return CryptoPolicy(
-            mode=self.crypto_mode,
-            auth_key_bits=auth_key_bits,
-            aes_session_key_bits=self.aes_session_key_bits,
-            aes_refresh_packets=self.aes_refresh_packets,
-        )
+    def key_cost(self, auth_key_bits: int) -> float:
+        """Key bits one data packet consumes. In "otp" mode every payload bit
+        consumes one key bit; in "aes" mode a session key is amortized over a
+        refresh window of packets. Either way an authentication key of
+        ``auth_key_bits`` is drawn per packet to produce the tag."""
+        if self.crypto_mode == "otp":
+            return self.packet_bytes * 8.0 + auth_key_bits
+        return self.aes_session_key_bits / self.aes_refresh_packets + auth_key_bits
 
 
 @dataclass(slots=True)

@@ -38,7 +38,6 @@ from .qos import (
     SimPacket,
     TrafficClass,
     admission_cost,
-    classify,
 )
 from .rng import substream
 from .stats import RunStats
@@ -49,14 +48,17 @@ logger = logging.getLogger(__name__)
 # Wire sizes in bytes. Only these counts enter the model: a data or signaling
 # packet carries the QKD header and the command header, a DV update or hello
 # only the QKD header. The routing state (recovery indicator, loop indicator,
-# recovery interface and position) travels inside these two headers.
+# recovery interface and position) travels inside these two headers. Each
+# packet is built with its wire size (``SimPacket.wire``).
 QKD_HEADER_BYTES = 28
 COMMAND_HEADER_BYTES = 8
 HEADER_OVERHEAD_BYTES = QKD_HEADER_BYTES + COMMAND_HEADER_BYTES
 UDP_IP_BYTES = 28
 TCP_IP_BYTES = 40
 SIGNALING_PAYLOAD_BYTES = 8
+SIGNALING_WIRE_BYTES = HEADER_OVERHEAD_BYTES + TCP_IP_BYTES + SIGNALING_PAYLOAD_BYTES
 HELLO_PAYLOAD_BYTES = 8
+HELLO_WIRE_BYTES = QKD_HEADER_BYTES + UDP_IP_BYTES + HELLO_PAYLOAD_BYTES
 DV_FIXED_PAYLOAD_BYTES = 4
 DV_ENTRY_BYTES = 12
 # Modeled reliable-transport handshake around each signaling exchange.
@@ -181,9 +183,9 @@ class Simulation:
                 self._link_by_dir[d] = lk
                 self._dir_str[d] = str(d)
 
-        self.crypto = cfg.traffic.crypto(lc.auth_key_bits)
-        self.data_class = classify("application", cfg.traffic.resolved_class())
-        self.data_key_cost = self.crypto.key_cost(cfg.traffic.packet_bytes * 8.0)
+        self.data_class = cfg.traffic.resolved_class()
+        self.data_wire = HEADER_OVERHEAD_BYTES + UDP_IP_BYTES + cfg.traffic.packet_bytes
+        self.data_key_cost = cfg.traffic.key_cost(lc.auth_key_bits)
         self.data_max_delay = cfg.traffic.resolved_max_delay()
 
         self._uid = count()
@@ -262,13 +264,8 @@ class Simulation:
             line = (f"{fire_at:.9f}|{KIND_TAG[kind]}|{self._dir_str[direction]}"
                     f"|p{pkt.uid}.{pkt.hop_count}.{pkt.loop}|{wire}\n")
         else:
-            parts = [f"{fire_at:.9f}", KIND_TAG[kind]]
-            for item in payload[:3]:
-                if isinstance(item, SimPacket):
-                    parts.append(f"p{item.uid}.{item.hop_count}.{item.loop}")
-                else:
-                    parts.append(str(item))
-            line = "|".join(parts) + "\n"
+            # No other kind carries a packet.
+            line = "|".join([f"{fire_at:.9f}", KIND_TAG[kind], *map(str, payload[:3])]) + "\n"
         lines = self._hash_lines
         lines.append(line)
         if len(lines) >= HASH_BATCH_LINES:
@@ -278,22 +275,6 @@ class Simulation:
         self._hasher.update("".join(self._hash_lines).encode())
         self._hash_lines.clear()
 
-    def _wire_bytes(self, pkt: SimPacket) -> int:
-        if pkt.kind == "data":
-            return HEADER_OVERHEAD_BYTES + UDP_IP_BYTES + pkt.payload_len
-        if pkt.kind == "signaling":
-            return HEADER_OVERHEAD_BYTES + TCP_IP_BYTES + SIGNALING_PAYLOAD_BYTES
-        if pkt.kind == "dv":
-            return (
-                QKD_HEADER_BYTES
-                + UDP_IP_BYTES
-                + DV_FIXED_PAYLOAD_BYTES
-                + DV_ENTRY_BYTES * len(pkt.entries)
-            )
-        if pkt.kind == "hello":
-            return QKD_HEADER_BYTES + UDP_IP_BYTES + HELLO_PAYLOAD_BYTES
-        raise SimulationError(f"unknown packet kind {pkt.kind!r}")
-
     def _make_data_packet(self) -> SimPacket:
         return SimPacket(
             uid=next(self._uid),
@@ -301,14 +282,14 @@ class Simulation:
             src=self.src,
             dst=self.dst,
             traffic_class=self.data_class,
-            payload_len=self.cfg.traffic.packet_bytes,
+            wire=self.data_wire,
             created_at=self.now,
             max_delay=self.data_max_delay,
             key_cost=self.data_key_cost,
         )
 
-    def _control_packet(self, kind: str, src: int, dst: int, key_cost: float,
-                        payload_len: int = 0, **fields) -> SimPacket:
+    def _control_packet(self, kind: str, src: int, dst: int, key_cost: float, wire: int,
+                        **fields) -> SimPacket:
         """A premium routing packet for the neighbour ``dst``; it has no deadline."""
         return SimPacket(
             uid=next(self._uid),
@@ -316,7 +297,7 @@ class Simulation:
             src=src,
             dst=dst,
             traffic_class=TrafficClass.PREMIUM,
-            payload_len=payload_len,
+            wire=wire,
             created_at=self.now,
             max_delay=math.inf,
             key_cost=key_cost,
@@ -402,11 +383,11 @@ class Simulation:
 
     # ------------------------------------------------------------ transmission
 
-    def _transmit(self, at: int, target: int, pkt: SimPacket, cost: float) -> None:
+    def _transmit(self, at: int, target: int, pkt: SimPacket) -> None:
+        """Send ``pkt``, which the link has just admitted, and consume its key cost."""
         direction = (at, target)
         lk = self._link_by_dir[direction]
         busy = self.l2_busy[direction]
-        wire = self._wire_bytes(pkt)
         if busy and len(self.l2[direction]) >= self.cfg.queue_capacity:
             # Queue-served packets wait at decision time instead; only the
             # unreliable routing updates can still arrive here and are lost.
@@ -416,6 +397,7 @@ class Simulation:
                 self._record("tx_blocked", pkt.kind, at, target)
             return
         premium = pkt.traffic_class == _PREMIUM
+        cost = pkt.key_cost
         if not lk.storage.consume(cost, premium):
             raise SimulationError("admission raced ahead of consumption")
         st = self.stats
@@ -432,6 +414,7 @@ class Simulation:
                 logger.warning(
                     "premium traffic dipped below the pre-shared reserve on link %s", lk.key()
                 )
+        wire = pkt.wire
         if pkt.kind == "signaling":
             st.ovh_pkts += 1 + HANDSHAKE_PACKETS
             st.ovh_bytes += wire + HANDSHAKE_BYTES
@@ -441,7 +424,7 @@ class Simulation:
         if self._tracing:
             self._record("tx", pkt.kind, at, target, wire, lk.storage.m_cur)
         if busy:
-            self.l2[direction].append((pkt, wire))
+            self.l2[direction].append(pkt)
         else:
             self.l2_busy[direction] = True
             done = self.now + wire * 8.0 / lk.bandwidth
@@ -454,9 +437,9 @@ class Simulation:
         self.events.push(self.now + self.cfg.propagation_delay_s, _ARRIVAL, (pkt, target, at))
         queue = self.l2[direction]
         if queue:
-            nxt, nwire = queue.popleft()
-            done = self.now + nwire * 8.0 / lk.bandwidth
-            self.events.push(done, _TRANSMIT_DONE, (direction, nxt, nwire))
+            nxt = queue.popleft()
+            done = self.now + nxt.wire * 8.0 / lk.bandwidth
+            self.events.push(done, _TRANSMIT_DONE, (direction, nxt, nxt.wire))
         else:
             self.l2_busy[direction] = False
         # Freed transmission capacity may unblock the sender's waiting head.
@@ -547,7 +530,7 @@ class GpsrqSimulation(Simulation):
         if frm is not None and pkt.loop != 1:
             if pkt.upstream is None:
                 pkt.upstream = {}
-            if pkt.in_rec:
+            if pkt.rec_position is not None:
                 # Perimeter transits only leave a breadcrumb for unwinding.
                 pkt.upstream.setdefault(at, frm)
             else:
@@ -556,7 +539,7 @@ class GpsrqSimulation(Simulation):
         if pkt.loop == 1 and frm is not None:
             if not self._absorb_return(node, pkt, frm):
                 return
-        elif pkt.in_rec and at == pkt.rec_position and pkt.rec_if is not None:
+        elif at == pkt.rec_position and pkt.rec_if is not None:
             # The perimeter walk came back to where it started: exclude the
             # edge used for this episode and let service retry alternatives.
             self._add_exclusion(node, pkt.rec_if, pkt.rec_if, self.position(pkt.dst))
@@ -586,7 +569,7 @@ class GpsrqSimulation(Simulation):
         Returns False when the packet died here.
         """
         at = node.node_id
-        block = pkt.rec_position if (pkt.in_rec and pkt.rec_position is not None) else frm
+        block = frm if pkt.rec_position is None else pkt.rec_position
         self._add_exclusion(node, frm, block, self.position(pkt.dst))
 
         expired = self.now - pkt.created_at > pkt.max_delay
@@ -635,8 +618,7 @@ class GpsrqSimulation(Simulation):
                 self._count_drop(action[1], pkt, at)
                 continue
             self.stats.served_by_class[cls.name] += 1
-            _, target, cost = action
-            self._transmit(at, target, pkt, cost)
+            self._transmit(at, action[1], pkt)
 
     def _schedule_retry(self, at: int) -> None:
         if at not in self._retry_pending:
@@ -647,41 +629,32 @@ class GpsrqSimulation(Simulation):
         self._retry_pending.discard(nid)
         self._serve(nid)
 
-    def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> tuple[int, float] | None:
-        """Best-scoring admissible closer neighbour and its admission cost, if any."""
+    def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> int | None:
+        """Best-scoring admissible closer neighbour, if any."""
         dst_pos, to_dst, now = self._dst_pos, self._to_dst, self.now
         base = to_dst[at]
-        out, costs = [], {}
+        out = []
         for v in self.topo.neighbors(at):
             if v in pkt.retry_exclude or node.cache_blocked(v, dst_pos, now):
                 continue
             d = to_dst[v]
             if d < base:
                 lk = self._link_by_dir[(at, v)]
-                cost = admission_cost(lk, pkt, now)
-                if cost is not None:
+                if admission_cost(lk, pkt, now) is not None:
                     out.append((v, self._link_metrics(at, v, lk)[3], d))
-                    costs[v] = cost
-        choice = greedy_choice(out, node.beta)
-        return None if choice is None else (choice, costs[choice])
+        return greedy_choice(out, node.beta)
 
     def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set,
-                  toward: int | None) -> tuple[int, float] | None:
-        """First admissible neighbour counterclockwise from the bearing of ``toward``
-        and its admission cost; None when none qualifies or ``toward`` is None."""
+                  toward: int | None) -> int | None:
+        """First admissible neighbour counterclockwise from the bearing of ``toward``;
+        None when none qualifies or ``toward`` is None."""
         pos, dst_pos, now = self._pos, self._dst_pos, self.now
-        pool, costs = [], {}
-        for v in self.topo.neighbors(at):
-            if v in exclude or node.cache_blocked(v, dst_pos, now):
-                continue
-            cost = admission_cost(self._link_by_dir[(at, v)], pkt, now)
-            if cost is not None:
-                pool.append((v, pos[v]))
-                costs[v] = cost
+        pool = [(v, pos[v]) for v in self.topo.neighbors(at)
+                if v not in exclude and not node.cache_blocked(v, dst_pos, now)
+                and admission_cost(self._link_by_dir[(at, v)], pkt, now) is not None]
         if not pool or toward is None:
             return None
-        v = ccw_next_neighbor(pos[at], angle_of(pos[at], pos[toward]), pool)
-        return v, costs[v]
+        return ccw_next_neighbor(pos[at], angle_of(pos[at], pos[toward]), pool)
 
     @staticmethod
     def _upstream(pkt: SimPacket, at: int, default: int | None = None) -> int | None:
@@ -690,22 +663,19 @@ class GpsrqSimulation(Simulation):
 
     @staticmethod
     def _clear_recovery(pkt: SimPacket) -> None:
-        pkt.in_rec = 0
         pkt.rec_position = None
         pkt.rec_if = None
         pkt.recovery_tried = set()
 
-    def _forward_action(self, at: int, target: int, pkt: SimPacket, cost: float | None = None):
+    def _forward_action(self, at: int, target: int, pkt: SimPacket, admitted: bool = False):
         """Forward to ``target`` unless its L2 queue is full or its link refuses
-        the packet; ``cost`` is the admission cost a pick has just computed."""
+        the packet; ``admitted`` says that a pick has just asked the link."""
         direction = (at, target)
         if self.l2_busy[direction] and len(self.l2[direction]) >= self.cfg.queue_capacity:
             return ("wait",)
-        if cost is None:
-            cost = admission_cost(self._link_by_dir[direction], pkt, self.now)
-            if cost is None:
-                return ("wait",)
-        return ("forward", target, cost)
+        if not admitted and admission_cost(self._link_by_dir[direction], pkt, self.now) is None:
+            return ("wait",)
+        return ("forward", target)
 
     def _send_back(self, at: int, pkt: SimPacket, target: int):
         """Return the packet toward ``target`` as a returning loop (loop=1)."""
@@ -718,7 +688,7 @@ class GpsrqSimulation(Simulation):
 
     def _decide(self, at: int, pkt: SimPacket):
         """Routing decision for the head-of-line packet: ("wait",),
-        ("drop", cause) or ("forward", target, cost); may mutate the packet.
+        ("drop", cause) or ("forward", target); may mutate the packet.
 
         Packet state is only touched on decisions that leave the queue, so a
         "wait" can be retried later with unchanged state.
@@ -752,16 +722,16 @@ class GpsrqSimulation(Simulation):
                 self._record("delay_return", at, pkt.uid, arrived)
             return action
 
-        if pkt.in_rec:
+        if pkt.rec_position is not None:
             if at == pkt.rec_position:
                 return self._decide_recovery_origin(at, pkt, node, arrived)
             if self._to_dst[at] < self._to_dst[pkt.rec_position]:
                 self._clear_recovery(pkt)
                 self._record("recovery_exit", at, pkt.uid)
             else:
-                pick = self._ccw_pick(at, pkt, node, set(), arrived)
-                if pick is not None:
-                    return self._forward_action(at, pick[0], pkt, pick[1])
+                v = self._ccw_pick(at, pkt, node, set(), arrived)
+                if v is not None:
+                    return self._forward_action(at, v, pkt, admitted=True)
                 if arrived is not None:
                     return self._send_back(at, pkt, arrived)
                 return ("drop", "source")
@@ -771,9 +741,9 @@ class GpsrqSimulation(Simulation):
     def _decide_recovery_origin(self, at: int, pkt: SimPacket, node: GpsrqNode,
                                 arrived: int | None):
         """The perimeter walk returned to its entry node: retry alternatives."""
-        pick = self._greedy_pick(at, pkt, node)
-        if pick is not None:
-            action = self._forward_action(at, pick[0], pkt, pick[1])
+        choice = self._greedy_pick(at, pkt, node)
+        if choice is not None:
+            action = self._forward_action(at, choice, pkt, admitted=True)
             if action[0] == "forward":
                 self._clear_recovery(pkt)
                 pkt.retry_exclude = set()
@@ -781,10 +751,9 @@ class GpsrqSimulation(Simulation):
         exclude = set(pkt.recovery_tried)
         if arrived is not None:
             exclude.add(arrived)
-        pick = self._ccw_pick(at, pkt, node, exclude, pkt.dst)
-        if pick is not None:
-            v, cost = pick
-            action = self._forward_action(at, v, pkt, cost)
+        v = self._ccw_pick(at, pkt, node, exclude, pkt.dst)
+        if v is not None:
+            action = self._forward_action(at, v, pkt, admitted=True)
             if action[0] == "forward":
                 pkt.rec_if = v
                 pkt.recovery_tried.add(v)
@@ -798,9 +767,9 @@ class GpsrqSimulation(Simulation):
         return self._send_back(at, pkt, target)
 
     def _decide_greedy(self, at: int, pkt: SimPacket, node: GpsrqNode, arrived: int | None):
-        pick = self._greedy_pick(at, pkt, node)
-        if pick is not None:
-            action = self._forward_action(at, pick[0], pkt, pick[1])
+        choice = self._greedy_pick(at, pkt, node)
+        if choice is not None:
+            action = self._forward_action(at, choice, pkt, admitted=True)
             if action[0] == "forward":
                 pkt.retry_exclude = set()
             return action
@@ -813,12 +782,10 @@ class GpsrqSimulation(Simulation):
             entry_exclude = set(pkt.retry_exclude)
             if arrived is not None:
                 entry_exclude.add(arrived)
-            pick = self._ccw_pick(at, pkt, node, entry_exclude, pkt.dst)
-            if pick is not None:
-                v, cost = pick
-                action = self._forward_action(at, v, pkt, cost)
+            v = self._ccw_pick(at, pkt, node, entry_exclude, pkt.dst)
+            if v is not None:
+                action = self._forward_action(at, v, pkt, admitted=True)
                 if action[0] == "forward":
-                    pkt.in_rec = 1
                     pkt.rec_position = at
                     pkt.rec_if = v
                     pkt.recovery_tried = {v}
@@ -856,8 +823,8 @@ class GpsrqSimulation(Simulation):
         self._record("signal", nid, value)
         for nbr in self.topo.neighbors(nid):
             pkt = self._control_packet(
-                "signaling", nid, nbr, self.signaling_key_cost,
-                payload_len=SIGNALING_PAYLOAD_BYTES, signal_value=value, fixed_egress=nbr,
+                "signaling", nid, nbr, self.signaling_key_cost, SIGNALING_WIRE_BYTES,
+                signal_value=value, fixed_egress=nbr,
             )
             old = self._pending_signals.get((nid, nbr))
             if old is not None:
@@ -920,10 +887,10 @@ class DvSimulation(Simulation):
 
     def _send(self, at: int, target: int, pkt: SimPacket) -> bool:
         """Transmit at once if the link admits the packet; False when it is refused."""
-        cost = admission_cost(self._link_by_dir[(at, target)], pkt, self.now)
-        if cost is not None:
-            self._transmit(at, target, pkt, cost)
-        return cost is not None
+        admitted = admission_cost(self._link_by_dir[(at, target)], pkt, self.now) is not None
+        if admitted:
+            self._transmit(at, target, pkt)
+        return admitted
 
     def _after_key_charge(self, u: int, v: int) -> None:
         self._liveness_recheck(u, v)
@@ -935,16 +902,16 @@ class DvSimulation(Simulation):
     def _send_updates(self, nid: int, nbrs: Iterable[int], entries: list) -> None:
         """Send ``entries`` to each of ``nbrs`` as a premium update; a refused one is lost."""
         entries = tuple(entries)
-        key_cost = ((DV_FIXED_PAYLOAD_BYTES + DV_ENTRY_BYTES * len(entries)) * 8.0
-                    + self.cfg.link.auth_key_bits)
+        payload = DV_FIXED_PAYLOAD_BYTES + DV_ENTRY_BYTES * len(entries)
+        wire = QKD_HEADER_BYTES + UDP_IP_BYTES + payload
+        key_cost = payload * 8.0 + self.cfg.link.auth_key_bits
         for nbr in nbrs:
-            pkt = SimPacket(next(self._uid), "dv", nid, nbr, _PREMIUM, 0, self.now,
+            pkt = SimPacket(next(self._uid), "dv", nid, nbr, _PREMIUM, wire, self.now,
                             math.inf, key_cost, entries=entries)
-            cost = admission_cost(self._link_by_dir[(nid, nbr)], pkt, self.now)
-            if cost is None:
+            if admission_cost(self._link_by_dir[(nid, nbr)], pkt, self.now) is None:
                 self._record("dv_update_lost", nid, nbr)
             else:
-                self._transmit(nid, nbr, pkt, cost)
+                self._transmit(nid, nbr, pkt)
 
     def _advertise(self, nid: int, entries: list) -> None:
         self._send_updates(nid, self.topo.neighbors(nid), entries)
@@ -973,7 +940,8 @@ class DvSimulation(Simulation):
 
     def _send_hello(self, nid: int, nbr: int) -> None:
         pkt = self._control_packet("hello", nid, nbr,
-                                   HELLO_PAYLOAD_BYTES * 8.0 + self.cfg.link.auth_key_bits)
+                                   HELLO_PAYLOAD_BYTES * 8.0 + self.cfg.link.auth_key_bits,
+                                   HELLO_WIRE_BYTES)
         self._send(nid, nbr, pkt)
 
     def _schedule_flush(self, nid: int) -> None:

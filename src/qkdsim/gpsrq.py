@@ -80,7 +80,7 @@ class GpsrqNode:
     hold records that expired since the last lookup or expiry event.
     """
 
-    def __init__(self, node_id: int, beta: float, cache_enabled: bool = True):
+    def __init__(self, node_id: int, beta: float, cache_enabled: bool):
         self.node_id = node_id
         self.beta = beta
         self.cache_enabled = cache_enabled

@@ -34,44 +34,6 @@ PRIORITY_ORDER: tuple[TrafficClass, ...] = (
 
 CRYPTO_MODES = ("otp", "aes")
 
-PREMIUM_TAGS = frozenset({"postprocessing", "signaling", "routing"})
-
-
-def classify(app_tag: str, flow_class: TrafficClass | None = None) -> TrafficClass:
-    """Map an application tag to a traffic class; unknown tags down-class."""
-    if app_tag in PREMIUM_TAGS:
-        return TrafficClass.PREMIUM
-    if app_tag == "application" and flow_class is not None:
-        return flow_class
-    return TrafficClass.BEST_EFFORT
-
-
-@dataclass(frozen=True, slots=True)
-class CryptoPolicy:
-    """Per-flow key-consumption accounting.
-
-    In "otp" mode every payload bit consumes one key bit; in "aes" mode a
-    session key is amortized over a refresh window of packets. Either way a
-    fixed authentication key is drawn per packet to produce the tag.
-    """
-
-    mode: str = "otp"
-    auth_key_bits: int = 256
-    aes_session_key_bits: int = 256
-    aes_refresh_packets: int = 100
-
-    def __post_init__(self) -> None:
-        if self.mode not in CRYPTO_MODES:
-            raise ValueError(f"unknown crypto mode {self.mode!r}")
-        if self.auth_key_bits <= 0 or self.aes_session_key_bits <= 0 or self.aes_refresh_packets <= 0:
-            raise ValueError("crypto sizes must be positive")
-
-    def key_cost(self, payload_bits: float) -> float:
-        """Key bits consumed to encrypt and authenticate one packet."""
-        if self.mode == "otp":
-            return payload_bits + self.auth_key_bits
-        return self.aes_session_key_bits / self.aes_refresh_packets + self.auth_key_bits
-
 
 @dataclass(slots=True)
 class SimPacket:
@@ -80,12 +42,12 @@ class SimPacket:
     src: int
     dst: int
     traffic_class: TrafficClass
-    payload_len: int
+    wire: int  # bytes on the wire
     created_at: float
     max_delay: float
     key_cost: float
     loop: int = 0
-    in_rec: int = 0
+    # GPSRQ: the node where perimeter recovery began; None outside recovery.
     rec_position: int | None = None
     rec_if: int | None = None
     hop_count: int = 0
@@ -103,7 +65,7 @@ class SimPacket:
 class PriorityQueueSet:
     """One bounded FIFO per traffic class with strict priority service."""
 
-    def __init__(self, capacity: int = 1000):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity

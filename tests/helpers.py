@@ -266,10 +266,9 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
     def _forward_action(self, at: int, target: int, pkt: SimPacket):
         if self._l2_full(at, target):
             return ("wait",)
-        cost = self._admit(at, target, pkt)
-        if cost is None:
+        if self._admit(at, target, pkt) is None:
             return ("wait",)
-        return ("forward", target, cost)
+        return ("forward", target)
 
     def _decide(self, at: int, pkt: SimPacket):
         if pkt.kind == "signaling":
@@ -301,7 +300,7 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
                 self._record("delay_return", at, pkt.uid, arrived)
             return action
 
-        if pkt.in_rec:
+        if pkt.rec_position is not None:
             if at == pkt.rec_position:
                 return self._decide_recovery_origin(at, pkt, node, arrived)
             dst_pos = self.position(pkt.dst)
@@ -366,7 +365,6 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
             if v is not None:
                 action = self._forward_action(at, v, pkt)
                 if action[0] == "forward":
-                    pkt.in_rec = 1
                     pkt.rec_position = at
                     pkt.rec_if = v
                     pkt.recovery_tried = {v}

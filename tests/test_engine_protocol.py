@@ -6,7 +6,7 @@ import math
 import pytest
 
 from helpers import GRID, ample_cfg, max_deliverable, two_node_topology
-from qkdsim.config import PROTOCOLS, ConfigError, RunConfig
+from qkdsim.config import PROTOCOLS, ConfigError, RunConfig, TrafficConfig
 from qkdsim.dv import INFINITE_METRIC
 from qkdsim.engine import Simulation, run_simulation
 from qkdsim.geometry import Position
@@ -101,6 +101,14 @@ def test_unknown_crypto_mode_rejected_by_validate():
     cfg = RunConfig()
     cfg.traffic.crypto_mode = "bogus"
     with pytest.raises(ConfigError, match="crypto mode"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("name", ["aes_session_key_bits", "aes_refresh_packets"])
+def test_aes_sizes_must_be_positive(name):
+    cfg = RunConfig()
+    setattr(cfg.traffic, name, 0)
+    with pytest.raises(ConfigError, match=name):
         cfg.validate()
 
 
@@ -276,14 +284,12 @@ def test_threshold_exchange_worked_neighborhood():
 def test_deliverable_payload_division():
     # 8000 surplus key bits over the reserve secure 8000/ratio payload bits.
     from qkdsim.links import KeyStorage
-    from qkdsim.qos import CryptoPolicy
 
     storage = KeyStorage(m_min=8e6, m_max=8e8, m_cur=8e6 + 8000.0,
                          rate=1e5, charge_period=7.0)
-    crypto = CryptoPolicy(mode="otp", auth_key_bits=256)
     key_bits = max_deliverable(storage, 0.0)
     assert key_bits == 8000.0
-    payload = key_bits / (crypto.key_cost(512 * 8) / (512 * 8))
+    payload = key_bits / (TrafficConfig(crypto_mode="otp").key_cost(256) / (512 * 8))
     assert payload == pytest.approx(8000.0 / 1.0625)
 
 

@@ -8,7 +8,7 @@ from qkdsim.links import PublicChannelStats
 
 
 def _node(**kw):
-    base = dict(node_id=0, beta=0.6)
+    base = dict(node_id=0, beta=0.6, cache_enabled=True)
     base.update(kw)
     return GpsrqNode(**base)
 

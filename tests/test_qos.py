@@ -1,15 +1,18 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from qkdsim.config import CLASS_NAMES, RunConfig, TopologySpec, TrafficConfig
+from qkdsim.engine import Simulation
+from qkdsim.experiment import topology_for
 from qkdsim.links import KeyStorage, PublicChannelStats, QkdLink
 from qkdsim.qos import (
     PRIORITY_ORDER,
-    CryptoPolicy,
     PriorityQueueSet,
     SimPacket,
     TrafficClass,
     admission_cost,
-    classify,
 )
 
 
@@ -20,7 +23,7 @@ def _packet(cls=TrafficClass.BEST_EFFORT, cost=4352.0, uid=0):
         src=0,
         dst=1,
         traffic_class=cls,
-        payload_len=512,
+        wire=576,
         created_at=0.0,
         max_delay=5.0,
         key_cost=cost,
@@ -29,48 +32,42 @@ def _packet(cls=TrafficClass.BEST_EFFORT, cost=4352.0, uid=0):
 
 # --- classification -----------------------------------------------------------
 
-def test_signaling_is_premium():
-    assert classify("signaling") is TrafficClass.PREMIUM
-    assert classify("postprocessing") is TrafficClass.PREMIUM
-
-
-def test_application_flow_class_respected():
-    assert classify("application", TrafficClass.REAL_TIME) is TrafficClass.REAL_TIME
-    assert classify("application", TrafficClass.BEST_EFFORT) is TrafficClass.BEST_EFFORT
-
-
-def test_unknown_tag_down_classes():
-    assert classify("mystery") is TrafficClass.BEST_EFFORT
-
-
 def test_dscp_code_points():
     assert TrafficClass.BEST_EFFORT.value == 0
     assert TrafficClass.REAL_TIME.value == 46
     assert TrafficClass.PREMIUM.value == 56
 
 
+@pytest.mark.parametrize("name", ["best_effort", "real_time"])
+def test_data_packets_take_the_flow_class(name):
+    # GPSRQ serves every packet it sends through its class queues, so the data
+    # transmissions count under the flow's class and the signaling under PREMIUM.
+    cfg = RunConfig(seed=2, duration_s=10.0)
+    cfg.traffic.traffic_class = name
+    sim = Simulation(cfg, topology_for(TopologySpec(node_count=10), 2), trace=True)
+    served = sim.run().served_by_class
+    sent = Counter(entry[2] for entry in sim.trace if entry[1] == "tx")
+    assert sent["data"] > 0 and sent["signaling"] > 0
+    expected = {c.name: 0 for c in PRIORITY_ORDER}
+    expected[CLASS_NAMES[name].name] = sent["data"]
+    expected["PREMIUM"] = sent["signaling"]
+    assert served == expected
+
+
 # --- crypto accounting ----------------------------------------------------------
 
 def test_otp_key_cost_512_byte_packet():
-    policy = CryptoPolicy(mode="otp", auth_key_bits=256)
-    assert policy.key_cost(512 * 8) == 4096 + 256
+    assert TrafficConfig(crypto_mode="otp").key_cost(256) == 4096 + 256
 
 
 def test_otp_ratio_above_one():
-    policy = CryptoPolicy(mode="otp", auth_key_bits=256)
-    assert policy.key_cost(512 * 8) / (512 * 8) > 1.0
+    assert TrafficConfig(crypto_mode="otp").key_cost(256) / (512 * 8) > 1.0
 
 
 def test_aes_key_cost_amortized():
-    policy = CryptoPolicy(mode="aes", auth_key_bits=256,
-                          aes_session_key_bits=256, aes_refresh_packets=100)
-    assert policy.key_cost(512 * 8) == pytest.approx(256 / 100 + 256)
-    assert policy.key_cost(512 * 8) / (512 * 8) < 1.0
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        CryptoPolicy(mode="rot13")
+    traffic = TrafficConfig(crypto_mode="aes", aes_session_key_bits=256, aes_refresh_packets=100)
+    assert traffic.key_cost(256) == pytest.approx(256 / 100 + 256)
+    assert traffic.key_cost(256) / (512 * 8) < 1.0
 
 
 # --- priority queues -------------------------------------------------------------

@@ -143,7 +143,8 @@ def write_csv(
             out.write(f"# {key}={metadata[key]!r}\n")
     for s in stats:
         if s.error:
-            out.write(f"# error seed={s.seed} nodes={s.nodes}: {s.error}\n")
+            config = " ".join(f"{c}={_cell(getattr(s, c))}" for c in CSV_COLUMNS[:_KEY_CELLS])
+            out.write(f"# error {config}: {s.error}\n")
         elif s.trace_hash:
             out.write(f"# run protocol={s.protocol} nodes={s.nodes} seed={s.seed} trace_hash={s.trace_hash}\n")
             out.write(f"# classes seed={s.seed} served={s.served_by_class!r} "

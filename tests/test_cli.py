@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from qkdsim.cli import main
 from qkdsim.config import ConfigError
 from qkdsim.experiment import parse_sweep_spec, run_sweep
+from qkdsim.stats import write_csv
 from qkdsim.topology import load_topology
 
 
@@ -121,6 +123,17 @@ def test_error_row_carries_its_config_columns():
     assert (row.protocol, row.nodes, row.seed, row.beta, row.alpha, row.t_avg_window,
             row.cache) == ("dv", 6, 4, 0.3, 0.7, 3, False)
     assert (row.sent, row.in_flight, row.trace_hash) == (0, 0, "")
+
+
+def test_error_lines_name_their_configuration():
+    rows, _ = run_sweep("protocol=gpsrq,dv\nnodes=10\nseeds=1\nduration=3\nbeta=0.6,1\n"
+                        "grid_size=-1\n")
+    out = io.StringIO()
+    write_csv(out, rows)
+    errors = [line for line in out.getvalue().splitlines() if line.startswith("# error")]
+    assert len(errors) == len(set(errors)) == 4
+    assert errors[0] == ("# error protocol=gpsrq nodes=10 seed=1 beta=0.6 alpha=0.5 "
+                         "t_avg_window=5 cache=on: grid_size must be positive and finite")
 
 
 def test_process_level_determinism(tmp_path):

@@ -198,7 +198,8 @@ def test_topology_file_pinned(tmp_path, gabriel, nodes, seed):
 
 
 # Both protocols, two seeds, mean rows, "# run"/"# classes" lines and, from the
-# negative grid size, 16 error rows.
+# negative grid size, 16 error rows, each "# error" line naming its seven
+# configuration cells.
 SWEEP_SPEC = ("protocol=gpsrq,dv\nnodes=10,12\nseeds=1,2\nduration=3\nbeta=0.6,1\n"
               "grid_size=-1,70.710678\n")
 
@@ -209,4 +210,4 @@ def test_full_sweep_csv_pinned():
     write_csv(out, rows, meta)
     text = out.getvalue()
     assert (len(rows), sum(1 for r in rows if r.error), text.count(",mean,")) == (32, 16, 8)
-    assert _digest([text]) == "4937d846d326563d"
+    assert _digest([text]) == "0198f5837b414e33"

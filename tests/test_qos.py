@@ -38,20 +38,20 @@ def test_dscp_code_points():
     assert TrafficClass.PREMIUM.value == 56
 
 
-@pytest.mark.parametrize("name", ["best_effort", "real_time"])
-def test_data_packets_take_the_flow_class(name):
+def test_application_flow_class_respected():
     # GPSRQ serves every packet it sends through its class queues, so the data
     # transmissions count under the flow's class and the signaling under PREMIUM.
-    cfg = RunConfig(seed=2, duration_s=10.0)
-    cfg.traffic.traffic_class = name
-    sim = Simulation(cfg, topology_for(TopologySpec(node_count=10), 2), trace=True)
-    served = sim.run().served_by_class
-    sent = Counter(entry[2] for entry in sim.trace if entry[1] == "tx")
-    assert sent["data"] > 0 and sent["signaling"] > 0
-    expected = {c.name: 0 for c in PRIORITY_ORDER}
-    expected[CLASS_NAMES[name].name] = sent["data"]
-    expected["PREMIUM"] = sent["signaling"]
-    assert served == expected
+    for name in ("best_effort", "real_time"):
+        cfg = RunConfig(seed=2, duration_s=10.0)
+        cfg.traffic.traffic_class = name
+        sim = Simulation(cfg, topology_for(TopologySpec(node_count=10), 2), trace=True)
+        served = sim.run().served_by_class
+        sent = Counter(entry[2] for entry in sim.trace if entry[1] == "tx")
+        assert sent["data"] > 0 and sent["signaling"] > 0
+        expected = {c.name: 0 for c in PRIORITY_ORDER}
+        expected[CLASS_NAMES[name].name] = sent["data"]
+        expected["PREMIUM"] = sent["signaling"]
+        assert served == expected
 
 
 # --- crypto accounting ----------------------------------------------------------

@@ -141,7 +141,7 @@ def _outputs(name: str):
     records = _digest(repr(entry) for entry in sim.trace) if name in TRACE_RECORDS else None
     return (",".join(stats.csv_row()), stats.trace_hash,
             frozenset(entry[1] for entry in sim.trace), records, metrics,
-            _digest(sim.dump_caches()))
+            tuple(sim.dump_caches()))
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -153,7 +153,14 @@ def test_row_and_trace_hash_pinned(name):
 @pytest.mark.parametrize("name", sorted(SIDE_OUTPUTS))
 def test_metrics_log_and_caches_pinned(name):
     *_, metrics, caches = _outputs(name)
-    assert (metrics, caches) == SIDE_OUTPUTS[name]
+    assert (metrics, _digest(caches)) == SIDE_OUTPUTS[name]
+
+
+def test_cache_dump_has_one_line_per_region():
+    """Re-adding an excluded region extends its one record, so no two lines
+    share node, neighbour, centre and radius."""
+    regions = [line.rsplit(" ", 1)[0] for line in _outputs("gpsrq-40-s1-starved")[-1]]
+    assert regions and len(set(regions)) == len(regions)
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_RECORDS))

@@ -516,10 +516,10 @@ class GpsrqSimulation(Simulation):
     def dump_caches(self) -> list[str]:
         lines = []
         for nid in sorted(self.gpsrq_nodes):
-            for r in self.gpsrq_nodes[nid].cache:
+            for (via, center, radius), expires_at in self.gpsrq_nodes[nid].cache.items():
                 lines.append(
-                    f"CACHE {nid} {r.via_neighbor} {r.center.x:.6f} {r.center.y:.6f} "
-                    f"{r.radius:.6f} {r.expires_at:.6f}"
+                    f"CACHE {nid} {via} {center.x:.6f} {center.y:.6f} "
+                    f"{radius:.6f} {expires_at:.6f}"
                 )
         return lines
 

@@ -11,31 +11,8 @@ entry point is reached.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-
 from .geometry import Position, euclidean_distance
 from .links import PublicChannelStats
-
-
-@dataclass(slots=True, eq=False)
-class CacheRecord:
-    """Exclusion: do not route via ``via_neighbor`` toward the circle region.
-
-    Records hash by identity and order by expiry time, so a node's cache can
-    key them in dicts and keep them directly in its expiry heap.
-    """
-
-    via_neighbor: int
-    center: Position
-    radius: float
-    expires_at: float
-
-    def covers(self, dst_pos: Position) -> bool:
-        return euclidean_distance(self.center, dst_pos) <= self.radius
-
-    def __lt__(self, other: CacheRecord) -> bool:
-        return self.expires_at < other.expires_at
 
 
 def cache_ttl(stats: PublicChannelStats) -> float:
@@ -70,23 +47,18 @@ def greedy_choice(candidates: list[tuple[int, float, float]], beta: float) -> in
 class GpsrqNode:
     """Routing state owned by one node.
 
-    The exclusion cache holds each record three times: ``cache`` in
-    insertion order, ``_cache_by_via`` bucketed by the neighbour it excludes,
-    and ``_expiry_heap`` as a min-heap on ``expires_at``. A record is live
-    while ``expires_at > now``. ``prune_cache`` pops the heap until its head
-    is live and removes those records from all three, so a prune with
-    nothing expired does no work and a lookup scans one neighbour's bucket.
-    Every lookup prunes first; insertion does not, so ``cache`` may still
-    hold records that expired since the last lookup or expiry event.
+    The exclusion cache maps each excluded region, a ``(via, center, radius)``
+    key, to the time its exclusion expires; it is live while
+    ``expires_at > now``. Re-adding a region keeps the later expiry, so the
+    region stays where it was first inserted. Lookups skip expired regions
+    and ``prune_cache`` deletes them.
     """
 
     def __init__(self, node_id: int, beta: float, cache_enabled: bool):
         self.node_id = node_id
         self.beta = beta
         self.cache_enabled = cache_enabled
-        self.cache: dict[CacheRecord, None] = {}
-        self._cache_by_via: dict[int, dict[CacheRecord, None]] = {}
-        self._expiry_heap: list[CacheRecord] = []
+        self.cache: dict[tuple[int, Position, float], float] = {}
         self.l_sent: float | None = None
         self.recv_l: dict[int, float] = {}
 
@@ -96,31 +68,21 @@ class GpsrqNode:
         return min(known) if known else m_max
 
     def add_cache(self, via: int, center: Position, radius: float,
-                  now: float, ttl: float) -> CacheRecord | None:
+                  now: float, ttl: float) -> bool:
+        """Exclude ``via`` toward the circle region until ``now + ttl`` or later."""
         if not self.cache_enabled:
-            return None
-        record = CacheRecord(via_neighbor=via, center=center, radius=radius,
-                             expires_at=now + ttl)
-        self.cache[record] = None
-        self._cache_by_via.setdefault(via, {})[record] = None
-        heapq.heappush(self._expiry_heap, record)
-        return record
+            return False
+        region = (via, center, radius)
+        self.cache[region] = max(self.cache.get(region, now), now + ttl)
+        return True
 
     def cache_blocked(self, via: int, dst_pos: Position, now: float) -> bool:
-        """True when a live record excludes ``via`` for this destination."""
-        self.prune_cache(now)
-        for r in self._cache_by_via.get(via, ()):
-            if r.covers(dst_pos):
+        """True when a live exclusion of ``via`` covers this destination."""
+        for (v, center, radius), expires_at in self.cache.items():
+            if v == via and expires_at > now and euclidean_distance(center, dst_pos) <= radius:
                 return True
         return False
 
     def prune_cache(self, now: float) -> None:
-        """Drop every record with ``expires_at <= now``."""
-        heap = self._expiry_heap
-        while heap and heap[0].expires_at <= now:
-            record = heapq.heappop(heap)
-            del self.cache[record]
-            bucket = self._cache_by_via[record.via_neighbor]
-            del bucket[record]
-            if not bucket:
-                del self._cache_by_via[record.via_neighbor]
+        """Drop every region with ``expires_at <= now``."""
+        self.cache = {region: t for region, t in self.cache.items() if t > now}

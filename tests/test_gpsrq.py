@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import NaiveExclusionCache
 from qkdsim.geometry import Position
-from qkdsim.gpsrq import CacheRecord, GpsrqNode, cache_ttl, forwarding_score, greedy_choice
+from qkdsim.gpsrq import GpsrqNode, cache_ttl, forwarding_score, greedy_choice
 from qkdsim.links import PublicChannelStats
 
 
@@ -13,7 +13,7 @@ def _node(**kw):
     return GpsrqNode(**base)
 
 
-# --- cache records -----------------------------------------------------------
+# --- exclusion cache -----------------------------------------------------------
 
 def test_destination_at_center_is_blocked():
     node = _node()
@@ -37,7 +37,8 @@ def test_expired_record_ignored_and_pruned():
     node = _node()
     node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0)
     assert not node.cache_blocked(1, Position(10, 0), now=5.0)
-    assert len(node.cache) == 0
+    node.prune_cache(now=5.0)
+    assert node.cache == {}
 
 
 def test_boundary_of_circle_counts_as_blocked():
@@ -48,8 +49,19 @@ def test_boundary_of_circle_counts_as_blocked():
 
 def test_disabled_cache_stores_nothing():
     node = _node(cache_enabled=False)
-    assert node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0) is None
+    assert node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0) is False
     assert not node.cache_blocked(1, Position(10, 0), now=1.0)
+    assert node.cache == {}
+
+
+def test_re_adding_a_region_never_shortens_it():
+    node = _node()
+    assert node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0)
+    assert node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=1.0, ttl=1.0)
+    assert node.cache == {(1, Position(10, 0), 2.5): 5.0}
+    assert node.cache_blocked(1, Position(10, 0), now=4.0)
+    node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=4.0, ttl=3.0)
+    assert node.cache == {(1, Position(10, 0), 2.5): 7.0}
 
 
 # Few centres and destinations on a small grid, so lookups both hit and miss
@@ -70,8 +82,13 @@ def _cache_ops(n_neighbors):
     return st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), op), max_size=80)
 
 
-def _fields(record):
-    return (record.via_neighbor, record.center, record.radius, record.expires_at)
+def _live_regions(records, now):
+    """The oracle's records merged by region with the latest expiry, live ones only."""
+    merged = {}
+    for via, center, radius, expires_at in records:
+        region = (via, center, radius)
+        merged[region] = max(merged.get(region, expires_at), expires_at)
+    return {region: t for region, t in merged.items() if t > now}
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,14 +103,15 @@ def test_cache_matches_naive_oracle(steps, cache_enabled):
             via, center, radius, ttl = args
             got = node.add_cache(via, center, radius, now, ttl)
             want = oracle.add_cache(via, center, radius, now, ttl)
-            assert (got is None) == (want is None)
+            assert got == (want is not None)
         elif name == "blocked":
             via, dst = args
             assert node.cache_blocked(via, dst, now) == oracle.cache_blocked(via, dst, now)
         else:
             node.prune_cache(now)
             oracle.prune_cache(now)
-        assert [_fields(r) for r in node.cache] == oracle.records
+        live = {region: t for region, t in node.cache.items() if t > now}
+        assert live == _live_regions(oracle.records, now)
 
 
 def test_pruned_cache_retains_no_records():
@@ -104,15 +122,7 @@ def test_pruned_cache_retains_no_records():
     node.prune_cache(now=3.0)
     assert 0 < len(node.cache) < 40
     node.prune_cache(now=100.0)
-    assert len(node.cache) == 0
-    assert node._cache_by_via == {}
-    assert node._expiry_heap == []
-
-
-def test_cache_record_covers():
-    rec = CacheRecord(via_neighbor=1, center=Position(0, 0), radius=3.0, expires_at=9.0)
-    assert rec.covers(Position(3, 0))
-    assert not rec.covers(Position(3.01, 0))
+    assert node.cache == {}
 
 
 # --- cache validity interval ---------------------------------------------------

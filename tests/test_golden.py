@@ -112,9 +112,9 @@ GOLDEN = {
 # name -> (metrics_log digest, or None when not logged; dump_caches digest)
 SIDE_OUTPUTS = {
     "narrative": (None, "5a30dc9db2194fc1"),
-    "gpsrq-40-s2-cache": ("8bead1f696b01ddb", "c110e5fa2b0f6cbc"),
+    "gpsrq-40-s2-cache": ("8bead1f696b01ddb", "1938780db9711a8b"),
     "dv-probe": ("449f6c09bbb40579", "e3b0c44298fc1c14"),
-    "gpsrq-40-s1-starved": (None, "4757b7dfa4de5a33"),
+    "gpsrq-40-s1-starved": (None, "c46b6825139968f1"),
 }
 
 # name -> digest of the trace records, one repr() per line

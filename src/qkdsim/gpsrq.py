@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .geometry import Position, euclidean_distance
 from .links import PublicChannelStats
+from .metrics import threshold
 
 
 def cache_ttl(stats: PublicChannelStats) -> float:
@@ -64,8 +65,10 @@ class GpsrqNode:
 
     def m_thr(self, neighbor: int, m_max: float) -> float:
         """Threshold view for the link to ``neighbor``; optimistic before exchange."""
-        known = [v for v in (self.l_sent, self.recv_l.get(neighbor)) if v is not None]
-        return min(known) if known else m_max
+        received = self.recv_l.get(neighbor)
+        if self.l_sent is None:
+            return m_max if received is None else received
+        return self.l_sent if received is None else threshold(self.l_sent, received)
 
     def add_cache(self, via: int, center: Position, radius: float,
                   now: float, ttl: float) -> bool:

@@ -514,14 +514,9 @@ class GpsrqSimulation(Simulation):
         self._to_dst = {nid: euclidean_distance(p, self._dst_pos) for nid, p in self._pos.items()}
 
     def dump_caches(self) -> list[str]:
-        lines = []
-        for nid in sorted(self.gpsrq_nodes):
-            for (via, center, radius), expires_at in self.gpsrq_nodes[nid].cache.items():
-                lines.append(
-                    f"CACHE {nid} {via} {center.x:.6f} {center.y:.6f} "
-                    f"{radius:.6f} {expires_at:.6f}"
-                )
-        return lines
+        return [f"CACHE {nid} {via} {c.x:.6f} {c.y:.6f} {radius:.6f} {expires_at:.6f}"
+                for nid in sorted(self.gpsrq_nodes)
+                for (via, c, radius), expires_at in self.gpsrq_nodes[nid].cache.items()]
 
     # ---------------------------------------------------------------- arrival
 

@@ -46,9 +46,9 @@ def run_experiment(exp: ExperimentConfig) -> list[RunStats]:
         try:
             results.append(run_one(run_cfg, topo_spec))
         except Exception as exc:  # noqa: BLE001 - sweep must continue
-            logger.error("run failed (nodes=%d seed=%d): %s",
-                         topo_spec.node_count, run_cfg.seed, exc)
-            results.append(RunStats.for_run(run_cfg, topo_spec.node_count, error=str(exc)))
+            failed = RunStats.for_run(run_cfg, topo_spec.node_count, error=str(exc))
+            logger.error("run failed (%s): %s", failed.config_cells(), exc)
+            results.append(failed)
     return results
 
 

@@ -96,6 +96,10 @@ class RunStats:
     def csv_row(self) -> list[str]:
         return [_cell(getattr(self, c)) for c in CSV_COLUMNS]
 
+    def config_cells(self) -> str:
+        """The configuration cells as ``column=value`` pairs, naming the run."""
+        return " ".join(f"{c}={_cell(getattr(self, c))}" for c in CSV_COLUMNS[:_KEY_CELLS])
+
 
 def _cell(value) -> str:
     if isinstance(value, bool):
@@ -143,8 +147,7 @@ def write_csv(
             out.write(f"# {key}={metadata[key]!r}\n")
     for s in stats:
         if s.error:
-            config = " ".join(f"{c}={_cell(getattr(s, c))}" for c in CSV_COLUMNS[:_KEY_CELLS])
-            out.write(f"# error {config}: {s.error}\n")
+            out.write(f"# error {s.config_cells()}: {s.error}\n")
         elif s.trace_hash:
             out.write(f"# run protocol={s.protocol} nodes={s.nodes} seed={s.seed} trace_hash={s.trace_hash}\n")
             out.write(f"# classes seed={s.seed} served={s.served_by_class!r} "

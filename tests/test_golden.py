@@ -17,6 +17,7 @@ data class other than the default.
 
 import hashlib
 import io
+import logging
 from functools import lru_cache
 
 import pytest
@@ -218,3 +219,12 @@ def test_full_sweep_csv_pinned():
     text = out.getvalue()
     assert (len(rows), sum(1 for r in rows if r.error), text.count(",mean,")) == (32, 16, 8)
     assert _digest([text]) == "0198f5837b414e33"
+
+
+def test_failed_runs_are_logged_with_their_configuration(caplog):
+    with caplog.at_level(logging.ERROR, logger="qkdsim.experiment"):
+        run_sweep(SWEEP_SPEC)
+    failed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("run failed")]
+    assert len(failed) == len(set(failed)) == 16
+    assert failed[0] == ("run failed (protocol=gpsrq nodes=10 seed=1 beta=0.6 alpha=0.5 "
+                         "t_avg_window=5 cache=on): grid_size must be positive and finite")

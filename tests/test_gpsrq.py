@@ -13,7 +13,7 @@ def _node(**kw):
     return GpsrqNode(**base)
 
 
-# --- exclusion cache -----------------------------------------------------------
+# --- cache records -----------------------------------------------------------
 
 def test_destination_at_center_is_blocked():
     node = _node()

@@ -7,6 +7,13 @@ leaves a trace record (recovery entry and exit, loop2, loop returns, delay
 returns, cache insertions) and both DV liveness variants. Every run keeps
 its event trace (``trace=True``), and the records of two runs are pinned too.
 
+Three runs pin branches whose effect no record names. The key-starved
+10-node run without the exclusion cache enters perimeter recovery 606
+times, so which edges a walk that is back at its entry node excludes
+decides its path. The two ``l2full`` runs (queue capacity 1, 200 kbit/s
+links) fill the L2 queue behind the packet on the wire: GPSRQ's decision
+then waits, and DV's sends are lost at transmission.
+
 With the default 100 MB key stores the quantum metric is about 1 on every
 link, so the link metric hardly varies between neighbours. The two
 key-starved runs (4 MB stores, 1-4 MB initial key) make it vary, so the
@@ -40,6 +47,10 @@ def _starved_link() -> LinkConfig:
     return LinkConfig(max_key_bytes=4_000_000, init_key_bytes_range=(1_000_000, 4_000_000))
 
 
+def _slow_link() -> LinkConfig:
+    return LinkConfig(bandwidth_bps=200_000)
+
+
 def _aes_real_time() -> TrafficConfig:
     return TrafficConfig(crypto_mode="aes", traffic_class="real_time")
 
@@ -55,6 +66,10 @@ RUNS = {
     "dv-40-s1-starved": lambda: _sim("dv", 40, 1, 20.0, link=_starved_link()),
     "gpsrq-60-s2-aes-rt": lambda: _sim("gpsrq", 60, 2, 30.0, traffic=_aes_real_time()),
     "dv-40-s2-aes-rt": lambda: _sim("dv", 40, 2, 30.0, traffic=_aes_real_time()),
+    "gpsrq-10-s2-starved-nocache": lambda: _sim("gpsrq", 10, 2, 20.0, cache_enabled=False,
+                                                link=_starved_link()),
+    "gpsrq-10-s1-l2full": lambda: _sim("gpsrq", 10, 1, 5.0, queue_capacity=1, link=_slow_link()),
+    "dv-10-s1-l2full": lambda: _sim("dv", 10, 1, 5.0, queue_capacity=1, link=_slow_link()),
 }
 
 # name -> (CSV row, trace_hash)
@@ -107,6 +122,21 @@ GOLDEN = {
         "dv,40,2,0.6,0.5,5,on,7325,2992,0.4084641638225256,0.0029216000000005238,"
         "2.0,9595,813948,1547740.160000217,4669344.0,0,0,4330,3",
         "b7403ff586b7d3c2c719c1e8051a0563dfbf8ea4d6627e40074b14309c95d04a",
+    ),
+    "gpsrq-10-s2-starved-nocache": (
+        "gpsrq,10,2,0.6,0.5,5,off,4883,2295,0.5917998968540484,0.5724119229629732,"
+        "1.8880174291938998,176,8976,35595008.0,47872.0,1287,0,296,0",
+        "00d3a8e252282f43cff260b9f7c08653d8a6e96c302fb60ce881fc7c44a44a02",
+    ),
+    "gpsrq-10-s1-l2full": (
+        "gpsrq,10,1,0.6,0.5,5,on,1221,215,0.17666392769104355,0.09191910697671363,"
+        "2.0,0,0,1893120.0,0.0,1002,0,0,0",
+        "9ef27b7d463ed41a73762183edae998d212e9109a5ea1285b122ea150c680a97",
+    ),
+    "dv-10-s1-l2full": (
+        "dv,10,1,0.6,0.5,5,on,1221,200,0.16420361247947454,0.06912191999996672,"
+        "2.0,229,17904,1766912.0,99264.0,942,0,76,0",
+        "9326606844f5b2a44b39d8cc778ff93ea245ab2ec4163dfe3724f77cd2b773b5",
     ),
 }
 

@@ -681,10 +681,21 @@ class GpsrqSimulation(Simulation):
             self._record("loop_return", at, pkt.uid, target)
         return action
 
+    def _dead_end(self, at: int, pkt: SimPacket, target: int | None):
+        """Send the packet back toward ``target``; drop it at the source or
+        when there is no node to send it back to."""
+        if at == pkt.src or target is None:
+            return ("drop", "source")
+        return self._send_back(at, pkt, target)
+
     def _decide(self, at: int, pkt: SimPacket):
         """Routing decision for the head-of-line packet: ("wait",),
         ("drop", cause) or ("forward", target); may mutate the packet.
 
+        In order: a signaling packet's fixed neighbour, a pending loop return,
+        a delay return, the next hop of a perimeter walk away from its entry
+        node (a node closer to the destination ends the walk), the greedy
+        pick, perimeter entry or re-entry at the entry node, and a dead end.
         Packet state is only touched on decisions that leave the queue, so a
         "wait" can be retried later with unchanged state.
         """
@@ -717,9 +728,8 @@ class GpsrqSimulation(Simulation):
                 self._record("delay_return", at, pkt.uid, arrived)
             return action
 
-        if pkt.rec_position is not None:
-            if at == pkt.rec_position:
-                return self._decide_recovery_origin(at, pkt, node, arrived)
+        at_entry = at == pkt.rec_position
+        if pkt.rec_position is not None and not at_entry:
             if self._to_dst[at] < self._to_dst[pkt.rec_position]:
                 self._clear_recovery(pkt)
                 self._record("recovery_exit", at, pkt.uid)
@@ -731,11 +741,6 @@ class GpsrqSimulation(Simulation):
                     return self._send_back(at, pkt, arrived)
                 return ("drop", "source")
 
-        return self._decide_greedy(at, pkt, node, arrived)
-
-    def _decide_recovery_origin(self, at: int, pkt: SimPacket, node: GpsrqNode,
-                                arrived: int | None):
-        """The perimeter walk returned to its entry node: retry alternatives."""
         choice = self._greedy_pick(at, pkt, node)
         if choice is not None:
             action = self._forward_action(at, choice, pkt, admitted=True)
@@ -743,61 +748,35 @@ class GpsrqSimulation(Simulation):
                 self._clear_recovery(pkt)
                 pkt.retry_exclude = set()
             return action
-        exclude = set(pkt.recovery_tried)
+
+        if at_entry:
+            # The walk came back: retry the edges not yet tried this episode.
+            exclude = set(pkt.recovery_tried)
+            target = arrived if arrived is not None else self._upstream(pkt, at)
+        else:
+            if all(admission_cost(self._link_by_dir[(at, v)], pkt, self.now) is None
+                   for v in self.topo.neighbors(at)):
+                return ("wait",)  # no serviceable link: hold for reprocessing
+            if pkt.loop != 0:
+                # loop == 2: a retried packet hit another dead end.
+                return self._dead_end(at, pkt, self._upstream(pkt, at, arrived))
+            exclude = set(pkt.retry_exclude)
+            target = arrived
         if arrived is not None:
             exclude.add(arrived)
         v = self._ccw_pick(at, pkt, node, exclude, pkt.dst)
-        if v is not None:
-            action = self._forward_action(at, v, pkt, admitted=True)
-            if action[0] == "forward":
-                pkt.rec_if = v
-                pkt.recovery_tried.add(v)
-                self._record("recovery_enter", at, pkt.uid, v)
-            return action
-        if at == pkt.src:
-            return ("drop", "source")
-        target = arrived if arrived is not None else self._upstream(pkt, at)
-        if target is None:
-            return ("drop", "source")
-        return self._send_back(at, pkt, target)
-
-    def _decide_greedy(self, at: int, pkt: SimPacket, node: GpsrqNode, arrived: int | None):
-        choice = self._greedy_pick(at, pkt, node)
-        if choice is not None:
-            action = self._forward_action(at, choice, pkt, admitted=True)
-            if action[0] == "forward":
+        if v is None:
+            return self._dead_end(at, pkt, target)
+        action = self._forward_action(at, v, pkt, admitted=True)
+        if action[0] == "forward":
+            if not at_entry:
+                pkt.rec_position = at
+                pkt.recovery_tried = set()
                 pkt.retry_exclude = set()
-            return action
-
-        if all(admission_cost(self._link_by_dir[(at, v)], pkt, self.now) is None
-               for v in self.topo.neighbors(at)):
-            return ("wait",)  # no serviceable link: hold for reprocessing
-
-        if pkt.loop == 0:
-            entry_exclude = set(pkt.retry_exclude)
-            if arrived is not None:
-                entry_exclude.add(arrived)
-            v = self._ccw_pick(at, pkt, node, entry_exclude, pkt.dst)
-            if v is not None:
-                action = self._forward_action(at, v, pkt, admitted=True)
-                if action[0] == "forward":
-                    pkt.rec_position = at
-                    pkt.rec_if = v
-                    pkt.recovery_tried = {v}
-                    pkt.retry_exclude = set()
-                    self._record("recovery_enter", at, pkt.uid, v)
-                return action
-            if at == pkt.src:
-                return ("drop", "source")
-            return self._send_back(at, pkt, arrived)
-
-        # loop == 2: a retried packet hit another dead end; send it back.
-        if at == pkt.src:
-            return ("drop", "source")
-        target = self._upstream(pkt, at, arrived)
-        if target is None:
-            return ("drop", "source")
-        return self._send_back(at, pkt, target)
+            pkt.rec_if = v
+            pkt.recovery_tried.add(v)
+            self._record("recovery_enter", at, pkt.uid, v)
+        return action
 
     # -------------------------------------------------------------- signaling
 

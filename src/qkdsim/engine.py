@@ -172,14 +172,13 @@ class Simulation:
             )
             self.links[(u, v)] = QkdLink(u, v, storage, stats, lc.bandwidth_bps)
 
+        # Each direction's L2 queue; its head is the packet on the wire.
         self.l2: dict[tuple[int, int], deque] = {}
-        self.l2_busy: dict[tuple[int, int], bool] = {}
         self._link_by_dir: dict[tuple[int, int], QkdLink] = {}
         self._dir_str: dict[tuple[int, int], str] = {}
         for (u, v), lk in self.links.items():
             for d in ((u, v), (v, u)):
                 self.l2[d] = deque()
-                self.l2_busy[d] = False
                 self._link_by_dir[d] = lk
                 self._dir_str[d] = str(d)
 
@@ -387,10 +386,10 @@ class Simulation:
         """Send ``pkt``, which the link has just admitted, and consume its key cost."""
         direction = (at, target)
         lk = self._link_by_dir[direction]
-        busy = self.l2_busy[direction]
-        if busy and len(self.l2[direction]) >= self.cfg.queue_capacity:
-            # Queue-served packets wait at decision time instead; only the
-            # unreliable routing updates can still arrive here and are lost.
+        queue = self.l2[direction]
+        if len(queue) > self.cfg.queue_capacity:
+            # GPSRQ's queued packets wait at decision time instead; what DV
+            # sends at once, data and routing updates alike, is lost here.
             if pkt.kind == "data":
                 self._count_drop("queue", pkt, at)
             else:
@@ -423,10 +422,8 @@ class Simulation:
             st.ovh_bytes += wire
         if self._tracing:
             self._record("tx", pkt.kind, at, target, wire, lk.storage.m_cur)
-        if busy:
-            self.l2[direction].append(pkt)
-        else:
-            self.l2_busy[direction] = True
+        queue.append(pkt)
+        if len(queue) == 1:
             done = self.now + wire * 8.0 / lk.bandwidth
             self.events.push(done, _TRANSMIT_DONE, (direction, pkt, wire))
 
@@ -436,12 +433,11 @@ class Simulation:
         lk.busy_accum += wire * 8.0 / lk.bandwidth
         self.events.push(self.now + self.cfg.propagation_delay_s, _ARRIVAL, (pkt, target, at))
         queue = self.l2[direction]
+        queue.popleft()
         if queue:
-            nxt = queue.popleft()
+            nxt = queue[0]
             done = self.now + nxt.wire * 8.0 / lk.bandwidth
             self.events.push(done, _TRANSMIT_DONE, (direction, nxt, nxt.wire))
-        else:
-            self.l2_busy[direction] = False
         # Freed transmission capacity may unblock the sender's waiting head.
         self._serve(at)
 
@@ -666,7 +662,7 @@ class GpsrqSimulation(Simulation):
         """Forward to ``target`` unless its L2 queue is full or its link refuses
         the packet; ``admitted`` says that a pick has just asked the link."""
         direction = (at, target)
-        if self.l2_busy[direction] and len(self.l2[direction]) >= self.cfg.queue_capacity:
+        if len(self.l2[direction]) > self.cfg.queue_capacity:
             return ("wait",)
         if not admitted and admission_cost(self._link_by_dir[direction], pkt, self.now) is None:
             return ("wait",)

@@ -237,8 +237,7 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
         return admission_cost(self.link(u, v), pkt, self.now)
 
     def _l2_full(self, at: int, target: int) -> bool:
-        direction = (at, target)
-        return self.l2_busy[direction] and len(self.l2[direction]) >= self.cfg.queue_capacity
+        return len(self.l2[(at, target)]) > self.cfg.queue_capacity
 
     def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> int | None:
         dst_pos = self.position(pkt.dst)

@@ -580,7 +580,8 @@ class GpsrqSimulation(Simulation):
     def _deliver_control(self, at: int, frm: int, pkt: SimPacket) -> None:
         node = self.gpsrq_nodes[at]
         node.recv_l[frm] = pkt.signal_value
-        self._record("thr_update", at, frm, node.m_thr(frm, self.link(at, frm).storage.m_max))
+        if self._tracing:
+            self._record("thr_update", at, frm, node.m_thr(frm, self.link(at, frm).storage.m_max))
         if self.metrics_log is not None:
             self._log_metrics(self.link(at, frm).key())
         self._serve(at)
@@ -678,8 +679,7 @@ class GpsrqSimulation(Simulation):
         return action
 
     def _dead_end(self, at: int, pkt: SimPacket, target: int | None):
-        """Send the packet back toward ``target``; drop it at the source or
-        when there is no node to send it back to."""
+        """Send the packet back toward ``target``; drop it at the source or without one."""
         if at == pkt.src or target is None:
             return ("drop", "source")
         return self._send_back(at, pkt, target)
@@ -688,10 +688,9 @@ class GpsrqSimulation(Simulation):
         """Routing decision for the head-of-line packet: ("wait",),
         ("drop", cause) or ("forward", target); may mutate the packet.
 
-        In order: a signaling packet's fixed neighbour, a pending loop return,
-        a delay return, the next hop of a perimeter walk away from its entry
-        node (a node closer to the destination ends the walk), the greedy
-        pick, perimeter entry or re-entry at the entry node, and a dead end.
+        In order: signaling, pending loop return, delay return, perimeter
+        transit away from the entry node (ended at a node closer to the
+        destination), greedy, perimeter entry or re-entry, dead end.
         Packet state is only touched on decisions that leave the queue, so a
         "wait" can be retried later with unchanged state.
         """
@@ -749,13 +748,12 @@ class GpsrqSimulation(Simulation):
             # The walk came back: retry the edges not yet tried this episode.
             exclude = set(pkt.recovery_tried)
             target = arrived if arrived is not None else self._upstream(pkt, at)
+        elif all(admission_cost(self._link_by_dir[(at, v)], pkt, self.now) is None
+                 for v in self.topo.neighbors(at)):
+            return ("wait",)  # no serviceable link: hold for reprocessing
+        elif pkt.loop != 0:  # loop == 2: a retried packet hit another dead end
+            return self._dead_end(at, pkt, self._upstream(pkt, at, arrived))
         else:
-            if all(admission_cost(self._link_by_dir[(at, v)], pkt, self.now) is None
-                   for v in self.topo.neighbors(at)):
-                return ("wait",)  # no serviceable link: hold for reprocessing
-            if pkt.loop != 0:
-                # loop == 2: a retried packet hit another dead end.
-                return self._dead_end(at, pkt, self._upstream(pkt, at, arrived))
             exclude = set(pkt.retry_exclude)
             target = arrived
         if arrived is not None:
@@ -878,10 +876,8 @@ class DvSimulation(Simulation):
         for nbr in nbrs:
             pkt = SimPacket(next(self._uid), "dv", nid, nbr, _PREMIUM, wire, self.now,
                             math.inf, key_cost, entries=entries)
-            if admission_cost(self._link_by_dir[(nid, nbr)], pkt, self.now) is None:
+            if not self._send(nid, nbr, pkt):
                 self._record("dv_update_lost", nid, nbr)
-            else:
-                self._transmit(nid, nbr, pkt)
 
     def _advertise(self, nid: int, entries: list) -> None:
         self._send_updates(nid, self.topo.neighbors(nid), entries)
@@ -949,6 +945,6 @@ class DvSimulation(Simulation):
 PROTOCOL_SIMULATIONS = {"gpsrq": GpsrqSimulation, "dv": DvSimulation}
 
 
-def run_simulation(cfg: RunConfig, topology: Topology, metrics_log: bool = False) -> RunStats:
+def run_simulation(cfg: RunConfig, topology: Topology) -> RunStats:
     """Run one complete simulation and return its statistics."""
-    return Simulation(cfg, topology, metrics_log=metrics_log).run()
+    return Simulation(cfg, topology).run()

@@ -11,7 +11,6 @@ from typing import Iterable
 from .geometry import Position, euclidean_distance
 
 MAX_CONNECT_RETRIES = 100
-MAX_LINK_PASSES = 100
 
 
 class TopologyError(Exception):

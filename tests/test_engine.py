@@ -143,9 +143,8 @@ def test_keeping_the_trace_changes_no_output(protocol):
     assert plain.trace == [] and traced.trace
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_untraced_runs_skip_the_per_packet_records(monkeypatch, protocol):
-    """Arrivals, deliveries and transmissions reach ``_record`` only when traced."""
+def _count_records(monkeypatch) -> Counter:
+    """Count the calls to ``Simulation._record`` by tag from now on."""
     tags = Counter()
     record = Simulation._record
 
@@ -154,12 +153,31 @@ def test_untraced_runs_skip_the_per_packet_records(monkeypatch, protocol):
         record(self, tag, *entry)
 
     monkeypatch.setattr(Simulation, "_record", counting)
+    return tags
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_untraced_runs_skip_the_per_packet_records(monkeypatch, protocol):
+    """Arrivals, deliveries and transmissions reach ``_record`` only when traced."""
+    tags = _count_records(monkeypatch)
     topo = topology_for(TopologySpec(node_count=10), 3)
     cfg = RunConfig(protocol=protocol, seed=3, duration_s=5.0)
     Simulation(cfg, topo).run()
     assert [tags[t] for t in ("arrive", "deliver", "tx")] == [0, 0, 0]
     Simulation(cfg, topo, trace=True).run()
     assert all(tags[t] > 0 for t in ("arrive", "deliver", "tx"))
+
+
+def test_untraced_gpsrq_runs_skip_the_threshold_records(monkeypatch):
+    """Signaling starts at the first key charge (7 s); the threshold that each
+    update sets is computed for the trace only when the run is traced."""
+    tags = _count_records(monkeypatch)
+    topo = topology_for(TopologySpec(node_count=10), 3)
+    cfg = RunConfig(seed=3, duration_s=15.0)
+    Simulation(cfg, topo).run()
+    assert tags["thr_update"] == 0
+    Simulation(cfg, topo, trace=True).run()
+    assert tags["thr_update"] > 0
 
 
 def test_a_default_run_keeps_no_trace():

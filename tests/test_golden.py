@@ -5,14 +5,24 @@ A change that alters any of these values changes simulated behaviour and
 must say so. Together the runs reach every GPSRQ decision branch that
 leaves a trace record (recovery entry and exit, loop2, loop returns, delay
 returns, cache insertions) and both DV liveness variants. Every run keeps
-its event trace (``trace=True``), and the records of two runs are pinned too.
+its event trace (``trace=True``), and the records of three runs are pinned too.
 
-Three runs pin branches whose effect no record names. The key-starved
-10-node run without the exclusion cache enters perimeter recovery 606
-times, so which edges a walk that is back at its entry node excludes
+Further runs pin branches whose effect no record names. The key-starved
+10-node run without the exclusion cache (seed 2) enters perimeter recovery
+606 times, so which edges a walk that is back at its entry node excludes
 decides its path. The two ``l2full`` runs (queue capacity 1, 200 kbit/s
 links) fill the L2 queue behind the packet on the wire: GPSRQ's decision
-then waits, and DV's sends are lost at transmission.
+then waits, and DV's sends are lost at transmission. ``signal`` sends
+premium data over links that gain 1 kbit/s of key: a signal queued behind
+data that waits for key is still queued at the next signaling epoch, which
+replaces it. ``hello-dead`` (150 kbit/s links) delays hellos long enough
+that their silence marks a link dead, and a later hello revives it: the
+revival sends a full routing update once, and later hellos on the link
+send none. The seed-3 starved run without the cache keeps its trace
+records: there a greedy forward from a walk's entry node reaches a node
+other than the destination, so clearing the recovery state on that
+forward decides whether that node records a ``recovery_exit``. The 7 s
+run ends exactly at the first key charge, which must still fire.
 
 With the default 100 MB key stores the quantum metric is about 1 on every
 link, so the link metric hardly varies between neighbours. The two
@@ -51,6 +61,10 @@ def _slow_link() -> LinkConfig:
     return LinkConfig(bandwidth_bps=200_000)
 
 
+def _thin_link() -> LinkConfig:
+    return LinkConfig(init_key_bytes_range=(200, 1000), rate_bps=1000.0)
+
+
 def _aes_real_time() -> TrafficConfig:
     return TrafficConfig(crypto_mode="aes", traffic_class="real_time")
 
@@ -70,6 +84,13 @@ RUNS = {
                                                 link=_starved_link()),
     "gpsrq-10-s1-l2full": lambda: _sim("gpsrq", 10, 1, 5.0, queue_capacity=1, link=_slow_link()),
     "dv-10-s1-l2full": lambda: _sim("dv", 10, 1, 5.0, queue_capacity=1, link=_slow_link()),
+    "gpsrq-10-s1-signal": lambda: _sim("gpsrq", 10, 1, 30.0, queue_capacity=5, link=_thin_link(),
+                                       traffic=TrafficConfig(traffic_class="premium")),
+    "dv-10-s2-hello-dead": lambda: _sim("dv", 10, 2, 150.0, dv_liveness="hello", queue_capacity=1,
+                                        link=LinkConfig(bandwidth_bps=150_000)),
+    "gpsrq-10-s3-starved-nocache": lambda: _sim("gpsrq", 10, 3, 30.0, cache_enabled=False,
+                                                link=_starved_link()),
+    "gpsrq-10-s1-7s": lambda: _sim("gpsrq", 10, 1, 7.0),
 }
 
 # name -> (CSV row, trace_hash)
@@ -138,6 +159,25 @@ GOLDEN = {
         "2.0,229,17904,1766912.0,99264.0,942,0,76,0",
         "9326606844f5b2a44b39d8cc778ff93ea245ab2ec4163dfe3724f77cd2b773b5",
     ),
+    "gpsrq-10-s1-signal": (
+        "gpsrq,10,1,0.6,0.5,5,on,7325,0,0.0,0.0,0.0,304,15504,52224.0,82688.0,7317,1,0,0",
+        "44bbca8ceb595251dcc46c2c81b7b35fb2ac4563ccf33308c0fc939ed41b23ff",
+    ),
+    "dv-10-s2-hello-dead": (
+        "dv,10,2,0.6,0.5,5,on,36622,2426,0.06624795193883123,0.06078190931432996,"
+        "1.0,2281,184052,10566656.0,1034464.0,15571,0,96,18527",
+        "19951728c219a92586003c99bdd3f7f52e5e7f380e0dcf568fc0bdb1452ceb91",
+    ),
+    "gpsrq-10-s3-starved-nocache": (
+        "gpsrq,10,3,0.6,0.5,5,off,7325,2570,0.48989706443004194,1.0720157005444644,"
+        "5.4607003891050585,480,24480,130137856.0,130560.0,965,161,1550,0",
+        "b30b20815da1bb3e52e718c3df8d27e9b497185bb914818666ae1d3123c02977",
+    ),
+    "gpsrq-10-s1-7s": (
+        "gpsrq,10,1,0.6,0.5,5,on,1709,1709,1.0,0.002921600000000073,"
+        "2.0,0,0,14875136.0,0.0,0,0,0,0",
+        "4a92baacfce5250eb84a76b2e907a298b07557161e8d9409ceb5a4d2c5952f2d",
+    ),
 }
 
 # name -> (metrics_log digest, or None when not logged; dump_caches digest)
@@ -152,6 +192,7 @@ SIDE_OUTPUTS = {
 TRACE_RECORDS = {
     "narrative": "fbfd31d6b6a9148f",
     "dv-probe": "2527679c32c1571d",
+    "gpsrq-10-s3-starved-nocache": "d2a1b106fff82a75",
 }
 
 DECISION_RECORDS = ("recovery_enter", "recovery_exit", "loop2", "loop_return",

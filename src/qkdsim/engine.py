@@ -105,13 +105,21 @@ class SimEvent(NamedTuple):
 
 class EventQueue:
     """Time-ordered event set; equal times resolve by scheduling order.
-    Sequence numbers are unique, so heap comparisons never reach ``kind``."""
+    Sequence numbers are unique, so heap comparisons never reach ``kind``.
 
-    def __init__(self) -> None:
+    ``push`` drops an event timed after ``horizon``, before it draws a
+    sequence number, and returns None for it. A run's ``SimulationEnd``
+    sits at the horizon and is pushed before any event of the run, so a
+    dropped event could never have fired."""
+
+    def __init__(self, horizon: float = math.inf) -> None:
+        self.horizon = horizon
         self._heap: list[SimEvent] = []
         self._seq = count()
 
-    def push(self, fire_at: float, kind: EventKind, payload: tuple = ()) -> SimEvent:
+    def push(self, fire_at: float, kind: EventKind, payload: tuple = ()) -> SimEvent | None:
+        if fire_at > self.horizon:
+            return None
         ev = tuple.__new__(SimEvent, (fire_at, next(self._seq), kind, payload))
         heappush(self._heap, ev)
         return ev
@@ -147,7 +155,7 @@ class Simulation:
         self.cfg = cfg
         self.topo = topology
         self.now = 0.0
-        self.events = EventQueue()
+        self.events = EventQueue(cfg.duration_s)
         self.src = topology.nodes[0][0]
         self.dst = topology.nodes[-1][0]
 
@@ -344,8 +352,7 @@ class Simulation:
             pkt = self._make_data_packet()
             self.stats.sent += 1
             nxt = self.now + self.cfg.traffic.packet_bytes * 8.0 / self.cfg.traffic.rate_bps
-            if nxt < self.cfg.duration_s:
-                self.events.push(nxt, _ARRIVAL, (None, self.src, None))
+            self.events.push(nxt, _ARRIVAL, (None, self.src, None))
         if frm is not None:
             pkt.hop_count += 1
         if self._tracing:
@@ -461,9 +468,7 @@ class Simulation:
         # Fresh key may unblock waiting heads at both endpoints.
         self._serve(u)
         self._serve(v)
-        nxt = self.now + lc.charge_period_s
-        if nxt <= self.cfg.duration_s:
-            self.events.push(nxt, EventKind.KEY_CHARGE, (key,))
+        self.events.push(self.now + lc.charge_period_s, EventKind.KEY_CHARGE, (key,))
 
     def _link_metrics(self, u: int, v: int, lk: QkdLink) -> tuple[float, float, float, float]:
         """(q_frac, q_m, p_m, r_m) of the link ``lk`` between u and v as node u sees it."""
@@ -508,6 +513,8 @@ class GpsrqSimulation(Simulation):
         self._pos = dict(self.topo.nodes)
         self._dst_pos = self._pos[self.dst]
         self._to_dst = {nid: euclidean_distance(p, self._dst_pos) for nid, p in self._pos.items()}
+        # The payload of every per-node timer, shared so a pending event holds no tuple of its own.
+        self._node_payload = {nid: (nid,) for nid in self._pos}
 
     def dump_caches(self) -> list[str]:
         return [f"CACHE {nid} {via} {c.x:.6f} {c.y:.6f} {radius:.6f} {expires_at:.6f}"
@@ -548,7 +555,7 @@ class GpsrqSimulation(Simulation):
         radius = euclidean_distance(self.position(block), dst_pos) / 2.0
         ttl = cache_ttl(self.link(at, via).pub_stats)
         if node.add_cache(via, dst_pos, radius, self.now, ttl):
-            self.events.push(self.now + ttl, EventKind.CACHE_EXPIRY, (at,))
+            self.events.push(self.now + ttl, EventKind.CACHE_EXPIRY, self._node_payload[at])
             self._record("cache_add", at, via, dst_pos.x, dst_pos.y, radius)
 
     def _absorb_return(self, node: GpsrqNode, pkt: SimPacket, frm: int) -> bool:
@@ -615,7 +622,8 @@ class GpsrqSimulation(Simulation):
     def _schedule_retry(self, at: int) -> None:
         if at not in self._retry_pending:
             self._retry_pending.add(at)
-            self.events.push(self.now + self.cfg.retry_fallback_s, EventKind.RETRY_TIMER, (at,))
+            self.events.push(self.now + self.cfg.retry_fallback_s, EventKind.RETRY_TIMER,
+                             self._node_payload[at])
 
     def _on_retry_timer(self, nid: int) -> None:
         self._retry_pending.discard(nid)
@@ -778,7 +786,7 @@ class GpsrqSimulation(Simulation):
         for nid in (u, v):
             if self._signal_epoch.get(nid) != self.now:
                 self._signal_epoch[nid] = self.now
-                self.events.push(self.now, EventKind.SIGNALING_TIMER, (nid,))
+                self.events.push(self.now, EventKind.SIGNALING_TIMER, self._node_payload[nid])
 
     def _link_threshold(self, u: int, v: int, m_max: float) -> float:
         return self.gpsrq_nodes[u].m_thr(v, m_max)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 
 import pytest
@@ -14,7 +15,7 @@ from helpers import (
     reference_hash_line,
     two_node_topology,
 )
-from qkdsim.config import PROTOCOLS, RunConfig, TopologySpec
+from qkdsim.config import PROTOCOLS, LinkConfig, RunConfig, TopologySpec
 from qkdsim.engine import (
     HASH_BATCH_LINES,
     EventKind,
@@ -38,6 +39,32 @@ def test_events_ordered_by_time_then_sequence():
     order = [q.pop().payload[0] for _ in range(3)]
     assert order == ["b", "a", "c"]
     assert q.pop() is None
+
+
+def test_events_after_the_horizon_are_dropped_without_a_sequence_number():
+    q = EventQueue(5.0)
+    assert q.push(5.0, EventKind.KEY_CHARGE, ("kept",)) is not None
+    assert q.push(math.nextafter(5.0, 6.0), EventKind.KEY_CHARGE, ("dropped",)) is None
+    # The benchmark counts popped events as sequence numbers drawn minus events queued.
+    assert next(q._seq) == 1
+    assert len(q) == 1 and q.pop().payload == ("kept",)
+
+
+@pytest.mark.parametrize("protocol, nodes, kw", [
+    ("gpsrq", 40, {"duration_s": 20.0, "link": LinkConfig(
+        max_key_bytes=4_000_000, init_key_bytes_range=(1_000_000, 4_000_000))}),
+    ("dv", 30, {"duration_s": 60.0, "dv_liveness": "hello"}),
+], ids=["gpsrq-starved-cache-expiry", "dv-hello-timer"])
+def test_no_pending_event_outlives_the_run(protocol, nodes, kw):
+    """Cache expiries and DV timers timed after the end are never scheduled."""
+    cfg = RunConfig(protocol=protocol, seed=1, **kw)
+    sim = Simulation(cfg, topology_for(TopologySpec(node_count=nodes), 1))
+    sim.run()
+    late = []
+    while (ev := sim.events.pop()) is not None:
+        if ev.fire_at > cfg.duration_s:
+            late.append(ev.kind)
+    assert late == []
 
 
 # --- trace hash ----------------------------------------------------------------

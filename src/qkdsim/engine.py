@@ -202,6 +202,9 @@ class Simulation:
         self._tracing = trace
         self._hasher = hashlib.sha256()
         self._hash_lines: list[str] = []
+        # The last hashed event time and its formatted "<time>|" prefix.
+        self._stamp_at = math.nan
+        self._stamp = ""
         self.metrics_log: list[tuple] | None = [] if metrics_log else None
 
         # The run's counts; the two sums give the means at the end.
@@ -262,17 +265,22 @@ class Simulation:
         """Add the event's line (format in README) to ``trace_hash``. It is built
         now, when the event is popped, because its packet changes later."""
         fire_at, _, kind, payload = ev
+        if fire_at != self._stamp_at:
+            # Many events share their time with the one before; format it once.
+            self._stamp_at = fire_at
+            self._stamp = f"{fire_at:.9f}|"
+        stamp = self._stamp
         if kind is _ARRIVAL:
             pkt, at, frm = payload
             item = "None" if pkt is None else f"p{pkt.uid}.{pkt.hop_count}.{pkt.loop}"
-            line = f"{fire_at:.9f}|{KIND_TAG[kind]}|{item}|{at}|{frm}\n"
+            line = f"{stamp}{KIND_TAG[kind]}|{item}|{at}|{frm}\n"
         elif kind is _TRANSMIT_DONE:
             direction, pkt, wire = payload
-            line = (f"{fire_at:.9f}|{KIND_TAG[kind]}|{self._dir_str[direction]}"
+            line = (f"{stamp}{KIND_TAG[kind]}|{self._dir_str[direction]}"
                     f"|p{pkt.uid}.{pkt.hop_count}.{pkt.loop}|{wire}\n")
         else:
             # No other kind carries a packet.
-            line = "|".join([f"{fire_at:.9f}", KIND_TAG[kind], *map(str, payload[:3])]) + "\n"
+            line = stamp + "|".join([KIND_TAG[kind], *map(str, payload[:3])]) + "\n"
         lines = self._hash_lines
         lines.append(line)
         if len(lines) >= HASH_BATCH_LINES:

@@ -109,8 +109,8 @@ class EventQueue:
 
     ``push`` drops an event timed after ``horizon``, before it draws a
     sequence number, and returns None for it. A run's ``SimulationEnd``
-    sits at the horizon and is pushed before any event of the run, so a
-    dropped event could never have fired."""
+    sits at the horizon and is pushed before the run starts, so a dropped
+    event could never have fired."""
 
     def __init__(self, horizon: float = math.inf) -> None:
         self.horizon = horizon

@@ -16,7 +16,6 @@ own event handlers; ``Simulation(cfg, topology)`` builds the subclass that
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 from collections import deque
@@ -25,6 +24,13 @@ from enum import Enum
 from heapq import heappop, heappush
 from itertools import count
 from typing import NamedTuple
+
+# CPython's built-in SHA-256 gives the same digest as OpenSSL's; importing it
+# instead of the OpenSSL-backed module keeps libcrypto out of the process.
+try:
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 and later
+    from _sha2 import sha256
 
 from .config import RunConfig
 from .dv import DvNode
@@ -200,7 +206,7 @@ class Simulation:
 
         self.trace: list[tuple] = []
         self._tracing = trace
-        self._hasher = hashlib.sha256()
+        self._hasher = sha256()
         self._hash_lines: list[str] = []
         # The last hashed event time and its formatted "<time>|" prefix.
         self._stamp_at = math.nan

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -95,6 +97,28 @@ def test_trace_hash_matches_reference_encoding(monkeypatch, case):
         assert len(lines) > 3 * HASH_BATCH_LINES
     if case != "dv":
         assert any(entry[1] == "recovery_enter" for entry in sim.trace)
+
+
+def test_simulating_never_loads_openssl():
+    """trace_hash comes from CPython's built-in SHA-256, so neither the package,
+    the CLI module, a run nor a sweep written as CSV loads OpenSSL's libcrypto
+    (through hashlib's _hashlib)."""
+    script = (
+        "import io, sys\n"
+        "import qkdsim, qkdsim.cli\n"
+        "from qkdsim.config import RunConfig, TopologySpec\n"
+        "from qkdsim.engine import Simulation\n"
+        "from qkdsim.experiment import run_sweep, topology_for\n"
+        "from qkdsim.stats import write_csv\n"
+        "cfg = RunConfig(protocol='gpsrq', seed=1, duration_s=5.0)\n"
+        "assert Simulation(cfg, topology_for(TopologySpec(node_count=10), 1)).run().trace_hash\n"
+        "rows, meta = run_sweep('protocol=gpsrq,dv\\nnodes=10\\nseeds=1\\nduration=3\\n')\n"
+        "assert [r.error for r in rows] == ['', '']\n"
+        "write_csv(io.StringIO(), rows, meta)\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 # --- basic runs ----------------------------------------------------------------

@@ -811,16 +811,20 @@ class GpsrqSimulation(Simulation):
         value = local_mean(m_curs)
         node.l_sent = value
         self._record("signal", nid, value)
+        queue = self.queues[nid]
         for nbr in self.topo.neighbors(nid):
             pkt = self._control_packet(
                 "signaling", nid, nbr, self.signaling_key_cost, SIGNALING_WIRE_BYTES,
                 signal_value=value, fixed_egress=nbr,
             )
-            old = self._pending_signals.get((nid, nbr))
+            old = self._pending_signals.pop((nid, nbr), None)
             if old is not None:
-                self.queues[nid].remove(old)
-            self._pending_signals[(nid, nbr)] = pkt
-            self.queues[nid].enqueue(pkt)
+                queue.remove(old)
+            if queue.enqueue(pkt):
+                self._pending_signals[(nid, nbr)] = pkt
+            else:
+                self.stats.dropped_by_class[pkt.traffic_class.name] += 1
+                self._record("signal_refused", nid, nbr)
         self._serve(nid)
 
     def _on_cache_expiry(self, nid: int) -> None:

@@ -293,6 +293,25 @@ def test_zero_traffic_zero_charging_zero_overhead():
     assert stats.ovh_bytes == 0
 
 
+def test_a_refused_signal_counts_as_a_premium_drop():
+    """One-slot class queues on 200 kbit/s links refuse 56 of the run's 96
+    signals. Each refusal is a premium drop with its own record, and only
+    queued signals stay pending, so a replacement always finds its signal.
+    Neither the CSV row nor trace_hash depends on the refusals."""
+    cfg = RunConfig(protocol="gpsrq", seed=1, duration_s=30.0, queue_capacity=1,
+                    link=LinkConfig(bandwidth_bps=200_000))
+    sim = Simulation(cfg, topology_for(TopologySpec(node_count=10), 1), trace=True)
+    stats = sim.run()
+    refused = [e for e in sim.trace if e[1] == "signal_refused"]
+    assert stats.dropped_by_class["PREMIUM"] == len(refused) == 56
+    for (nid, _), pkt in sim._pending_signals.items():
+        assert any(queued is pkt for queued in sim.queues[nid].queues[pkt.traffic_class])
+    assert ",".join(stats.csv_row()) == (
+        "gpsrq,10,1,0.6,0.5,5,on,7325,1300,0.17759562841530055,0.09220888615321034,"
+        "2.0,160,8160,11341312.0,43520.0,6020,0,0,0")
+    assert stats.trace_hash == "ce8a69c836afa0e88883b0d25687440b819a3e1a46776d27809500562de25e6f"
+
+
 # --- premium starvation ----------------------------------------------------------
 
 def test_only_premium_crosses_a_starved_link():

@@ -8,7 +8,7 @@ application traffic is served only while the store stays above the reserve.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .links import QkdLink
@@ -53,8 +53,10 @@ class SimPacket:
     hop_count: int = 0
     arrived_from: int | None = None
     pending_return: bool = False
-    retry_exclude: set = field(default_factory=set)
-    recovery_tried: set = field(default_factory=set)
+    # GPSRQ: one shared empty default; the engine assigns a fresh set before
+    # any add, so an add on the default fails loudly.
+    retry_exclude: set | frozenset = frozenset()
+    recovery_tried: set | frozenset = frozenset()
     signal_value: float | None = None
     fixed_egress: int | None = None
     entries: tuple = ()

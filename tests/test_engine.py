@@ -28,6 +28,7 @@ from qkdsim.engine import (
 )
 from qkdsim.experiment import run_sweep, topology_for
 from qkdsim.geometry import Position, euclidean_distance
+from qkdsim.qos import PriorityQueueSet
 from qkdsim.topology import Topology, WaxmanConfig, generate_topology
 
 
@@ -293,17 +294,27 @@ def test_zero_traffic_zero_charging_zero_overhead():
     assert stats.ovh_bytes == 0
 
 
-def test_a_refused_signal_counts_as_a_premium_drop():
+def test_a_refused_signal_counts_as_a_premium_drop(monkeypatch):
     """One-slot class queues on 200 kbit/s links refuse 56 of the run's 96
     signals. Each refusal is a premium drop with its own record, and only
-    queued signals stay pending, so a replacement always finds its signal.
-    Neither the CSV row nor trace_hash depends on the refusals."""
+    queued signals stay pending, so a replacement never looks for a signal
+    that was not queued. Neither the CSV row nor trace_hash depends on the
+    refusals."""
+    found = []
+    real_remove = PriorityQueueSet.remove
+
+    def remove(self, pkt):
+        found.append(real_remove(self, pkt))
+        return found[-1]
+
+    monkeypatch.setattr(PriorityQueueSet, "remove", remove)
     cfg = RunConfig(protocol="gpsrq", seed=1, duration_s=30.0, queue_capacity=1,
                     link=LinkConfig(bandwidth_bps=200_000))
     sim = Simulation(cfg, topology_for(TopologySpec(node_count=10), 1), trace=True)
     stats = sim.run()
     refused = [e for e in sim.trace if e[1] == "signal_refused"]
     assert stats.dropped_by_class["PREMIUM"] == len(refused) == 56
+    assert False not in found
     for (nid, _), pkt in sim._pending_signals.items():
         assert any(queued is pkt for queued in sim.queues[nid].queues[pkt.traffic_class])
     assert ",".join(stats.csv_row()) == (

@@ -6,13 +6,13 @@ stores, and packets are routed either by a QoS-aware geographic protocol
 or by a proactive distance-vector baseline.
 """
 
-from .config import ConfigError, ExperimentConfig, LinkConfig, RunConfig, TrafficConfig, TopologySpec
+from .config import ConfigError, ExperimentConfig, LinkConfig, RunConfig, TrafficConfig
 from .engine import Simulation, SimulationError, run_simulation
 from .geometry import Position, euclidean_distance
 from .links import KeyStorage, PublicChannelStats, QkdLink
 from .qos import TrafficClass
 from .stats import RunStats
-from .topology import Topology, TopologyError, WaxmanConfig, gabrielize, generate_topology
+from .topology import Topology, TopologyError, TopologySpec, gabrielize, generate_topology
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "TopologySpec",
     "TrafficClass",
     "TrafficConfig",
-    "WaxmanConfig",
     "euclidean_distance",
     "gabrielize",
     "generate_topology",

@@ -12,11 +12,11 @@ import os
 import sys
 from dataclasses import asdict, fields
 
-from .config import CLASS_NAMES, PROTOCOLS, ConfigError, LinkConfig, RunConfig, TopologySpec, parse_value
+from .config import CLASS_NAMES, PROTOCOLS, ConfigError, LinkConfig, RunConfig, parse_value
 from .engine import Simulation, SimulationError
-from .experiment import run_sweep, topology_for
+from .experiment import run_sweep
 from .stats import write_csv
-from .topology import TopologyError, load_topology, save_topology
+from .topology import TopologyError, TopologySpec, generate_topology, load_topology, save_topology
 
 
 def _setup_logging() -> None:
@@ -90,7 +90,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         spec = TopologySpec(node_count=args.waxman, grid_size=args.grid_size,
                             gabriel=args.gabriel)
-        topo = topology_for(spec, args.seed)
+        topo = generate_topology(spec, args.seed)
 
     sim = Simulation(run_cfg, topo, metrics_log=bool(args.metrics_csv))
     stats = sim.run()
@@ -129,7 +129,8 @@ def _add_gen_topology(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--links-per-node", type=int, default=spec.links_per_node)
     p.add_argument("--gabriel", action="store_true",
                    help="connect the nodes as their Gabriel graph (planar); it depends only on "
-                        "--nodes, --seed and --grid-size, so the Waxman options have no effect")
+                        "--nodes, --seed and --grid-size, so the Waxman options are range-checked "
+                        "but have no effect")
     p.add_argument("--out", required=True, metavar="FILE")
 
 
@@ -143,7 +144,7 @@ def _cmd_gen_topology(args: argparse.Namespace) -> int:
         links_per_node=args.links_per_node,
         gabriel=args.gabriel,
     )
-    topo = topology_for(spec, args.seed)
+    topo = generate_topology(spec, args.seed)
     save_topology(topo, args.out)
     print(f"wrote {args.out}: {len(topo.nodes)} nodes, {len(topo.edges)} edges, "
           f"{topo.retries} regeneration(s)")

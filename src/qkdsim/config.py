@@ -1,12 +1,12 @@
-"""Dataclass configuration for links, traffic, topologies, runs and sweeps."""
+"""Dataclass configuration for links, traffic, runs and sweeps (topologies: ``TopologySpec``)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .qos import CRYPTO_MODES, TrafficClass
-from .topology import WaxmanConfig
+from .topology import TopologySpec
 
 
 class ConfigError(ValueError):
@@ -41,13 +41,6 @@ def parse_value(default, raw: str):
     except (KeyError, ValueError):
         raise ConfigError(f"cannot parse {raw!r}") from None
 
-
-def _waxman_default(name: str):
-    return next(f.default for f in fields(WaxmanConfig) if f.name == name)
-
-
-# Grid whose diagonal is 100 length units, the default maximum node distance.
-DEFAULT_GRID_SIZE = 100.0 / math.sqrt(2.0)
 
 CLASS_NAMES = {
     "best_effort": TrafficClass.BEST_EFFORT,
@@ -134,17 +127,6 @@ class TrafficConfig:
         if self.crypto_mode == "otp":
             return self.packet_bytes * 8.0 + auth_key_bits
         return self.aes_session_key_bits / self.aes_refresh_packets + auth_key_bits
-
-
-@dataclass(slots=True)
-class TopologySpec:
-    node_count: int = 30
-    grid_size: float = DEFAULT_GRID_SIZE
-    theta: float = _waxman_default("theta")
-    omega: float = _waxman_default("omega")
-    lambda_max: float | None = _waxman_default("lambda_max")
-    links_per_node: int = _waxman_default("links_per_node")
-    gabriel: bool = True
 
 
 @dataclass(slots=True)

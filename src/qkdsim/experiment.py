@@ -13,25 +13,17 @@ import logging
 from copy import copy
 from operator import attrgetter
 
-from .config import ConfigError, ExperimentConfig, RunConfig, TopologySpec, parse_value
+from .config import ConfigError, ExperimentConfig, RunConfig, parse_value
 from .engine import run_simulation
 from .stats import RunStats
-from .topology import Topology, WaxmanConfig, generate_topology
+from .topology import Topology, TopologySpec, generate_topology
 
 logger = logging.getLogger(__name__)
 
 
+# run_one's topology step, kept as its own name so a caller can swap it to time sweep set-up.
 def topology_for(spec: TopologySpec, seed: int) -> Topology:
-    cfg = WaxmanConfig(
-        node_count=spec.node_count,
-        seed=seed,
-        grid_size=spec.grid_size,
-        theta=spec.theta,
-        omega=spec.omega,
-        lambda_max=spec.lambda_max,
-        links_per_node=spec.links_per_node,
-    )
-    return generate_topology(cfg, planarize=spec.gabriel)
+    return generate_topology(spec, seed)
 
 
 def run_one(run_cfg: RunConfig, topo_spec: TopologySpec) -> RunStats:

@@ -65,26 +65,18 @@ class PublicChannelStats:
 
     window_len: int
     initial_average: float
-    t_last: float | None = None
-    t_last_recorded_at: float = 0.0
-    samples: deque = field(default_factory=deque)
-    _avg: float = field(init=False, repr=False)
+    t_last: float = field(init=False)
+    t_last_recorded_at: float = field(init=False, default=0.0)
+    samples: deque = field(init=False)
+    t_average: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.window_len < 1:
             raise ValueError("window_len must be at least 1")
         if self.initial_average <= 0.0:
             raise ValueError("initial_average must be positive")
-        if self.t_last is None:
-            self.t_last = self.initial_average
-        self.samples = deque(self.samples, maxlen=self.window_len)
-        self._avg = (
-            sum(self.samples) / len(self.samples) if self.samples else self.initial_average
-        )
-
-    @property
-    def t_average(self) -> float:
-        return self._avg
+        self.t_last = self.t_average = self.initial_average
+        self.samples = deque(maxlen=self.window_len)
 
     def record_key_round(self, duration: float, now: float) -> None:
         if duration <= 0.0:
@@ -92,7 +84,7 @@ class PublicChannelStats:
         self.samples.append(duration)
         self.t_last = duration
         self.t_last_recorded_at = now
-        self._avg = sum(self.samples) / len(self.samples)
+        self.t_average = sum(self.samples) / len(self.samples)
 
 
 @dataclass

@@ -17,35 +17,42 @@ class TopologyError(Exception):
     """Raised for malformed topologies or infeasible generator configs."""
 
 
-@dataclass(frozen=True, slots=True)
-class WaxmanConfig:
-    """Parameters of the random-graph generator.
+# Grid whose diagonal is 100 length units, the default maximum node distance.
+DEFAULT_GRID_SIZE = 100.0 / math.sqrt(2.0)
 
-    Edge probability between nodes at distance d is
-    theta * exp(-d / (omega * lambda_max)); each new node attempts to place
-    ``links_per_node`` undirected edges toward already-placed nodes. When
-    ``lambda_max`` is omitted it defaults to the grid diagonal, the largest
-    possible inter-node distance.
+
+@dataclass(slots=True)
+class TopologySpec:
+    """A random topology: node placement on a square grid, then its edges.
+
+    With ``gabriel`` set, the nodes are connected as the Gabriel graph of
+    their positions and the Waxman parameters have no effect. Otherwise
+    Waxman edges are drawn: the edge probability between nodes at distance d
+    is theta * exp(-d / (omega * lambda_max)), and each new node attempts to
+    place ``links_per_node`` undirected edges toward already-placed nodes.
+    When ``lambda_max`` is omitted it defaults to the grid diagonal, the
+    largest possible inter-node distance.
     """
 
-    node_count: int
-    seed: int
-    grid_size: float
+    node_count: int = 30
+    grid_size: float = DEFAULT_GRID_SIZE
     theta: float = 0.4
     omega: float = 0.4
     lambda_max: float | None = None
     links_per_node: int = 2
+    gabriel: bool = True
 
-    def __post_init__(self) -> None:
-        if self.node_count < 2:
+    def validate(self) -> None:
+        # Written so that NaN fails each check.
+        if not self.node_count >= 2:
             raise TopologyError("node_count must be at least 2")
-        if not (0.0 < self.theta <= 1.0) or not (0.0 < self.omega <= 1.0):
+        if not (0.0 < self.theta <= 1.0 and 0.0 < self.omega <= 1.0):
             raise TopologyError("theta and omega must lie in (0, 1]")
         if not (0.0 < self.grid_size < math.inf):
             raise TopologyError("grid_size must be positive and finite")
         if self.lambda_max is not None and not (0.0 < self.lambda_max < math.inf):
             raise TopologyError("lambda_max must be positive and finite")
-        if self.links_per_node < 1:
+        if not self.links_per_node >= 1:
             raise TopologyError("links_per_node must be at least 1")
 
     def resolved_lambda(self) -> float:
@@ -92,31 +99,31 @@ class Topology:
         return [nid for nid, _ in self.nodes]
 
 
-def waxman_edge_probability(d: float, cfg: WaxmanConfig) -> float:
+def waxman_edge_probability(d: float, spec: TopologySpec) -> float:
     """Probability of interconnecting two nodes at distance d."""
     if d < 0.0:
         raise ValueError("distance must be non-negative")
-    return cfg.theta * math.exp(-d / (cfg.omega * cfg.resolved_lambda()))
+    return spec.theta * math.exp(-d / (spec.omega * spec.resolved_lambda()))
 
 
-def _place(cfg: WaxmanConfig, rng: random.Random) -> list[Position]:
+def _place(spec: TopologySpec, rng: random.Random) -> list[Position]:
     """Draw the node positions, uniform on the grid; node k sits at index k."""
     return [
-        Position(rng.uniform(0.0, cfg.grid_size), rng.uniform(0.0, cfg.grid_size))
-        for _ in range(cfg.node_count)
+        Position(rng.uniform(0.0, spec.grid_size), rng.uniform(0.0, spec.grid_size))
+        for _ in range(spec.node_count)
     ]
 
 
-def _grow(cfg: WaxmanConfig, rng: random.Random) -> Topology:
+def _grow(spec: TopologySpec, rng: random.Random) -> Topology:
     """Incremental growth: each new node draws partners with weight P_e."""
-    n = cfg.node_count
-    points = _place(cfg, rng)
+    n = spec.node_count
+    points = _place(spec, rng)
     edges: set[tuple[int, int]] = set()
     for i in range(1, n):
-        wanted = min(cfg.links_per_node, i)
+        wanted = min(spec.links_per_node, i)
         pool = list(range(i))
         weights = [
-            waxman_edge_probability(euclidean_distance(points[i], points[j]), cfg)
+            waxman_edge_probability(euclidean_distance(points[i], points[j]), spec)
             for j in pool
         ]
         for _ in range(wanted):
@@ -137,7 +144,7 @@ def _grow(cfg: WaxmanConfig, rng: random.Random) -> Topology:
     return Topology(
         nodes=[(k, points[k]) for k in range(n)],
         edges=edges,
-        grid_size=cfg.grid_size,
+        grid_size=spec.grid_size,
     )
 
 
@@ -156,34 +163,35 @@ def is_connected(topo: Topology) -> bool:
     return len(seen) == len(ids)
 
 
-def generate_topology(cfg: WaxmanConfig, planarize: bool = False) -> Topology:
-    """Generate a connected random topology, optionally Gabriel-planarized.
+def generate_topology(spec: TopologySpec, seed: int) -> Topology:
+    """Validate ``spec``, then generate a connected random topology from ``seed``.
 
-    The planar variant keeps the sampled node placement and connects it as
+    The Gabriel variant keeps the sampled node placement and connects it as
     the Gabriel graph of the point set, which is planar and contains the
     Euclidean minimum spanning tree. It depends only on ``node_count``,
-    ``seed`` and ``grid_size``: no Waxman edges are drawn, and the graph is
+    ``grid_size`` and ``seed``: no Waxman edges are drawn, and the graph is
     built straight from the points (see ``_gabriel_pairs``) in O(n^2 log n)
     time and O(n^2) memory, with the edges the Gabriel filter keeps on the
     complete graph. Either way, generation retries with a derived seed until
     the result is connected; the retry count lands in ``retries``.
     """
+    spec.validate()
     for attempt in range(MAX_CONNECT_RETRIES):
-        rng = random.Random(f"{cfg.seed}:waxman:{attempt}")
-        if planarize:
-            points = _place(cfg, rng)
+        rng = random.Random(f"{seed}:waxman:{attempt}")
+        if spec.gabriel:
+            points = _place(spec, rng)
             final = Topology(
                 nodes=list(enumerate(points)),
                 edges=_gabriel_pairs(points, combinations(range(len(points)), 2)),
-                grid_size=cfg.grid_size,
+                grid_size=spec.grid_size,
             )
         else:
-            final = _grow(cfg, rng)
+            final = _grow(spec, rng)
         if is_connected(final):
             final.retries = attempt
             return final
     raise TopologyError(
-        f"no connected topology found in {MAX_CONNECT_RETRIES} attempts (seed={cfg.seed})"
+        f"no connected topology found in {MAX_CONNECT_RETRIES} attempts (seed={seed})"
     )
 
 

@@ -1,6 +1,5 @@
 """Shared test fixtures and independent oracles used across test modules."""
 
-import math
 import random
 from itertools import combinations
 from typing import Iterable
@@ -11,9 +10,7 @@ from qkdsim.geometry import Position, angle_of, ccw_next_neighbor, euclidean_dis
 from qkdsim.gpsrq import GpsrqNode, greedy_choice
 from qkdsim.links import KeyStorage
 from qkdsim.qos import SimPacket, admission_cost
-from qkdsim.topology import Topology, WaxmanConfig, waxman_edge_probability
-
-GRID = 100.0 / math.sqrt(2.0)
+from qkdsim.topology import Topology, TopologySpec, waxman_edge_probability
 
 
 def _dist_sq(a: Position, b: Position) -> float:
@@ -87,9 +84,9 @@ def crossing_pairs(topo: Topology) -> list:
     return bad
 
 
-def waxman_accepts(d: float, cfg: WaxmanConfig, rng: random.Random) -> bool:
+def waxman_accepts(d: float, spec: TopologySpec, rng: random.Random) -> bool:
     """One Bernoulli edge-acceptance trial at distance d."""
-    return rng.random() < waxman_edge_probability(d, cfg)
+    return rng.random() < waxman_edge_probability(d, spec)
 
 
 def max_deliverable(storage: KeyStorage, horizon: float, premium: bool = False) -> float:

@@ -13,7 +13,6 @@ import sys
 import time
 
 from helpers import (
-    GRID,
     crossing_pairs,
     gabriel_violations,
     max_deliverable,
@@ -25,7 +24,7 @@ from qkdsim.engine import Simulation, run_simulation
 from qkdsim.geometry import euclidean_distance
 from qkdsim.links import KeyStorage, PublicChannelStats
 from qkdsim.metrics import link_metric, local_mean, public_metric, quantum_metric, threshold
-from qkdsim.topology import WaxmanConfig, gabrielize, generate_topology, waxman_edge_probability
+from qkdsim.topology import TopologySpec, gabrielize, generate_topology, waxman_edge_probability
 
 SEEDS = (6, 11, 17, 23)
 NODE_SWEEP = (10, 20, 30, 40, 50)
@@ -42,9 +41,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 def _topology(nodes: int, seed: int):
     key = ("topo", nodes, seed)
     if key not in _cache:
-        _cache[key] = generate_topology(
-            WaxmanConfig(node_count=nodes, seed=seed, grid_size=GRID), planarize=True
-        )
+        _cache[key] = generate_topology(TopologySpec(node_count=nodes), seed)
     return _cache[key]
 
 
@@ -144,7 +141,7 @@ def test_c03_gabriel_planarity_oracle():
     violations = 0
     crossings = 0
     for seed in range(1, 51):
-        topo = generate_topology(WaxmanConfig(node_count=30, seed=seed, grid_size=GRID))
+        topo = generate_topology(TopologySpec(node_count=30, gabriel=False), seed)
         out = gabrielize(topo)
         violations += len(gabriel_violations(out))
         crossings += len(crossing_pairs(out))
@@ -159,7 +156,7 @@ def test_c03_gabriel_planarity_oracle():
 # ---------------------------------------------------------------------------
 
 def test_c04_waxman_statistics():
-    cfg = WaxmanConfig(node_count=30, seed=1, grid_size=GRID, lambda_max=100.0)
+    cfg = TopologySpec(lambda_max=100.0)
     rng = random.Random(20260808)
     worst = 0.0
     for d in (0.0, 20.0, 40.0, 80.0):

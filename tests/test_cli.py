@@ -136,6 +136,15 @@ def test_error_lines_name_their_configuration():
                          "t_avg_window=5 cache=on: grid_size must be positive and finite")
 
 
+def test_topology_range_checks_run_when_the_run_starts():
+    rows, meta = run_sweep("nodes=10\nseeds=1\nduration=3\ntheta=0\n")
+    out = io.StringIO()
+    write_csv(out, rows, meta)
+    errors = [line for line in out.getvalue().splitlines() if line.startswith("# error")]
+    assert errors == ["# error protocol=gpsrq nodes=10 seed=1 beta=0.6 alpha=0.5 "
+                      "t_avg_window=5 cache=on: theta and omega must lie in (0, 1]"]
+
+
 def test_process_level_determinism(tmp_path):
     """Two separate interpreter invocations produce byte-identical CSV."""
     args = [
@@ -172,6 +181,11 @@ def test_process_level_determinism(tmp_path):
     ("simulate", "--waxman 6 --traffic-rate nan"),
     ("gen-topology", "--nodes 5 --grid-size nan --gabriel"),
     ("gen-topology", "--nodes 5 --grid-size inf"),
+    ("gen-topology", "--nodes 1"),
+    ("gen-topology", "--nodes 5 --theta 0"),
+    ("gen-topology", "--nodes 5 --omega 1.5"),
+    ("gen-topology", "--nodes 5 --links-per-node 0"),
+    ("gen-topology", "--nodes 5 --lambda nan"),
     ("topology", "topology v1 x 1 10"),
     ("topology", "topology v1 1 0 10\nN 0 a 1"),
     ("topology", "topology v1 2 1 10\nN 0 nan 1\nN 1 2 2\nE 0 1"),

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    GRID,
     ReferenceGpsrqSimulation,
     ample_cfg,
     bfs_reachable,
@@ -17,7 +16,7 @@ from helpers import (
     reference_hash_line,
     two_node_topology,
 )
-from qkdsim.config import PROTOCOLS, LinkConfig, RunConfig, TopologySpec
+from qkdsim.config import PROTOCOLS, LinkConfig, RunConfig
 from qkdsim.engine import (
     HASH_BATCH_LINES,
     EventKind,
@@ -26,10 +25,10 @@ from qkdsim.engine import (
     SimulationError,
     run_simulation,
 )
-from qkdsim.experiment import run_sweep, topology_for
+from qkdsim.experiment import run_sweep
 from qkdsim.geometry import Position, euclidean_distance
 from qkdsim.qos import PriorityQueueSet
-from qkdsim.topology import Topology, WaxmanConfig, generate_topology
+from qkdsim.topology import Topology, TopologySpec, generate_topology
 
 
 # --- event queue -------------------------------------------------------------
@@ -61,7 +60,7 @@ def test_events_after_the_horizon_are_dropped_without_a_sequence_number():
 def test_no_pending_event_outlives_the_run(protocol, nodes, kw):
     """Cache expiries and DV timers timed after the end are never scheduled."""
     cfg = RunConfig(protocol=protocol, seed=1, **kw)
-    sim = Simulation(cfg, topology_for(TopologySpec(node_count=nodes), 1))
+    sim = Simulation(cfg, generate_topology(TopologySpec(node_count=nodes), 1))
     sim.run()
     late = []
     while (ev := sim.events.pop()) is not None:
@@ -81,7 +80,7 @@ def test_trace_hash_matches_reference_encoding(monkeypatch, case):
         sim = narrative_sim(trace=True)
     else:
         cfg = RunConfig(protocol=case, seed=3, duration_s=20.0 if case == "gpsrq" else 5.0)
-        sim = Simulation(cfg, topology_for(TopologySpec(node_count=10), 3), trace=True)
+        sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 3), trace=True)
     lines = []
     real = Simulation._hash_event
 
@@ -107,12 +106,13 @@ def test_simulating_never_loads_openssl():
     script = (
         "import io, sys\n"
         "import qkdsim, qkdsim.cli\n"
-        "from qkdsim.config import RunConfig, TopologySpec\n"
+        "from qkdsim.config import RunConfig\n"
         "from qkdsim.engine import Simulation\n"
-        "from qkdsim.experiment import run_sweep, topology_for\n"
+        "from qkdsim.experiment import run_sweep\n"
         "from qkdsim.stats import write_csv\n"
+        "from qkdsim.topology import TopologySpec, generate_topology\n"
         "cfg = RunConfig(protocol='gpsrq', seed=1, duration_s=5.0)\n"
-        "assert Simulation(cfg, topology_for(TopologySpec(node_count=10), 1)).run().trace_hash\n"
+        "assert Simulation(cfg, generate_topology(TopologySpec(node_count=10), 1)).run().trace_hash\n"
         "rows, meta = run_sweep('protocol=gpsrq,dv\\nnodes=10\\nseeds=1\\nduration=3\\n')\n"
         "assert [r.error for r in rows] == ['', '']\n"
         "write_csv(io.StringIO(), rows, meta)\n"
@@ -142,7 +142,7 @@ def test_zero_key_no_charging_delivers_nothing():
 
 
 def test_same_seed_identical_stats_and_trace():
-    topo = generate_topology(WaxmanConfig(node_count=12, seed=5, grid_size=GRID), planarize=True)
+    topo = generate_topology(TopologySpec(node_count=12), 5)
     a = run_simulation(RunConfig(seed=5, duration_s=15.0), topo)
     b = run_simulation(RunConfig(seed=5, duration_s=15.0), topo)
     assert a.trace_hash == b.trace_hash
@@ -150,7 +150,7 @@ def test_same_seed_identical_stats_and_trace():
 
 
 def test_different_seed_different_trace():
-    topo = generate_topology(WaxmanConfig(node_count=12, seed=5, grid_size=GRID), planarize=True)
+    topo = generate_topology(TopologySpec(node_count=12), 5)
     a = run_simulation(RunConfig(seed=5, duration_s=15.0), topo)
     b = run_simulation(RunConfig(seed=6, duration_s=15.0), topo)
     assert a.trace_hash != b.trace_hash
@@ -182,7 +182,7 @@ def test_each_drop_cause_counts_once_and_unknown_causes_raise():
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_keeping_the_trace_changes_no_output(protocol):
-    topo = topology_for(TopologySpec(node_count=10), 3)
+    topo = generate_topology(TopologySpec(node_count=10), 3)
     cfg = RunConfig(protocol=protocol, seed=3, duration_s=20.0)
     plain = Simulation(cfg, topo, metrics_log=True)
     traced = Simulation(cfg, topo, metrics_log=True, trace=True)
@@ -212,7 +212,7 @@ def _count_records(monkeypatch) -> Counter:
 def test_untraced_runs_skip_the_per_packet_records(monkeypatch, protocol):
     """Arrivals, deliveries and transmissions reach ``_record`` only when traced."""
     tags = _count_records(monkeypatch)
-    topo = topology_for(TopologySpec(node_count=10), 3)
+    topo = generate_topology(TopologySpec(node_count=10), 3)
     cfg = RunConfig(protocol=protocol, seed=3, duration_s=5.0)
     Simulation(cfg, topo).run()
     assert [tags[t] for t in ("arrive", "deliver", "tx")] == [0, 0, 0]
@@ -224,7 +224,7 @@ def test_untraced_gpsrq_runs_skip_the_threshold_records(monkeypatch):
     """Signaling starts at the first key charge (7 s); the threshold that each
     update sets is computed for the trace only when the run is traced."""
     tags = _count_records(monkeypatch)
-    topo = topology_for(TopologySpec(node_count=10), 3)
+    topo = generate_topology(TopologySpec(node_count=10), 3)
     cfg = RunConfig(seed=3, duration_s=15.0)
     Simulation(cfg, topo).run()
     assert tags["thr_update"] == 0
@@ -272,7 +272,7 @@ def test_dv_two_nodes_converges_and_delivers():
 # --- signaling overhead closed form ---------------------------------------------
 
 def test_signaling_overhead_matches_schedule():
-    topo = generate_topology(WaxmanConfig(node_count=10, seed=7, grid_size=GRID), planarize=True)
+    topo = generate_topology(TopologySpec(node_count=10), 7)
     cfg = ample_cfg(seed=7, duration_s=20.0)
     sim = Simulation(cfg, topo, trace=True)
     stats = sim.run()
@@ -284,7 +284,7 @@ def test_signaling_overhead_matches_schedule():
 
 
 def test_zero_traffic_zero_charging_zero_overhead():
-    topo = generate_topology(WaxmanConfig(node_count=10, seed=7, grid_size=GRID), planarize=True)
+    topo = generate_topology(TopologySpec(node_count=10), 7)
     cfg = ample_cfg(seed=7, duration_s=20.0)
     cfg.link.rate_bps = 0.0
     cfg.traffic.rate_bps = 1.0  # first packet only fires at t=0
@@ -310,7 +310,7 @@ def test_a_refused_signal_counts_as_a_premium_drop(monkeypatch):
     monkeypatch.setattr(PriorityQueueSet, "remove", remove)
     cfg = RunConfig(protocol="gpsrq", seed=1, duration_s=30.0, queue_capacity=1,
                     link=LinkConfig(bandwidth_bps=200_000))
-    sim = Simulation(cfg, topology_for(TopologySpec(node_count=10), 1), trace=True)
+    sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 1), trace=True)
     stats = sim.run()
     refused = [e for e in sim.trace if e[1] == "signal_refused"]
     assert stats.dropped_by_class["PREMIUM"] == len(refused) == 56
@@ -355,7 +355,7 @@ def test_premium_reserve_dip_counted():
 # --- key accounting ----------------------------------------------------------------
 
 def test_key_split_data_vs_routing():
-    topo = generate_topology(WaxmanConfig(node_count=8, seed=2, grid_size=GRID), planarize=True)
+    topo = generate_topology(TopologySpec(node_count=8), 2)
     stats = run_simulation(ample_cfg(seed=2, duration_s=15.0), topo)
     assert stats.key_data_bits > 0
     assert stats.key_routing_bits > 0
@@ -470,7 +470,7 @@ def test_cache_soundness_every_record_follows_a_return():
 
 @pytest.mark.parametrize("seed", [2, 5, 9])
 def test_all_pairs_delivery_on_planar_graphs(seed):
-    base = generate_topology(WaxmanConfig(node_count=10, seed=seed, grid_size=GRID), planarize=True)
+    base = generate_topology(TopologySpec(node_count=10), seed)
     nodes = dict(base.nodes)
     failures = []
     for src in base.node_ids():
@@ -501,8 +501,8 @@ def _decision_runs(draw):
     near the reserve starves links, so some runs enter perimeter recovery; the
     sampled lists start at the values that do so most often. A small key store
     spreads the link metrics, so the distance term decides between candidates."""
-    topo = topology_for(TopologySpec(node_count=draw(st.sampled_from(range(12, 1, -1)))),
-                        draw(st.integers(1, 10_000)))
+    topo = generate_topology(TopologySpec(node_count=draw(st.sampled_from(range(12, 1, -1)))),
+                             draw(st.integers(1, 10_000)))
     cfg = RunConfig(seed=draw(st.integers(1, 10_000)), duration_s=draw(st.floats(1.0, 20.0)),
                     beta=draw(st.floats(0.0, 1.0)), cache_enabled=draw(st.booleans()))
     cfg.link.max_key_bytes = draw(st.sampled_from([2_000_000.0, 4_000_000.0, 100_000_000.0]))
@@ -536,7 +536,7 @@ def test_decision_path_matches_reference():
 # --- threshold convergence ----------------------------------------------------------
 
 def test_threshold_views_converge_after_quiet_period():
-    topo = generate_topology(WaxmanConfig(node_count=10, seed=11, grid_size=GRID), planarize=True)
+    topo = generate_topology(TopologySpec(node_count=10), 11)
     cfg = ample_cfg(seed=11, duration_s=17.0)  # charges at 7 and 14, then quiet
     sim = Simulation(cfg, topo)
     sim.run()

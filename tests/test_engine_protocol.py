@@ -5,13 +5,13 @@ import math
 
 import pytest
 
-from helpers import GRID, ample_cfg, max_deliverable, two_node_topology
+from helpers import ample_cfg, max_deliverable, two_node_topology
 from qkdsim.config import PROTOCOLS, ConfigError, RunConfig, TrafficConfig
 from qkdsim.dv import INFINITE_METRIC
 from qkdsim.engine import Simulation, run_simulation
 from qkdsim.geometry import Position
 from qkdsim.qos import PriorityQueueSet
-from qkdsim.topology import Topology, WaxmanConfig, generate_topology
+from qkdsim.topology import Topology, TopologySpec, generate_topology
 
 
 def chain_topology():
@@ -133,7 +133,7 @@ def test_non_finite_values_rejected_by_validate(path, value):
 # --- distance-vector specifics --------------------------------------------------------
 
 def test_dv_tables_loop_free_after_convergence():
-    topo = generate_topology(WaxmanConfig(node_count=12, seed=9, grid_size=GRID), planarize=True)
+    topo = generate_topology(TopologySpec(node_count=12), 9)
     cfg = ample_cfg(protocol="dv", seed=9, duration_s=35.0)
     sim = Simulation(cfg, topo)
     sim.run()
@@ -293,8 +293,7 @@ def test_dv_overhead_grows_superlinearly():
     # node, so bytes scale roughly quadratically in node count.
     sizes = {}
     for n in (10, 30):
-        topo = generate_topology(WaxmanConfig(node_count=n, seed=6, grid_size=GRID),
-                                 planarize=True)
+        topo = generate_topology(TopologySpec(node_count=n), 6)
         cfg = ample_cfg(protocol="dv", seed=6, duration_s=30.0)
         sizes[n] = run_simulation(cfg, topo).ovh_bytes
     # Linear growth would give a factor of 3; require clearly more.

@@ -40,16 +40,16 @@ from functools import lru_cache
 import pytest
 
 from helpers import narrative_sim
-from qkdsim.config import LinkConfig, RunConfig, TopologySpec, TrafficConfig
+from qkdsim.config import LinkConfig, RunConfig, TrafficConfig
 from qkdsim.engine import Simulation
-from qkdsim.experiment import run_sweep, topology_for
+from qkdsim.experiment import run_sweep
 from qkdsim.stats import write_csv
-from qkdsim.topology import save_topology
+from qkdsim.topology import TopologySpec, generate_topology, save_topology
 
 
 def _sim(protocol, nodes, seed, duration, metrics=False, **kw) -> Simulation:
     cfg = RunConfig(protocol=protocol, seed=seed, duration_s=duration, **kw)
-    return Simulation(cfg, topology_for(TopologySpec(node_count=nodes), seed),
+    return Simulation(cfg, generate_topology(TopologySpec(node_count=nodes), seed),
                       metrics_log=metrics, trace=True)
 
 
@@ -270,7 +270,7 @@ TOPOLOGIES = {
 
 @pytest.mark.parametrize("gabriel, nodes, seed", sorted(TOPOLOGIES))
 def test_topology_file_pinned(tmp_path, gabriel, nodes, seed):
-    topo = topology_for(TopologySpec(node_count=nodes, gabriel=gabriel), seed)
+    topo = generate_topology(TopologySpec(node_count=nodes, gabriel=gabriel), seed)
     path = tmp_path / "topo.txt"
     save_topology(topo, str(path))
     assert (_digest([path.read_text(encoding="ascii")]), topo.retries) == TOPOLOGIES[gabriel, nodes, seed]

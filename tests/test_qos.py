@@ -3,9 +3,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from qkdsim.config import CLASS_NAMES, RunConfig, TopologySpec, TrafficConfig
+from qkdsim.config import CLASS_NAMES, RunConfig, TrafficConfig
 from qkdsim.engine import Simulation
-from qkdsim.experiment import topology_for
 from qkdsim.links import KeyStorage, PublicChannelStats, QkdLink
 from qkdsim.qos import (
     PRIORITY_ORDER,
@@ -14,6 +13,7 @@ from qkdsim.qos import (
     TrafficClass,
     admission_cost,
 )
+from qkdsim.topology import TopologySpec, generate_topology
 
 
 def _packet(cls=TrafficClass.BEST_EFFORT, cost=4352.0, uid=0):
@@ -44,7 +44,7 @@ def test_application_flow_class_respected():
     for name in ("best_effort", "real_time"):
         cfg = RunConfig(seed=2, duration_s=10.0)
         cfg.traffic.traffic_class = name
-        sim = Simulation(cfg, topology_for(TopologySpec(node_count=10), 2), trace=True)
+        sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 2), trace=True)
         served = sim.run().served_by_class
         sent = Counter(entry[2] for entry in sim.trace if entry[1] == "tx")
         assert sent["data"] > 0 and sent["signaling"] > 0

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from qkdsim.config import PROTOCOLS, ExperimentConfig, RunConfig, TopologySpec, parse_value
+from qkdsim.config import PROTOCOLS, ExperimentConfig, RunConfig, parse_value
 from qkdsim.engine import run_simulation
-from qkdsim.experiment import SWEEP_FIELDS, parse_sweep_spec, run_sweep, topology_for
+from qkdsim.experiment import SWEEP_FIELDS, parse_sweep_spec, run_sweep
+from qkdsim.topology import TopologySpec, generate_topology
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,7 +29,7 @@ def test_sweep_row_matches_direct_run(protocol):
     # shows in the overhead columns and the trace hash.
     (row,), _ = run_sweep(f"protocol={protocol}\nnodes=10\nseeds=1\nduration=20\n")
     direct = run_simulation(RunConfig(protocol=protocol, seed=1, duration_s=20.0),
-                            topology_for(TopologySpec(node_count=10), 1))
+                            generate_topology(TopologySpec(node_count=10), 1))
     assert row.csv_row() == direct.csv_row()
     assert row.trace_hash == direct.trace_hash
 

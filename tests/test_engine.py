@@ -16,6 +16,7 @@ from helpers import (
     reference_hash_line,
     two_node_topology,
 )
+from qkdsim import engine
 from qkdsim.config import PROTOCOLS, LinkConfig, RunConfig
 from qkdsim.engine import (
     HASH_BATCH_LINES,
@@ -511,6 +512,30 @@ def _decision_runs(draw):
     cfg.link.init_key_bytes_range = (lo, lo + draw(st.floats(0.0, 3_000_000.0)))
     cfg.traffic.rate_bps = draw(st.sampled_from([3_000_000.0, 1_000_000.0, 300_000.0]))
     return cfg, topo
+
+
+def test_an_equally_far_neighbour_is_not_a_greedy_candidate():
+    # Destination 3 at the origin; nodes 0 and 1 both lie 5 from it, so
+    # neither is a greedy candidate of the other, and 2 is closer than both.
+    topo = Topology(
+        nodes=[(0, Position(3, 4)), (1, Position(4, 3)), (2, Position(0, 2)), (3, Position(0, 0))],
+        edges={(0, 1), (0, 2), (1, 2), (2, 3)},
+        grid_size=10.0,
+    )
+    sim = Simulation(RunConfig(seed=1, duration_s=1.0), topo)
+    assert sim._to_dst[0] == sim._to_dst[1] == 5.0
+    assert sim._closer[0] == sim._closer[1] == ((2, 2.0),)
+    assert sim._closer[2] == ((3, 0.0),)
+
+
+def test_recovery_computes_each_bearing_order_once(monkeypatch):
+    bearings = []
+    angle_of = engine.angle_of
+    monkeypatch.setattr(engine, "angle_of", lambda *a: bearings.append(a) or angle_of(*a))
+    sim = narrative_sim(trace=True)
+    sim.run()
+    assert sum(e[1] == "recovery_enter" for e in sim.trace) == 1
+    assert len(bearings) == len(sim._ccw_orders) > 0
 
 
 def test_decision_path_matches_reference():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import segments_cross
-from qkdsim.geometry import Position, angle_of, ccw_next_neighbor, euclidean_distance
+from qkdsim.geometry import Position, angle_of, ccw_next_neighbor, ccw_order, euclidean_distance
 
 
 def test_distance_identity():
@@ -88,6 +88,31 @@ def test_ccw_full_turn_property(angles_deg, start_ref):
         seen.append(nxt)
         ref = angle_of(origin, dict(neighbors)[nxt])
     assert sorted(seen) == list(range(len(neighbors)))
+
+
+def test_ccw_order_ties_go_to_the_smaller_id_and_the_ray_comes_last():
+    # 3 and 7 share the 90-degree bearing; 5 lies on the reference ray.
+    neighbors = [(7, Position(0, 1)), (3, Position(0, 3)), (5, Position(1, 0)), (4, Position(-1, 0))]
+    assert ccw_order(Position(0, 0), 0.0, neighbors) == [3, 7, 4, 5]
+
+
+@given(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda p: p != (0, 0)),
+             min_size=1, max_size=7),
+    st.data(),
+)
+def test_ccw_order_first_member_is_every_sub_pool_pick(points, data):
+    # Small integer points repeat bearings (and positions); the reference ray
+    # runs through one of the neighbours, so that neighbour lies on it.
+    origin = Position(0, 0)
+    neighbors = [(i, Position(x, y)) for i, (x, y) in enumerate(points)]
+    ref = angle_of(origin, data.draw(st.sampled_from(neighbors))[1])
+    order = ccw_order(origin, ref, neighbors)
+    assert sorted(order) == list(range(len(neighbors)))
+    for mask in range(1, 2 ** len(neighbors)):
+        pool = [nb for nb in neighbors if mask >> nb[0] & 1]
+        ids = {nid for nid, _ in pool}
+        assert next(nid for nid in order if nid in ids) == ccw_next_neighbor(origin, ref, pool)
 
 
 def test_ccw_no_neighbors_raises():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-from .qos import CRYPTO_MODES, TrafficClass
+from .qos import TrafficClass
 from .topology import TopologySpec
 
 
@@ -14,6 +14,7 @@ class ConfigError(ValueError):
 
 
 PROTOCOLS = ("gpsrq", "dv")
+CRYPTO_MODES = ("otp", "aes")
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}

@@ -535,9 +535,10 @@ class GpsrqSimulation(Simulation):
         self._node_payload = {nid: (nid,) for nid in self._pos}
 
     def dump_caches(self) -> list[str]:
+        c = self._dst_pos
         return [f"CACHE {nid} {via} {c.x:.6f} {c.y:.6f} {radius:.6f} {expires_at:.6f}"
                 for nid in sorted(self.gpsrq_nodes)
-                for (via, c, radius), expires_at in self.gpsrq_nodes[nid].cache.items()]
+                for (via, radius), expires_at in self.gpsrq_nodes[nid].cache.items()]
 
     # ---------------------------------------------------------------- arrival
 
@@ -558,7 +559,7 @@ class GpsrqSimulation(Simulation):
         elif at == pkt.rec_position and pkt.rec_if is not None:
             # The perimeter walk came back to where it started: exclude the
             # edge used for this episode and let service retry alternatives.
-            self._add_exclusion(node, pkt.rec_if, pkt.rec_if, self.position(pkt.dst))
+            self._add_exclusion(node, pkt.rec_if, pkt.rec_if)
             pkt.recovery_tried.add(pkt.rec_if)
 
         if not self.queues[at].enqueue(pkt):
@@ -567,12 +568,12 @@ class GpsrqSimulation(Simulation):
             return
         self._serve(at)
 
-    def _add_exclusion(self, node: GpsrqNode, via: int, block: int, dst_pos: Position) -> None:
-        """Cache that ``via`` does not lead toward the destination region around ``block``."""
-        at = node.node_id
+    def _add_exclusion(self, node: GpsrqNode, via: int, block: int) -> None:
+        """Exclude ``via`` for the region around the destination reaching halfway to ``block``."""
+        at, dst_pos = node.node_id, self._dst_pos
         radius = euclidean_distance(self.position(block), dst_pos) / 2.0
         ttl = cache_ttl(self.link(at, via).pub_stats)
-        if node.add_cache(via, dst_pos, radius, self.now, ttl):
+        if node.add_cache(via, radius, self.now, ttl):
             self.events.push(self.now + ttl, EventKind.CACHE_EXPIRY, self._node_payload[at])
             self._record("cache_add", at, via, dst_pos.x, dst_pos.y, radius)
 
@@ -586,7 +587,7 @@ class GpsrqSimulation(Simulation):
         """
         at = node.node_id
         block = frm if pkt.rec_position is None else pkt.rec_position
-        self._add_exclusion(node, frm, block, self.position(pkt.dst))
+        self._add_exclusion(node, frm, block)
 
         expired = self.now - pkt.created_at > pkt.max_delay
         if expired:
@@ -644,10 +645,10 @@ class GpsrqSimulation(Simulation):
 
     def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> int | None:
         """Best-scoring admissible closer neighbour, if any."""
-        dst_pos, now, exclude = self._dst_pos, self.now, pkt.retry_exclude
+        now, exclude = self.now, pkt.retry_exclude
         out = []
         for v, d in self._closer[at]:
-            if v in exclude or node.cache_blocked(v, dst_pos, now):
+            if v in exclude or node.cache_blocked(v, now):
                 continue
             lk = self._link_by_dir[(at, v)]
             if admission_cost(lk, pkt, now) is not None:
@@ -666,9 +667,9 @@ class GpsrqSimulation(Simulation):
             order = self._ccw_orders[(at, toward)] = ccw_order(
                 pos[at], angle_of(pos[at], pos[toward]),
                 [(v, pos[v]) for v in self.topo.neighbors(at)])
-        dst_pos, now, links = self._dst_pos, self.now, self._link_by_dir
+        now, links = self.now, self._link_by_dir
         for v in order:
-            if (v not in exclude and not node.cache_blocked(v, dst_pos, now)
+            if (v not in exclude and not node.cache_blocked(v, now)
                     and admission_cost(links[(at, v)], pkt, now) is not None):
                 return v
         return None

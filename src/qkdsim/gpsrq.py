@@ -1,17 +1,17 @@
 """Per-node state of the geographic routing protocol.
 
 A node knows the positions of all other nodes, the state of its adjacent
-links, and keeps an exclusion cache of circular destination regions that
-proved unreachable through a specific neighbor. Greedy forwarding scores
-each admissible closer neighbor by a convex blend of link state and
-normalized remaining distance; recovery mode walks the planar face by the
-right-hand rule until a node closer to the destination than the recovery
-entry point is reached.
+links, and keeps an exclusion cache of circular regions around the run's
+one destination that proved unreachable through a specific neighbor, so a
+live exclusion blocks its neighbor outright. Greedy forwarding scores each
+admissible closer neighbor by a convex blend of link state and normalized
+remaining distance; recovery mode walks the planar face by the right-hand
+rule until a node closer to the destination than the recovery entry point
+is reached.
 """
 
 from __future__ import annotations
 
-from .geometry import Position, euclidean_distance
 from .links import PublicChannelStats
 from .metrics import threshold
 
@@ -48,18 +48,21 @@ def greedy_choice(candidates: list[tuple[int, float, float]], beta: float) -> in
 class GpsrqNode:
     """Routing state owned by one node.
 
-    The exclusion cache maps each excluded region, a ``(via, center, radius)``
-    key, to the time its exclusion expires; it is live while
-    ``expires_at > now``. Re-adding a region keeps the later expiry, so the
-    region stays where it was first inserted. Lookups skip expired regions
-    and ``prune_cache`` deletes them.
+    The exclusion cache maps each excluded region, a ``(via, radius)`` key,
+    to the time its exclusion expires; it is live while ``expires_at > now``.
+    Every region is centred on the run's one destination, so it always
+    covers that destination, and ``blocked_until`` holds each neighbor's
+    latest expiry over its regions. Re-adding a region keeps the later
+    expiry, so the region stays where it was first inserted.
+    ``prune_cache`` deletes expired regions.
     """
 
     def __init__(self, node_id: int, beta: float, cache_enabled: bool):
         self.node_id = node_id
         self.beta = beta
         self.cache_enabled = cache_enabled
-        self.cache: dict[tuple[int, Position, float], float] = {}
+        self.cache: dict[tuple[int, float], float] = {}
+        self.blocked_until: dict[int, float] = {}
         self.l_sent: float | None = None
         self.recv_l: dict[int, float] = {}
 
@@ -70,21 +73,18 @@ class GpsrqNode:
             return m_max if received is None else received
         return self.l_sent if received is None else threshold(self.l_sent, received)
 
-    def add_cache(self, via: int, center: Position, radius: float,
-                  now: float, ttl: float) -> bool:
-        """Exclude ``via`` toward the circle region until ``now + ttl`` or later."""
+    def add_cache(self, via: int, radius: float, now: float, ttl: float) -> bool:
+        """Exclude ``via`` toward the destination region until ``now + ttl`` or later."""
         if not self.cache_enabled:
             return False
-        region = (via, center, radius)
+        region = (via, radius)
         self.cache[region] = max(self.cache.get(region, now), now + ttl)
+        self.blocked_until[via] = max(self.blocked_until.get(via, now), now + ttl)
         return True
 
-    def cache_blocked(self, via: int, dst_pos: Position, now: float) -> bool:
-        """True when a live exclusion of ``via`` covers this destination."""
-        for (v, center, radius), expires_at in self.cache.items():
-            if v == via and expires_at > now and euclidean_distance(center, dst_pos) <= radius:
-                return True
-        return False
+    def cache_blocked(self, via: int, now: float) -> bool:
+        """True while a live exclusion of ``via`` exists."""
+        return self.blocked_until.get(via, now) > now
 
     def prune_cache(self, now: float) -> None:
         """Drop every region with ``expires_at <= now``."""

@@ -32,8 +32,6 @@ PRIORITY_ORDER: tuple[TrafficClass, ...] = (
     TrafficClass.BEST_EFFORT,
 )
 
-CRYPTO_MODES = ("otp", "aes")
-
 
 @dataclass(slots=True)
 class SimPacket:
@@ -97,9 +95,6 @@ class PriorityQueueSet:
             return True
         except ValueError:
             return False
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self.queues.values())
 
 
 def admission_cost(link: QkdLink, pkt: SimPacket, now: float) -> float | None:

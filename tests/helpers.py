@@ -7,7 +7,7 @@ from typing import Iterable
 from qkdsim.config import RunConfig
 from qkdsim.engine import HANDSHAKE_BYTES, HANDSHAKE_PACKETS, GpsrqSimulation, Simulation
 from qkdsim.geometry import Position, angle_of, ccw_next_neighbor, euclidean_distance
-from qkdsim.gpsrq import GpsrqNode, greedy_choice
+from qkdsim.gpsrq import GpsrqNode, cache_ttl, greedy_choice
 from qkdsim.links import KeyStorage
 from qkdsim.qos import SimPacket, admission_cost
 from qkdsim.topology import Topology, TopologySpec, waxman_edge_probability
@@ -139,7 +139,8 @@ class NaiveExclusionCache:
 
     Records are (via, center, radius, expires_at) tuples in insertion order.
     Every lookup first drops the records with ``expires_at <= now`` and then
-    scans all that remain; insertion never prunes.
+    scans all that remain for a circle of ``via`` that covers ``dst_pos``;
+    insertion never prunes.
     """
 
     def __init__(self, cache_enabled: bool = True):
@@ -228,7 +229,24 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
     distance is computed from positions on each decision, and every
     admission is asked again where the decision needs it. The methods are
     the earlier ones, except that ``_link_metrics`` is handed its link.
+    Exclusions are looked up in one ``NaiveExclusionCache`` per node, which
+    tests each region's circle against the packet's destination.
     """
+
+    def _start_protocol(self) -> None:
+        super()._start_protocol()
+        self.naive_caches = {nid: NaiveExclusionCache(self.cfg.cache_enabled)
+                             for nid in self.gpsrq_nodes}
+
+    def _add_exclusion(self, node: GpsrqNode, via: int, block: int) -> None:
+        super()._add_exclusion(node, via, block)
+        at, center = node.node_id, self.position(self.dst)
+        radius = euclidean_distance(self.position(block), center) / 2.0
+        ttl = cache_ttl(self.link(at, via).pub_stats)
+        self.naive_caches[at].add_cache(via, center, radius, self.now, ttl)
+
+    def _blocked(self, at: int, via: int, pkt: SimPacket) -> bool:
+        return self.naive_caches[at].cache_blocked(via, self.position(pkt.dst), self.now)
 
     def _admit(self, u: int, v: int, pkt: SimPacket) -> float | None:
         return admission_cost(self.link(u, v), pkt, self.now)
@@ -241,7 +259,7 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
         base = euclidean_distance(self.position(at), dst_pos)
         out = []
         for v in self.topo.neighbors(at):
-            if v in pkt.retry_exclude or node.cache_blocked(v, dst_pos, self.now):
+            if v in pkt.retry_exclude or self._blocked(at, v, pkt):
                 continue
             d = euclidean_distance(self.position(v), dst_pos)
             if d < base and self._admit(at, v, pkt) is not None:
@@ -250,9 +268,8 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
 
     def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set,
                   toward: int | None) -> int | None:
-        dst_pos = self.position(pkt.dst)
         pool = [(v, self.position(v)) for v in self.topo.neighbors(at)
-                if v not in exclude and not node.cache_blocked(v, dst_pos, self.now)
+                if v not in exclude and not self._blocked(at, v, pkt)
                 and self._admit(at, v, pkt) is not None]
         if not pool or toward is None:
             return None

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    NaiveExclusionCache,
     ReferenceGpsrqSimulation,
     ample_cfg,
     bfs_reachable,
@@ -538,10 +539,19 @@ def test_recovery_computes_each_bearing_order_once(monkeypatch):
     assert len(bearings) == len(sim._ccw_orders) > 0
 
 
-def test_decision_path_matches_reference():
-    """Reading the per-run distance tables and asking each admission once
-    gives the outputs of the decision path that recomputes both."""
-    recovered = []
+def test_decision_path_matches_reference(monkeypatch):
+    """Reading the per-run distance tables, asking each admission once and
+    reading one block time per neighbour give the outputs of the decision
+    path that recomputes all three, with the circle test of every region."""
+    recovered, blocked = [], Counter()
+    circle_test = NaiveExclusionCache.cache_blocked
+
+    def counted_circle_test(*args):
+        hit = circle_test(*args)
+        blocked[hit] += 1
+        return hit
+
+    monkeypatch.setattr(NaiveExclusionCache, "cache_blocked", counted_circle_test)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_decision_runs())
@@ -556,6 +566,7 @@ def test_decision_path_matches_reference():
 
     check()
     assert sum(recovered) >= 5, recovered
+    assert blocked[True] > 0, blocked  # the circle test met a live region
 
 
 # --- threshold convergence ----------------------------------------------------------

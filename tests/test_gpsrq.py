@@ -17,66 +17,63 @@ def _node(**kw):
 
 def test_destination_at_center_is_blocked():
     node = _node()
-    node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0)
-    assert node.cache_blocked(1, Position(10, 0), now=1.0)
-
-
-def test_destination_outside_circle_not_blocked():
-    node = _node()
-    node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0)
-    assert not node.cache_blocked(1, Position(20, 0), now=1.0)
+    node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
+    assert node.cache_blocked(1, now=1.0)
 
 
 def test_other_neighbor_not_blocked():
     node = _node()
-    node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0)
-    assert not node.cache_blocked(2, Position(10, 0), now=1.0)
+    node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
+    assert not node.cache_blocked(2, now=1.0)
 
 
 def test_expired_record_ignored_and_pruned():
     node = _node()
-    node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0)
-    assert not node.cache_blocked(1, Position(10, 0), now=5.0)
+    node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
+    assert not node.cache_blocked(1, now=5.0)
     node.prune_cache(now=5.0)
     assert node.cache == {}
 
 
-def test_boundary_of_circle_counts_as_blocked():
-    node = _node()
-    node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0)
-    assert node.cache_blocked(1, Position(12.5, 0), now=1.0)
-
-
 def test_disabled_cache_stores_nothing():
     node = _node(cache_enabled=False)
-    assert node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0) is False
-    assert not node.cache_blocked(1, Position(10, 0), now=1.0)
+    assert node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0) is False
+    assert not node.cache_blocked(1, now=1.0)
     assert node.cache == {}
 
 
 def test_re_adding_a_region_never_shortens_it():
     node = _node()
-    assert node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=0.0, ttl=5.0)
-    assert node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=1.0, ttl=1.0)
-    assert node.cache == {(1, Position(10, 0), 2.5): 5.0}
-    assert node.cache_blocked(1, Position(10, 0), now=4.0)
-    node.add_cache(via=1, center=Position(10, 0), radius=2.5, now=4.0, ttl=3.0)
-    assert node.cache == {(1, Position(10, 0), 2.5): 7.0}
+    assert node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
+    assert node.add_cache(via=1, radius=2.5, now=1.0, ttl=1.0)
+    assert node.cache == {(1, 2.5): 5.0}
+    assert node.cache_blocked(1, now=4.0)
+    node.add_cache(via=1, radius=2.5, now=4.0, ttl=3.0)
+    assert node.cache == {(1, 2.5): 7.0}
 
 
-# Few centres and destinations on a small grid, so lookups both hit and miss
-# (and some land exactly on a circle), and times on a coarse grid, so that
-# records share expiry times and some expire at the moment they are added.
-_POINTS = [Position(0, 0), Position(3, 0), Position(0, 4), Position(1, 1), Position(10, 10)]
+def test_second_region_expiring_earlier_never_shortens_the_block():
+    node = _node()
+    node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
+    node.add_cache(via=1, radius=1.0, now=1.0, ttl=1.0)
+    assert node.cache == {(1, 2.5): 5.0, (1, 1.0): 2.0}
+    assert node.cache_blocked(1, now=3.0)
+    assert not node.cache_blocked(1, now=5.0)
+
+
+# Every region of a run is centred on its one destination, so the oracle gets
+# that centre and is asked about that destination. Radii and times come from
+# coarse grids, so that a neighbour holds several regions, regions share expiry
+# times and some expire at the moment they are added.
+_DST = Position(3, 4)
 
 
 def _cache_ops(n_neighbors):
     via = st.integers(1, n_neighbors)
-    point = st.sampled_from(_POINTS)
     op = st.one_of(
-        st.tuples(st.just("add"), via, point, st.sampled_from([0.0, 1.0, 3.0, 5.0]),
+        st.tuples(st.just("add"), via, st.sampled_from([0.0, 1.0, 2.5, 5.0]),
                   st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
-        st.tuples(st.just("blocked"), via, point),
+        st.tuples(st.just("blocked"), via),
         st.tuples(st.just("prune")),
     )
     return st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), op), max_size=80)
@@ -85,8 +82,8 @@ def _cache_ops(n_neighbors):
 def _live_regions(records, now):
     """The oracle's records merged by region with the latest expiry, live ones only."""
     merged = {}
-    for via, center, radius, expires_at in records:
-        region = (via, center, radius)
+    for via, _, radius, expires_at in records:
+        region = (via, radius)
         merged[region] = max(merged.get(region, expires_at), expires_at)
     return {region: t for region, t in merged.items() if t > now}
 
@@ -100,13 +97,13 @@ def test_cache_matches_naive_oracle(steps, cache_enabled):
     for dt, (name, *args) in steps:
         now += dt
         if name == "add":
-            via, center, radius, ttl = args
-            got = node.add_cache(via, center, radius, now, ttl)
-            want = oracle.add_cache(via, center, radius, now, ttl)
+            via, radius, ttl = args
+            got = node.add_cache(via, radius, now, ttl)
+            want = oracle.add_cache(via, _DST, radius, now, ttl)
             assert got == (want is not None)
         elif name == "blocked":
-            via, dst = args
-            assert node.cache_blocked(via, dst, now) == oracle.cache_blocked(via, dst, now)
+            (via,) = args
+            assert node.cache_blocked(via, now) == oracle.cache_blocked(via, _DST, now)
         else:
             node.prune_cache(now)
             oracle.prune_cache(now)
@@ -117,8 +114,7 @@ def test_cache_matches_naive_oracle(steps, cache_enabled):
 def test_pruned_cache_retains_no_records():
     node = _node()
     for i in range(40):
-        node.add_cache(via=1 + i % 4, center=Position(i, 0), radius=2.0,
-                       now=i * 0.25, ttl=1.0 + i % 3)
+        node.add_cache(via=1 + i % 4, radius=float(i), now=i * 0.25, ttl=1.0 + i % 3)
     node.prune_cache(now=3.0)
     assert 0 < len(node.cache) < 40
     node.prune_cache(now=100.0)

@@ -100,7 +100,7 @@ def test_capacity_drop_counted():
     assert qs.enqueue(_packet(uid=1))
     assert qs.enqueue(_packet(uid=2))
     assert not qs.enqueue(_packet(uid=3))
-    assert len(qs) == 2
+    assert [len(q) for q in qs.queues.values()] == [0, 0, 2]
 
 
 def test_remove_specific_packet():

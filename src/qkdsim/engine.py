@@ -22,7 +22,7 @@ from collections import deque
 from collections.abc import Iterable
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import count
+from itertools import chain, count
 from typing import NamedTuple
 
 # CPython's built-in SHA-256 gives the same digest as OpenSSL's; importing it
@@ -88,6 +88,8 @@ class EventKind(Enum):
 
 # Each kind's tag in the hash line; built once so no event reads ``.value``.
 KIND_TAG = {kind: kind.value for kind in EventKind}
+# Each class's key in the per-class counters; built once so no count reads ``.name``.
+CLASS_NAME = {cls: cls.name for cls in TrafficClass}
 # Enum members read on every event; a class attribute lookup costs more.
 _ARRIVAL = EventKind.PACKET_ARRIVAL
 _TRANSMIT_DONE = EventKind.LINK_TRANSMIT_DONE
@@ -500,7 +502,9 @@ class Simulation:
 class GpsrqSimulation(Simulation):
     """QoS-aware geographic routing: greedy forwarding scored by the link
     metric, perimeter recovery, an exclusion cache and returning loops.
-    Packets wait in per-node class queues and are routed when served."""
+    A data packet that reaches a node whose class queues are all empty is
+    routed on arrival; otherwise, or when it must wait, it joins its class
+    queue and is routed when served."""
 
     def _start_protocol(self) -> None:
         cfg = self.cfg
@@ -562,8 +566,23 @@ class GpsrqSimulation(Simulation):
             self._add_exclusion(node, pkt.rec_if, pkt.rec_if)
             pkt.recovery_tried.add(pkt.rec_if)
 
-        if not self.queues[at].enqueue(pkt):
-            self.stats.dropped_by_class[pkt.traffic_class.name] += 1
+        qs = self.queues[at]
+        if not qs.size:
+            # An idle node: the packet would be the head, so decide it now. A
+            # forward or a drop leaves the queues empty, as serving it would;
+            # a wait queues it in an empty class queue, which always has room.
+            action = self._decide(at, pkt)
+            if action[0] == "wait":
+                qs.enqueue(pkt)
+                self._schedule_retry(at)
+            elif action[0] == "drop":
+                self._count_drop(action[1], pkt, at)
+            else:
+                self.stats.served_by_class[CLASS_NAME[pkt.traffic_class]] += 1
+                self._transmit(at, action[1], pkt)
+            return
+        if not qs.enqueue(pkt):
+            self.stats.dropped_by_class[CLASS_NAME[pkt.traffic_class]] += 1
             self._count_drop("queue", pkt, at)
             return
         self._serve(at)
@@ -617,11 +636,8 @@ class GpsrqSimulation(Simulation):
     def _serve(self, at: int) -> None:
         """Route head-of-line packets in strict priority until one must wait."""
         qs = self.queues[at]
-        while True:
-            head = qs.head()
-            if head is None:
-                return
-            cls, pkt = head
+        while qs.size:
+            cls, pkt = qs.head()
             action = self._decide(at, pkt)
             if action[0] == "wait":
                 self._schedule_retry(at)
@@ -630,7 +646,7 @@ class GpsrqSimulation(Simulation):
             if action[0] == "drop":
                 self._count_drop(action[1], pkt, at)
                 continue
-            self.stats.served_by_class[cls.name] += 1
+            self.stats.served_by_class[CLASS_NAME[cls]] += 1
             self._transmit(at, action[1], pkt)
 
     def _schedule_retry(self, at: int) -> None:
@@ -643,17 +659,30 @@ class GpsrqSimulation(Simulation):
         self._retry_pending.discard(nid)
         self._serve(nid)
 
-    def _greedy_pick(self, at: int, pkt: SimPacket, node: GpsrqNode) -> int | None:
-        """Best-scoring admissible closer neighbour, if any."""
+    def _greedy_pick(self, at: int, pkt: SimPacket,
+                     node: GpsrqNode) -> tuple[int | None, list[int]]:
+        """Best-scoring admissible closer neighbour, if any, and the closer
+        neighbours whose admission it did not ask: the excluded and cache-blocked."""
         now, exclude = self.now, pkt.retry_exclude
-        out = []
+        out, unasked = [], []
         for v, d in self._closer[at]:
             if v in exclude or node.cache_blocked(v, now):
+                unasked.append(v)
                 continue
             lk = self._link_by_dir[(at, v)]
             if admission_cost(lk, pkt, now) is not None:
                 out.append((v, self._link_metrics(at, v, lk)[3], d))
-        return greedy_choice(out, node.beta)
+        return greedy_choice(out, node.beta), unasked
+
+    def _all_refused(self, at: int, pkt: SimPacket, unasked: list[int]) -> bool:
+        """True when no link out of ``at`` admits ``pkt``, given that the greedy
+        pick found every closer neighbour it asked refused: asks only the rest,
+        the closer ones in ``unasked`` and the ones no closer than ``at``."""
+        to_dst, links, now = self._to_dst, self._link_by_dir, self.now
+        here = to_dst[at]
+        farther = (v for v in self.topo.neighbors(at) if to_dst[v] >= here)
+        return all(admission_cost(links[(at, v)], pkt, now) is None
+                   for v in chain(unasked, farther))
 
     def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set,
                   toward: int | None) -> int | None:
@@ -762,7 +791,7 @@ class GpsrqSimulation(Simulation):
                     return self._send_back(at, pkt, arrived)
                 return ("drop", "source")
 
-        choice = self._greedy_pick(at, pkt, node)
+        choice, unasked = self._greedy_pick(at, pkt, node)
         if choice is not None:
             action = self._forward_action(at, choice, pkt, admitted=True)
             if action[0] == "forward":
@@ -774,8 +803,7 @@ class GpsrqSimulation(Simulation):
             # The walk came back: retry the edges not yet tried this episode.
             exclude = set(pkt.recovery_tried)
             target = arrived if arrived is not None else self._upstream(pkt, at)
-        elif all(admission_cost(self._link_by_dir[(at, v)], pkt, self.now) is None
-                 for v in self.topo.neighbors(at)):
+        elif self._all_refused(at, pkt, unasked):
             return ("wait",)  # no serviceable link: hold for reprocessing
         elif pkt.loop != 0:  # loop == 2: a retried packet hit another dead end
             return self._dead_end(at, pkt, self._upstream(pkt, at, arrived))
@@ -827,7 +855,7 @@ class GpsrqSimulation(Simulation):
             if queue.enqueue(pkt):
                 self._pending_signals[(nid, nbr)] = pkt
             else:
-                self.stats.dropped_by_class[pkt.traffic_class.name] += 1
+                self.stats.dropped_by_class[CLASS_NAME[pkt.traffic_class]] += 1
                 self._record("signal_refused", nid, nbr)
         self._serve(nid)
 

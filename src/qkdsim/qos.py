@@ -63,19 +63,24 @@ class SimPacket:
 
 
 class PriorityQueueSet:
-    """One bounded FIFO per traffic class with strict priority service."""
+    """One bounded FIFO per traffic class with strict priority service.
+
+    ``size`` counts the packets in all class queues, so a caller can see an
+    empty set without scanning the queues."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.queues: dict[TrafficClass, deque] = {c: deque() for c in PRIORITY_ORDER}
+        self.size = 0
 
     def enqueue(self, pkt: SimPacket) -> bool:
         q = self.queues[pkt.traffic_class]
         if len(q) >= self.capacity:
             return False
         q.append(pkt)
+        self.size += 1
         return True
 
     def head(self) -> tuple[TrafficClass, SimPacket] | None:
@@ -86,15 +91,18 @@ class PriorityQueueSet:
         return None
 
     def pop(self, cls: TrafficClass) -> SimPacket:
-        return self.queues[cls].popleft()
+        pkt = self.queues[cls].popleft()
+        self.size -= 1
+        return pkt
 
     def remove(self, pkt: SimPacket) -> bool:
         q = self.queues[pkt.traffic_class]
         try:
             q.remove(pkt)
-            return True
         except ValueError:
             return False
+        self.size -= 1
+        return True
 
 
 def admission_cost(link: QkdLink, pkt: SimPacket, now: float) -> float | None:

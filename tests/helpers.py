@@ -230,7 +230,9 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
     admission is asked again where the decision needs it. The methods are
     the earlier ones, except that ``_link_metrics`` is handed its link.
     Exclusions are looked up in one ``NaiveExclusionCache`` per node, which
-    tests each region's circle against the packet's destination.
+    tests each region's circle against the packet's destination. Every data
+    packet joins its class queue on arrival and is decided only when
+    ``_serve`` finds it at the head, which scans the queues until none is left.
     """
 
     def _start_protocol(self) -> None:
@@ -244,6 +246,47 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
         radius = euclidean_distance(self.position(block), center) / 2.0
         ttl = cache_ttl(self.link(at, via).pub_stats)
         self.naive_caches[at].add_cache(via, center, radius, self.now, ttl)
+
+    def _route_data(self, at: int, frm: int | None, pkt: SimPacket) -> None:
+        node = self.gpsrq_nodes[at]
+        if frm is not None and pkt.loop != 1:
+            if pkt.upstream is None:
+                pkt.upstream = {}
+            if pkt.rec_position is not None:
+                pkt.upstream.setdefault(at, frm)
+            else:
+                pkt.upstream[at] = frm
+
+        if pkt.loop == 1 and frm is not None:
+            if not self._absorb_return(node, pkt, frm):
+                return
+        elif at == pkt.rec_position and pkt.rec_if is not None:
+            self._add_exclusion(node, pkt.rec_if, pkt.rec_if)
+            pkt.recovery_tried.add(pkt.rec_if)
+
+        if not self.queues[at].enqueue(pkt):
+            self.stats.dropped_by_class[pkt.traffic_class.name] += 1
+            self._count_drop("queue", pkt, at)
+            return
+        self._serve(at)
+
+    def _serve(self, at: int) -> None:
+        qs = self.queues[at]
+        while True:
+            head = qs.head()
+            if head is None:
+                return
+            cls, pkt = head
+            action = self._decide(at, pkt)
+            if action[0] == "wait":
+                self._schedule_retry(at)
+                return
+            qs.pop(cls)
+            if action[0] == "drop":
+                self._count_drop(action[1], pkt, at)
+                continue
+            self.stats.served_by_class[cls.name] += 1
+            self._transmit(at, action[1], pkt)
 
     def _blocked(self, at: int, via: int, pkt: SimPacket) -> bool:
         return self.naive_caches[at].cache_blocked(via, self.position(pkt.dst), self.now)

@@ -29,7 +29,7 @@ from qkdsim.engine import (
 )
 from qkdsim.experiment import run_sweep
 from qkdsim.geometry import Position, euclidean_distance
-from qkdsim.qos import PriorityQueueSet
+from qkdsim.qos import PriorityQueueSet, TrafficClass
 from qkdsim.topology import Topology, TopologySpec, generate_topology
 
 
@@ -540,9 +540,11 @@ def test_recovery_computes_each_bearing_order_once(monkeypatch):
 
 
 def test_decision_path_matches_reference(monkeypatch):
-    """Reading the per-run distance tables, asking each admission once and
-    reading one block time per neighbour give the outputs of the decision
-    path that recomputes all three, with the circle test of every region."""
+    """Reading the per-run distance tables, asking each admission once,
+    reading one block time per neighbour and deciding a packet on arrival at
+    an idle node give the outputs of the decision path that recomputes all
+    three, with the circle test of every region, and decides every packet
+    from the head of its class queue."""
     recovered, blocked = [], Counter()
     circle_test = NaiveExclusionCache.cache_blocked
 
@@ -567,6 +569,84 @@ def test_decision_path_matches_reference(monkeypatch):
     check()
     assert sum(recovered) >= 5, recovered
     assert blocked[True] > 0, blocked  # the circle test met a live region
+
+
+# --- one decision per hop ------------------------------------------------------------
+
+def _fork_sim() -> Simulation:
+    """Source 0 between neighbour 1, closer to destination 3, and neighbour 2,
+    farther from it; ample key and no charging, so nothing changes by itself."""
+    topo = Topology(
+        nodes=[(0, Position(10, 5)), (1, Position(20, 5)), (2, Position(0, 5)),
+               (3, Position(30, 5))],
+        edges={(0, 1), (0, 2), (1, 3)},
+        grid_size=40.0,
+    )
+    cfg = ample_cfg(seed=1, duration_s=1.0)
+    cfg.link.rate_bps = 0.0
+    return Simulation(cfg, topo)
+
+
+def test_an_idle_node_routes_an_arrival_without_queueing_it(monkeypatch):
+    kinds = []
+    enqueue = PriorityQueueSet.enqueue
+    monkeypatch.setattr(PriorityQueueSet, "enqueue",
+                        lambda qs, pkt: kinds.append(pkt.kind) or enqueue(qs, pkt))
+    sim = Simulation(ample_cfg(duration_s=2.0), two_node_topology())
+    stats = sim.run()
+    assert stats.received > 0
+    assert kinds == []
+    assert stats.served_by_class == {"PREMIUM": 0, "REAL_TIME": 0, "BEST_EFFORT": stats.sent}
+
+
+def test_an_arrival_waits_behind_a_queued_packet_of_another_class():
+    # The premium signal toward 2 waits for key; a data packet that finds its
+    # own class queue empty must still wait behind it, not overtake it.
+    sim = _fork_sim()
+    sim.links[(0, 2)].storage.m_cur = 0.0
+    sim._on_signaling_timer(0)
+    qs = sim.queues[0]
+    assert [p.fixed_egress for p in qs.queues[TrafficClass.PREMIUM]] == [2]
+    pkt = sim._make_data_packet()
+    sim._route_data(0, None, pkt)
+    assert list(qs.queues[pkt.traffic_class]) == [pkt]
+    assert qs.size == 2
+    assert pkt not in sim.l2[(0, 1)]
+
+
+def test_a_replaced_signal_leaves_the_queue_size_exact(monkeypatch):
+    # Premium data on links that gain 1 kbit/s of key keeps signals queued
+    # until the next epoch replaces them (the golden ``signal`` run).
+    found = []
+    remove = PriorityQueueSet.remove
+    monkeypatch.setattr(PriorityQueueSet, "remove",
+                        lambda qs, pkt: found.append(remove(qs, pkt)) or found[-1])
+    cfg = RunConfig(protocol="gpsrq", seed=1, duration_s=30.0, queue_capacity=5,
+                    link=LinkConfig(init_key_bytes_range=(200, 1000), rate_bps=1000.0))
+    cfg.traffic.traffic_class = "premium"
+    sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 1))
+    sim.run()
+    assert found.count(True) > 0
+    for qs in sim.queues.values():
+        assert qs.size == sum(len(q) for q in qs.queues.values())
+
+
+@pytest.mark.parametrize("unasked, refused, expected", [
+    ("farther", (0, 1), ("forward", 2)),
+    ("excluded", (0, 2), ("drop", "source")),
+    ("cache-blocked", (0, 2), ("drop", "source")),
+])
+def test_a_link_the_greedy_pick_did_not_ask_is_serviceable(unasked, refused, expected):
+    # Only the link to the neighbour that the greedy pick skips admits the
+    # packet, so the node has a serviceable link and must not wait.
+    sim = _fork_sim()
+    sim.links[refused].storage.m_cur = 0.0
+    pkt = sim._make_data_packet()
+    if unasked == "excluded":
+        pkt.loop, pkt.retry_exclude = 2, {1}
+    elif unasked == "cache-blocked":
+        sim.gpsrq_nodes[0].add_cache(1, 5.0, sim.now, 1.0)
+    assert sim._decide(0, pkt) == expected
 
 
 # --- threshold convergence ----------------------------------------------------------

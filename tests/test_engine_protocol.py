@@ -80,16 +80,18 @@ def test_every_protocol_builds_and_runs_its_own_simulation_class():
     assert len(classes) == len(PROTOCOLS)
 
 
-def test_only_gpsrq_serves_class_queues(monkeypatch):
+def test_dv_never_touches_a_class_queue(monkeypatch):
     # DV forwards or drops on arrival, so it keeps no class queues and never
-    # looks at one; GPSRQ serves every data packet through its queues.
-    head = PriorityQueueSet.head
-    for protocol in PROTOCOLS:
-        heads = []
-        monkeypatch.setattr(PriorityQueueSet, "head", lambda qs: heads.append(qs) or head(qs))
-        sim = Simulation(ample_cfg(protocol=protocol, duration_s=2.0), two_node_topology())
-        assert sim.run().received > 0
-        assert hasattr(sim, "queues") == bool(heads) == (protocol == "gpsrq")
+    # calls a queue operation.
+    calls = []
+    for name in ("enqueue", "head", "pop", "remove"):
+        op = getattr(PriorityQueueSet, name)
+        monkeypatch.setattr(PriorityQueueSet, name,
+                            lambda *a, _op=op, _name=name: calls.append(_name) or _op(*a))
+    sim = Simulation(ample_cfg(protocol="dv", duration_s=2.0), two_node_topology())
+    assert sim.run().received > 0
+    assert not hasattr(sim, "queues")
+    assert calls == []
 
 
 def test_unknown_protocol_is_a_config_error():

@@ -39,8 +39,9 @@ def test_dscp_code_points():
 
 
 def test_application_flow_class_respected():
-    # GPSRQ serves every packet it sends through its class queues, so the data
-    # transmissions count under the flow's class and the signaling under PREMIUM.
+    # GPSRQ counts every packet it forwards, whether decided on arrival or from
+    # its class queue, so the data transmissions count under the flow's class
+    # and the signaling under PREMIUM.
     for name in ("best_effort", "real_time"):
         cfg = RunConfig(seed=2, duration_s=10.0)
         cfg.traffic.traffic_class = name
@@ -129,6 +130,24 @@ def test_service_order_is_priority_then_fifo(classes):
     ]
     assert [p.uid for p in drained] == [p.uid for p in expected]
     assert len(drained) == len(classes)
+
+
+@given(st.lists(st.sampled_from(list(TrafficClass)), min_size=1, max_size=6),
+       st.lists(st.tuples(st.sampled_from(("enqueue", "pop", "remove")), st.integers(0, 5)),
+                max_size=60))
+def test_size_counts_the_queued_packets(classes, ops):
+    # Two slots per class, so some enqueues are refused; a remove may miss.
+    qs = PriorityQueueSet(capacity=2)
+    pkts = [_packet(cls, uid=uid) for uid, cls in enumerate(classes)]
+    for op, i in ops:
+        pkt = pkts[i % len(pkts)]
+        if op == "enqueue":
+            qs.enqueue(pkt)
+        elif op == "remove":
+            qs.remove(pkt)
+        elif qs.queues[pkt.traffic_class]:
+            qs.pop(pkt.traffic_class)
+        assert qs.size == sum(len(q) for q in qs.queues.values())
 
 
 # --- admission ------------------------------------------------------------------

@@ -15,6 +15,9 @@ class ConfigError(ValueError):
 
 PROTOCOLS = ("gpsrq", "dv")
 CRYPTO_MODES = ("otp", "aes")
+# In "aes" mode one session key of this many bits serves this many data packets.
+AES_SESSION_KEY_BITS = 256
+AES_REFRESH_PACKETS = 100
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
@@ -96,8 +99,6 @@ class TrafficConfig:
     traffic_class: str = "best_effort"
     max_delay_s: float | None = None
     crypto_mode: str = "otp"
-    aes_session_key_bits: int = 256
-    aes_refresh_packets: int = 100
 
     def validate(self) -> None:
         # An infinite rate would send packets 0 s apart, so the run would never end.
@@ -109,8 +110,6 @@ class TrafficConfig:
             raise ConfigError("max_delay_s must be positive")
         if self.crypto_mode not in CRYPTO_MODES:
             raise ConfigError(f"unknown crypto mode {self.crypto_mode!r}")
-        if not (self.aes_session_key_bits > 0 and self.aes_refresh_packets > 0):
-            raise ConfigError("aes_session_key_bits and aes_refresh_packets must be positive")
 
     def resolved_class(self) -> TrafficClass:
         return CLASS_NAMES[self.traffic_class]
@@ -127,7 +126,7 @@ class TrafficConfig:
         ``auth_key_bits`` is drawn per packet to produce the tag."""
         if self.crypto_mode == "otp":
             return self.packet_bytes * 8.0 + auth_key_bits
-        return self.aes_session_key_bits / self.aes_refresh_packets + auth_key_bits
+        return AES_SESSION_KEY_BITS / AES_REFRESH_PACKETS + auth_key_bits
 
 
 @dataclass(slots=True)
@@ -140,13 +139,9 @@ class RunConfig:
     t_avg_window: int = 5
     cache_enabled: bool = True
     queue_capacity: int = 1000
-    propagation_delay_s: float = 0.001
-    retry_fallback_s: float = 0.1
     dv_period_s: float = 15.0
     dv_merge_window_s: float = 0.005
     dv_liveness: str = "probe"  # "probe" or "hello" (dead-interval variant)
-    dv_hello_interval_s: float = 10.0
-    dv_dead_interval_s: float = 40.0
     link: LinkConfig = field(default_factory=LinkConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
 
@@ -161,11 +156,7 @@ class RunConfig:
             raise ConfigError("t_avg_window must be at least 1")
         if self.queue_capacity < 1:
             raise ConfigError("queue_capacity must be at least 1")
-        if not (0.0 <= self.propagation_delay_s < math.inf
-                and 0.0 < self.retry_fallback_s < math.inf):
-            raise ConfigError("delay parameters out of range")
-        if not (0.0 < self.dv_period_s < math.inf and 0.0 <= self.dv_merge_window_s < math.inf
-                and 0.0 < self.dv_hello_interval_s < math.inf and self.dv_dead_interval_s > 0.0):
+        if not (0.0 < self.dv_period_s < math.inf and 0.0 <= self.dv_merge_window_s < math.inf):
             raise ConfigError("distance-vector timing out of range")
         if self.dv_liveness not in ("probe", "hello"):
             raise ConfigError(f"unknown dv_liveness mode {self.dv_liveness!r}")

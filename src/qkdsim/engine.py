@@ -67,6 +67,14 @@ DV_ENTRY_BYTES = 12
 HANDSHAKE_PACKETS = 3
 HANDSHAKE_BYTES = 120
 
+# Fixed timings in seconds: every link's propagation delay, the fallback retry
+# of a GPSRQ node whose head must wait, DV's hello period under ``hello``
+# liveness, and the silence after which such a link is marked dead.
+PROPAGATION_DELAY_S = 0.001
+RETRY_FALLBACK_S = 0.1
+DV_HELLO_INTERVAL_S = 10.0
+DV_DEAD_INTERVAL_S = 40.0
+
 
 class SimulationError(RuntimeError):
     """An engine invariant was violated during a run."""
@@ -374,7 +382,6 @@ class Simulation:
             self._deliver_control(at, frm, pkt)
             return
 
-        pkt.arrived_from = frm
         if at == pkt.dst:
             self.stats.received += 1
             self.delay_sum += self.now - pkt.created_at
@@ -450,7 +457,7 @@ class Simulation:
         at, target = direction
         lk = self._link_by_dir[direction]
         lk.busy_accum += wire * 8.0 / lk.bandwidth
-        self.events.push(self.now + self.cfg.propagation_delay_s, _ARRIVAL, (pkt, target, at))
+        self.events.push(self.now + PROPAGATION_DELAY_S, _ARRIVAL, (pkt, target, at))
         queue = self.l2[direction]
         queue.popleft()
         if queue:
@@ -548,6 +555,7 @@ class GpsrqSimulation(Simulation):
 
     def _route_data(self, at: int, frm: int | None, pkt: SimPacket) -> None:
         node = self.gpsrq_nodes[at]
+        pkt.arrived_from = frm
         if frm is not None and pkt.loop != 1:
             if pkt.upstream is None:
                 pkt.upstream = {}
@@ -557,14 +565,13 @@ class GpsrqSimulation(Simulation):
             else:
                 pkt.upstream[at] = frm
 
-        if pkt.loop == 1 and frm is not None:
+        if pkt.loop == 1:
             if not self._absorb_return(node, pkt, frm):
                 return
-        elif at == pkt.rec_position and pkt.rec_if is not None:
+        elif at == pkt.rec_position:
             # The perimeter walk came back to where it started: exclude the
             # edge used for this episode and let service retry alternatives.
             self._add_exclusion(node, pkt.rec_if, pkt.rec_if)
-            pkt.recovery_tried.add(pkt.rec_if)
 
         qs = self.queues[at]
         if not qs.size:
@@ -613,8 +620,7 @@ class GpsrqSimulation(Simulation):
             if at == pkt.src:
                 self._count_drop("delay", pkt, at)
                 return False
-            pkt.pending_return = True  # keep loop=1, unwind further at service
-            return True
+            return True  # keep loop=1, unwind further at service
         pkt.loop = 2
         self.stats.loop2_count += 1
         self._record("loop2", at, pkt.uid)
@@ -652,7 +658,7 @@ class GpsrqSimulation(Simulation):
     def _schedule_retry(self, at: int) -> None:
         if at not in self._retry_pending:
             self._retry_pending.add(at)
-            self.events.push(self.now + self.cfg.retry_fallback_s, EventKind.RETRY_TIMER,
+            self.events.push(self.now + RETRY_FALLBACK_S, EventKind.RETRY_TIMER,
                              self._node_payload[at])
 
     def _on_retry_timer(self, nid: int) -> None:
@@ -685,11 +691,9 @@ class GpsrqSimulation(Simulation):
                    for v in chain(unasked, farther))
 
     def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set,
-                  toward: int | None) -> int | None:
+                  toward: int) -> int | None:
         """First admissible neighbour counterclockwise from the bearing of ``toward``;
-        None when none qualifies or ``toward`` is None."""
-        if toward is None:
-            return None
+        None when none qualifies."""
         order = self._ccw_orders.get((at, toward))
         if order is None:
             pos = self._pos
@@ -733,9 +737,9 @@ class GpsrqSimulation(Simulation):
             self._record("loop_return", at, pkt.uid, target)
         return action
 
-    def _dead_end(self, at: int, pkt: SimPacket, target: int | None):
-        """Send the packet back toward ``target``; drop it at the source or without one."""
-        if at == pkt.src or target is None:
+    def _dead_end(self, at: int, pkt: SimPacket, target: int):
+        """Send the packet back toward ``target``; drop it at the source."""
+        if at == pkt.src:
             return ("drop", "source")
         return self._send_back(at, pkt, target)
 
@@ -743,9 +747,10 @@ class GpsrqSimulation(Simulation):
         """Routing decision for the head-of-line packet: ("wait",),
         ("drop", cause) or ("forward", target); may mutate the packet.
 
-        In order: signaling, pending loop return, delay return, perimeter
-        transit away from the entry node (ended at a node closer to the
-        destination), greedy, perimeter entry or re-entry, dead end.
+        In order: signaling, an expired return unwinding toward the source
+        (loop 1), delay return, perimeter transit away from the entry node
+        (ended at a node closer to the destination), greedy, perimeter entry
+        or re-entry, dead end.
         Packet state is only touched on decisions that leave the queue, so a
         "wait" can be retried later with unchanged state.
         """
@@ -758,11 +763,10 @@ class GpsrqSimulation(Simulation):
         node = self.gpsrq_nodes[at]
         arrived = pkt.arrived_from
 
-        if pkt.pending_return:
+        if pkt.loop == 1:
             target = self._upstream(pkt, at, arrived)
             action = self._forward_action(at, target, pkt)
             if action[0] == "forward":
-                pkt.pending_return = False
                 self._record("loop_return", at, pkt.uid, target)
             return action
 
@@ -787,9 +791,7 @@ class GpsrqSimulation(Simulation):
                 v = self._ccw_pick(at, pkt, node, set(), arrived)
                 if v is not None:
                     return self._forward_action(at, v, pkt, admitted=True)
-                if arrived is not None:
-                    return self._send_back(at, pkt, arrived)
-                return ("drop", "source")
+                return self._send_back(at, pkt, arrived)
 
         choice, unasked = self._greedy_pick(at, pkt, node)
         if choice is not None:
@@ -802,7 +804,7 @@ class GpsrqSimulation(Simulation):
         if at_entry:
             # The walk came back: retry the edges not yet tried this episode.
             exclude = set(pkt.recovery_tried)
-            target = arrived if arrived is not None else self._upstream(pkt, at)
+            target = arrived
         elif self._all_refused(at, pkt, unasked):
             return ("wait",)  # no serviceable link: hold for reprocessing
         elif pkt.loop != 0:  # loop == 2: a retried packet hit another dead end
@@ -956,10 +958,10 @@ class DvSimulation(Simulation):
             for nbr in self.topo.neighbors(nid):
                 self._send_hello(nid, nbr)
                 last = self._last_hello.get((nid, nbr), 0.0)
-                if self.now - last > self.cfg.dv_dead_interval_s and (nid, nbr) not in self._dead_links:
+                if self.now - last > DV_DEAD_INTERVAL_S and (nid, nbr) not in self._dead_links:
                     self._mark_dead(nid, nbr)
             self.events.push(
-                self.now + self.cfg.dv_hello_interval_s, EventKind.DV_TIMER, (nid, "hello")
+                self.now + DV_HELLO_INTERVAL_S, EventKind.DV_TIMER, (nid, "hello")
             )
 
     def _send_hello(self, nid: int, nbr: int) -> None:

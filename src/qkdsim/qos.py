@@ -49,8 +49,8 @@ class SimPacket:
     rec_position: int | None = None
     rec_if: int | None = None
     hop_count: int = 0
+    # GPSRQ: the neighbour this packet last arrived from; None at the source.
     arrived_from: int | None = None
-    pending_return: bool = False
     # GPSRQ: one shared empty default; the engine assigns a fresh set before
     # any add, so an add on the default fails loudly.
     retry_exclude: set | frozenset = frozenset()

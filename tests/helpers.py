@@ -249,6 +249,7 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
 
     def _route_data(self, at: int, frm: int | None, pkt: SimPacket) -> None:
         node = self.gpsrq_nodes[at]
+        pkt.arrived_from = frm
         if frm is not None and pkt.loop != 1:
             if pkt.upstream is None:
                 pkt.upstream = {}
@@ -336,11 +337,10 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
         node = self.gpsrq_nodes[at]
         arrived = pkt.arrived_from
 
-        if pkt.pending_return:
+        if pkt.loop == 1:
             target = self._upstream(pkt, at, arrived)
             action = self._forward_action(at, target, pkt)
             if action[0] == "forward":
-                pkt.pending_return = False
                 self._record("loop_return", at, pkt.uid, target)
             return action
 

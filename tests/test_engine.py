@@ -296,27 +296,17 @@ def test_zero_traffic_zero_charging_zero_overhead():
     assert stats.ovh_bytes == 0
 
 
-def test_a_refused_signal_counts_as_a_premium_drop(monkeypatch):
+def test_a_refused_signal_counts_as_a_premium_drop():
     """One-slot class queues on 200 kbit/s links refuse 56 of the run's 96
     signals. Each refusal is a premium drop with its own record, and only
-    queued signals stay pending, so a replacement never looks for a signal
-    that was not queued. Neither the CSV row nor trace_hash depends on the
-    refusals."""
-    found = []
-    real_remove = PriorityQueueSet.remove
-
-    def remove(self, pkt):
-        found.append(real_remove(self, pkt))
-        return found[-1]
-
-    monkeypatch.setattr(PriorityQueueSet, "remove", remove)
+    queued signals stay pending. Neither the CSV row nor trace_hash depends
+    on the refusals."""
     cfg = RunConfig(protocol="gpsrq", seed=1, duration_s=30.0, queue_capacity=1,
                     link=LinkConfig(bandwidth_bps=200_000))
     sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 1), trace=True)
     stats = sim.run()
     refused = [e for e in sim.trace if e[1] == "signal_refused"]
     assert stats.dropped_by_class["PREMIUM"] == len(refused) == 56
-    assert False not in found
     for (nid, _), pkt in sim._pending_signals.items():
         assert any(queued is pkt for queued in sim.queues[nid].queues[pkt.traffic_class])
     assert ",".join(stats.csv_row()) == (
@@ -616,7 +606,8 @@ def test_an_arrival_waits_behind_a_queued_packet_of_another_class():
 
 def test_a_replaced_signal_leaves_the_queue_size_exact(monkeypatch):
     # Premium data on links that gain 1 kbit/s of key keeps signals queued
-    # until the next epoch replaces them (the golden ``signal`` run).
+    # until the next epoch replaces them (the golden ``signal`` run), so every
+    # replacement finds the signal it looks for.
     found = []
     remove = PriorityQueueSet.remove
     monkeypatch.setattr(PriorityQueueSet, "remove",
@@ -626,7 +617,7 @@ def test_a_replaced_signal_leaves_the_queue_size_exact(monkeypatch):
     cfg.traffic.traffic_class = "premium"
     sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 1))
     sim.run()
-    assert found.count(True) > 0
+    assert found and False not in found
     for qs in sim.queues.values():
         assert qs.size == sum(len(q) for q in qs.queues.values())
 

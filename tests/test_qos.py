@@ -3,7 +3,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from qkdsim.config import CLASS_NAMES, RunConfig, TrafficConfig
+from qkdsim.config import (
+    AES_REFRESH_PACKETS, AES_SESSION_KEY_BITS, CLASS_NAMES, RunConfig, TrafficConfig,
+)
 from qkdsim.engine import Simulation
 from qkdsim.links import KeyStorage, PublicChannelStats, QkdLink
 from qkdsim.qos import (
@@ -66,8 +68,9 @@ def test_otp_ratio_above_one():
 
 
 def test_aes_key_cost_amortized():
-    traffic = TrafficConfig(crypto_mode="aes", aes_session_key_bits=256, aes_refresh_packets=100)
-    assert traffic.key_cost(256) == pytest.approx(256 / 100 + 256)
+    traffic = TrafficConfig(crypto_mode="aes")
+    assert (AES_SESSION_KEY_BITS, AES_REFRESH_PACKETS) == (256, 100)
+    assert traffic.key_cost(256) == pytest.approx(AES_SESSION_KEY_BITS / AES_REFRESH_PACKETS + 256)
     assert traffic.key_cost(256) / (512 * 8) < 1.0
 
 

@@ -1,0 +1,46 @@
+"""The experiment scripts in ``scripts/`` write self-describing CSVs."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _read(path: Path) -> tuple[dict, list[list[str]]]:
+    meta, rows = {}, []
+    for line in path.read_text(encoding="ascii").splitlines():
+        if line.startswith("# ") and "=" in line and not line.startswith(("# run ", "# classes ")):
+            key, value = line[2:].split("=", 1)
+            meta[key] = ast.literal_eval(value)
+        elif not line.startswith(("#", "protocol,")):
+            rows.append(line.split(","))
+    return meta, rows
+
+
+def test_cache_and_window_writes_one_csv_per_sweep(tmp_path):
+    script = _load("run_cache_and_window")
+    assert script.main(["--duration", "0.5", "--out", str(tmp_path / "cw.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cw_cache.csv", "cw_window.csv"]
+    key_ranges = {"cache": (500_000.0, 5_000_000.0), "window": (500_000.0, 25_000_000.0)}
+    # (t_avg_window, cache) of each mean row: one per experiment of the sweep.
+    groups = {"cache": {("5", "on"), ("5", "off")},
+              "window": {("2", "on"), ("5", "on"), ("7", "on"), ("10", "on")}}
+    for name, key_range in key_ranges.items():
+        meta, rows = _read(tmp_path / f"cw_{name}.csv")
+        runs = [r for r in rows if r[2] != "mean"]
+        means = [r for r in rows if r[2] == "mean"]
+        assert meta["script"] == f"run_cache_and_window:{name}"
+        assert meta["runs"] == len(runs) == 4 * len(groups[name])
+        assert meta["experiments"] == len(means) == len(groups[name])
+        assert {(r[5], r[6]) for r in means} == groups[name]
+        experiments = [meta[f"experiment_{i:03d}"] for i in range(len(groups[name]))]
+        # Every run, and so every mean row, has its own sweep's key stores.
+        assert {tuple(e["base"]["link"]["init_key_bytes_range"]) for e in experiments} == {key_range}

@@ -289,7 +289,7 @@ def test_full_sweep_csv_pinned():
     write_csv(out, rows, meta)
     text = out.getvalue()
     assert (len(rows), sum(1 for r in rows if r.error), text.count(",mean,")) == (32, 16, 8)
-    assert _digest([text]) == "0198f5837b414e33"
+    assert _digest([text]) == "ee4a3c83a5d53121"
 
 
 def test_failed_runs_are_logged_with_their_configuration(caplog):

@@ -8,6 +8,7 @@ or by a proactive distance-vector baseline.
 
 from .config import ConfigError, ExperimentConfig, LinkConfig, RunConfig, TrafficConfig
 from .engine import Simulation, SimulationError, run_simulation
+from . import dv  # noqa: F401  (registers the dv protocol)
 from .geometry import Position, euclidean_distance
 from .links import KeyStorage, PublicChannelStats, QkdLink
 from .qos import TrafficClass

@@ -10,8 +10,10 @@ bit-reproducible.
 ``Simulation`` is the protocol-agnostic core: event loop, hash and trace,
 key charging, admission, L2 transmission and accounting.
 Each routing protocol is a subclass that fills in a few hooks and adds its
-own event handlers; ``Simulation(cfg, topology)`` builds the subclass that
-``cfg.protocol`` names.
+own event handlers. Its module registers it in ``PROTOCOL_SIMULATIONS`` (DV's
+in ``dv.py``), and ``Simulation(cfg, topology)`` builds the one ``cfg.protocol``
+names. GPSRQ's stays here while perfbench's tracer patches the functions its
+decisions call (``greedy_choice``, ``angle_of``, ...) by their names here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from collections.abc import Iterable
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import chain, count
@@ -33,7 +34,6 @@ except ImportError:  # Python 3.12 and later
     from _sha2 import sha256
 
 from .config import RunConfig
-from .dv import DvNode
 # Not called here: perfbench's tracer wraps ccw_next_neighbor by this module's name.
 from .geometry import ccw_next_neighbor  # noqa: F401
 from .geometry import Position, angle_of, ccw_order, euclidean_distance
@@ -59,21 +59,14 @@ UDP_IP_BYTES = 28
 TCP_IP_BYTES = 40
 SIGNALING_PAYLOAD_BYTES = 8
 SIGNALING_WIRE_BYTES = HEADER_OVERHEAD_BYTES + TCP_IP_BYTES + SIGNALING_PAYLOAD_BYTES
-HELLO_PAYLOAD_BYTES = 8
-HELLO_WIRE_BYTES = QKD_HEADER_BYTES + UDP_IP_BYTES + HELLO_PAYLOAD_BYTES
-DV_FIXED_PAYLOAD_BYTES = 4
-DV_ENTRY_BYTES = 12
 # Modeled reliable-transport handshake around each signaling exchange.
 HANDSHAKE_PACKETS = 3
 HANDSHAKE_BYTES = 120
 
-# Fixed timings in seconds: every link's propagation delay, the fallback retry
-# of a GPSRQ node whose head must wait, DV's hello period under ``hello``
-# liveness, and the silence after which such a link is marked dead.
+# Fixed timings in seconds: every link's propagation delay and the fallback
+# retry of a GPSRQ node whose head must wait.
 PROPAGATION_DELAY_S = 0.001
 RETRY_FALLBACK_S = 0.1
-DV_HELLO_INTERVAL_S = 10.0
-DV_DEAD_INTERVAL_S = 40.0
 
 
 class SimulationError(RuntimeError):
@@ -250,8 +243,8 @@ class Simulation:
         raise NotImplementedError
 
     def _link_threshold(self, u: int, v: int, m_max: float) -> float:
-        """The threshold m_thr that node u applies to its link to v."""
-        raise NotImplementedError
+        """Node u's threshold m_thr on its link to v; by default the store's capacity."""
+        return m_max
 
     def _serve(self, at: int) -> None:
         """Serve the packets waiting at ``at`` after its link state changed;
@@ -408,6 +401,13 @@ class Simulation:
 
     # ------------------------------------------------------------ transmission
 
+    def _send(self, at: int, target: int, pkt: SimPacket) -> bool:
+        """Transmit at once if the link admits the packet; False when it is refused."""
+        admitted = admission_cost(self._link_by_dir[(at, target)], pkt, self.now) is not None
+        if admitted:
+            self._transmit(at, target, pkt)
+        return admitted
+
     def _transmit(self, at: int, target: int, pkt: SimPacket) -> None:
         """Send ``pkt``, which the link has just admitted, and consume its key cost."""
         direction = (at, target)
@@ -504,6 +504,10 @@ class Simulation:
         EventKind.LINK_TRANSMIT_DONE: _on_transmit_done,
         EventKind.KEY_CHARGE: _on_key_charge,
     }
+
+
+# Each name in config.PROTOCOLS -> its subclass, registered by the protocol's module.
+PROTOCOL_SIMULATIONS: dict[str, type[Simulation]] = {}
 
 
 class GpsrqSimulation(Simulation):
@@ -872,137 +876,7 @@ class GpsrqSimulation(Simulation):
     }
 
 
-class DvSimulation(Simulation):
-    """Distance-vector baseline: periodic and triggered updates, forwarding by
-    table lookup, and link liveness by admission probes or hello messages."""
-
-    def _start_protocol(self) -> None:
-        cfg = self.cfg
-        self.dv_nodes = {nid: DvNode(nid) for nid, _ in self.topo.nodes}
-        self._rng_dv = substream(cfg.seed, "dv")
-        self._dead_links: set[tuple[int, int]] = set()
-        self._flush_pending: set[int] = set()
-        self._next_periodic: dict[int, float] = {}
-        self._last_hello: dict[tuple[int, int], float] = {}
-        for nid in self.topo.node_ids():
-            jitter = 0.01 + self._rng_dv.random()
-            self._next_periodic[nid] = jitter
-            self.events.push(jitter, EventKind.DV_TIMER, (nid, "periodic"))
-            if cfg.dv_liveness == "hello":
-                hj = 0.01 + self._rng_dv.random()
-                self.events.push(hj, EventKind.DV_TIMER, (nid, "hello"))
-
-    def _route_data(self, at: int, frm: int | None, pkt: SimPacket) -> None:
-        """Forward by table lookup at once; a refused packet is dropped, not queued."""
-        nh = self.dv_nodes[at].next_hop(pkt.dst)
-        if nh is None or (at, nh) in self._dead_links:
-            cause = "source" if at == pkt.src else "link"
-            self._count_drop(cause, pkt, at)
-            return
-        if not self._send(at, nh, pkt):
-            self._count_drop("link", pkt, at)
-            if self.cfg.dv_liveness == "probe":
-                self._mark_dead(at, nh)
-
-    def _deliver_control(self, at: int, frm: int, pkt: SimPacket) -> None:
-        if pkt.kind == "hello":
-            self._last_hello[(at, frm)] = self.now
-            if (at, frm) in self._dead_links:
-                self._dead_links.discard((at, frm))
-                self._send_updates(at, (frm,), self.dv_nodes[at].full_dump())
-        elif self.dv_nodes[at].process_update(frm, pkt.entries):
-            self._schedule_flush(at)
-
-    def _send(self, at: int, target: int, pkt: SimPacket) -> bool:
-        """Transmit at once if the link admits the packet; False when it is refused."""
-        admitted = admission_cost(self._link_by_dir[(at, target)], pkt, self.now) is not None
-        if admitted:
-            self._transmit(at, target, pkt)
-        return admitted
-
-    def _after_key_charge(self, u: int, v: int) -> None:
-        self._liveness_recheck(u, v)
-        self._liveness_recheck(v, u)
-
-    def _link_threshold(self, u: int, v: int, m_max: float) -> float:
-        return m_max
-
-    def _send_updates(self, nid: int, nbrs: Iterable[int], entries: list) -> None:
-        """Send ``entries`` to each of ``nbrs`` as a premium update; a refused one is lost."""
-        entries = tuple(entries)
-        payload = DV_FIXED_PAYLOAD_BYTES + DV_ENTRY_BYTES * len(entries)
-        wire = QKD_HEADER_BYTES + UDP_IP_BYTES + payload
-        key_cost = payload * 8.0 + self.cfg.link.auth_key_bits
-        for nbr in nbrs:
-            pkt = SimPacket(next(self._uid), "dv", nid, nbr, _PREMIUM, wire, self.now,
-                            math.inf, key_cost, entries=entries)
-            if not self._send(nid, nbr, pkt):
-                self._record("dv_update_lost", nid, nbr)
-
-    def _advertise(self, nid: int, entries: list) -> None:
-        self._send_updates(nid, self.topo.neighbors(nid), entries)
-        self.dv_nodes[nid].pending.clear()
-
-    def _on_dv_timer(self, nid: int, mode: str) -> None:
-        dvn = self.dv_nodes[nid]
-        if mode == "periodic":
-            dvn.bump_own_sequence()
-            self._advertise(nid, dvn.full_dump())
-            self._next_periodic[nid] = self.now + self.cfg.dv_period_s
-            self.events.push(self._next_periodic[nid], EventKind.DV_TIMER, (nid, "periodic"))
-        elif mode == "flush":
-            self._flush_pending.discard(nid)
-            if dvn.pending:
-                self._advertise(nid, dvn.pending_dump())
-        elif mode == "hello":
-            for nbr in self.topo.neighbors(nid):
-                self._send_hello(nid, nbr)
-                last = self._last_hello.get((nid, nbr), 0.0)
-                if self.now - last > DV_DEAD_INTERVAL_S and (nid, nbr) not in self._dead_links:
-                    self._mark_dead(nid, nbr)
-            self.events.push(
-                self.now + DV_HELLO_INTERVAL_S, EventKind.DV_TIMER, (nid, "hello")
-            )
-
-    def _send_hello(self, nid: int, nbr: int) -> None:
-        pkt = self._control_packet("hello", nid, nbr,
-                                   HELLO_PAYLOAD_BYTES * 8.0 + self.cfg.link.auth_key_bits,
-                                   HELLO_WIRE_BYTES)
-        self._send(nid, nbr, pkt)
-
-    def _schedule_flush(self, nid: int) -> None:
-        # Merge with an imminent periodic update instead of a separate burst.
-        if self._next_periodic.get(nid, math.inf) - self.now <= self.cfg.dv_merge_window_s:
-            return
-        if nid not in self._flush_pending:
-            self._flush_pending.add(nid)
-            self.events.push(
-                self.now + self.cfg.dv_merge_window_s, EventKind.DV_TIMER, (nid, "flush")
-            )
-
-    def _mark_dead(self, nid: int, nbr: int) -> None:
-        self._dead_links.add((nid, nbr))
-        if self.dv_nodes[nid].mark_link_dead(nbr):
-            self._schedule_flush(nid)
-
-    def _liveness_recheck(self, nid: int, nbr: int) -> None:
-        if self.cfg.dv_liveness != "probe":
-            return
-        if (nid, nbr) not in self._dead_links:
-            return
-        lk = self.link(nid, nbr)
-        if (
-            public_metric(lk.pub_stats, self.now) <= 1.0
-            and lk.storage.can_consume(self.data_key_cost, premium=False)
-        ):
-            self._dead_links.discard((nid, nbr))
-            self._send_updates(nid, (nbr,), self.dv_nodes[nid].full_dump())
-
-    _dispatch = {**Simulation._dispatch, EventKind.DV_TIMER: _on_dv_timer}
-
-
-# The Simulation subclass that implements each name in config.PROTOCOLS.
-PROTOCOL_SIMULATIONS = {"gpsrq": GpsrqSimulation, "dv": DvSimulation}
+PROTOCOL_SIMULATIONS["gpsrq"] = GpsrqSimulation
 
 
 def run_simulation(cfg: RunConfig, topology: Topology) -> RunStats:

@@ -1,14 +1,17 @@
 """Protocol-behavior scenarios that need a running engine: delay budgets,
 baseline convergence and liveness variants, and crypto configuration."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
 from helpers import ample_cfg, max_deliverable, two_node_topology
 from qkdsim.config import PROTOCOLS, ConfigError, RunConfig, TrafficConfig
 from qkdsim.dv import INFINITE_METRIC
-from qkdsim.engine import Simulation, run_simulation
+from qkdsim import engine
+from qkdsim.engine import PROTOCOL_SIMULATIONS, Simulation, run_simulation
 from qkdsim.geometry import Position
 from qkdsim.qos import PriorityQueueSet
 from qkdsim.topology import Topology, TopologySpec, generate_topology
@@ -78,6 +81,17 @@ def test_every_protocol_builds_and_runs_its_own_simulation_class():
         assert sim.run().received > 0
         classes.add(type(sim))
     assert len(classes) == len(PROTOCOLS)
+    # DV's class lives in its own module, which registers it; the core
+    # engine imports nothing from it.
+    assert PROTOCOL_SIMULATIONS["dv"].__module__ == "qkdsim.dv"
+    imported = set()
+    for node in ast.walk(ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["qkdsim" if node.level else "", node.module]))
+            imported |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert "qkdsim.dv" not in imported
 
 
 def test_dv_never_touches_a_class_queue(monkeypatch):

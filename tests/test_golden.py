@@ -4,8 +4,10 @@ the files of generated topologies, and the whole CSV output of one sweep.
 A change that alters any of these values changes simulated behaviour and
 must say so. Together the runs reach every GPSRQ decision branch that
 leaves a trace record (recovery entry and exit, loop2, loop returns, delay
-returns, cache insertions) and both DV liveness variants. Every run keeps
-its event trace (``trace=True``), and the records of three runs are pinned too.
+returns, cache insertions) and both DV liveness variants, each of which
+marks a link dead in one run. Every run keeps its event trace
+(``trace=True``), and the records of three runs are pinned too, as are the
+dead marks of three DV runs.
 
 Further runs pin branches whose effect no record names. The key-starved
 10-node run without the exclusion cache (seed 2) enters perimeter recovery
@@ -196,7 +198,17 @@ TRACE_RECORDS = {
 }
 
 DECISION_RECORDS = ("recovery_enter", "recovery_exit", "loop2", "loop_return",
-                    "delay_return", "cache_add")
+                    "delay_return", "cache_add", "dead_mark")
+
+# name -> every dead_mark record, its time rounded to 10 ms
+DEAD_MARKS = {
+    # A data packet refused on 29->24, near its reserve, marks it dead twice.
+    "dv-40-s1-starved": ((4.25, "dead_mark", 29, 24, "probe", 11),
+                         (16.93, "dead_mark", 29, 24, "probe", 11)),
+    # Delayed hellos leave 9->0 silent for 40 s.
+    "dv-10-s2-hello-dead": ((90.43, "dead_mark", 9, 0, "hello", 1),),
+    "dv-probe": (),
+}
 
 
 def _digest(lines) -> str:
@@ -211,8 +223,9 @@ def _outputs(name: str):
     if sim.metrics_log is not None:
         metrics = _digest(repr(row) for row in sim.metrics_log)
     records = _digest(repr(entry) for entry in sim.trace) if name in TRACE_RECORDS else None
+    dead_marks = tuple((round(t, 2), *rest) for t, *rest in sim.trace if rest[0] == "dead_mark")
     return (",".join(stats.csv_row()), stats.trace_hash,
-            frozenset(entry[1] for entry in sim.trace), records, metrics,
+            frozenset(entry[1] for entry in sim.trace), records, dead_marks, metrics,
             tuple(sim.dump_caches()))
 
 
@@ -238,6 +251,11 @@ def test_cache_dump_has_one_line_per_region():
 @pytest.mark.parametrize("name", sorted(TRACE_RECORDS))
 def test_trace_records_pinned(name):
     assert _outputs(name)[3] == TRACE_RECORDS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEAD_MARKS))
+def test_dead_marks_pinned(name):
+    assert _outputs(name)[4] == DEAD_MARKS[name]
 
 
 def test_pinned_runs_reach_every_decision_record():

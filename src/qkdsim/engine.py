@@ -1,11 +1,11 @@
 """Deterministic discrete-event simulation of a trusted-relay QKD network.
 
 One Simulation owns one topology, one link state per edge and one event
-loop. Routing decisions are made at dequeue time, immediately before a
-packet is handed to the link, so they always see fresh link state. All
-randomness comes from named substreams of the run seed and events with
-equal firing times process in scheduling order, which makes complete runs
-bit-reproducible.
+loop. A routing decision is made when a packet reaches an idle node or when
+it is served from its queue, immediately before it is handed to the link,
+so it always sees fresh link state. All randomness comes from named
+substreams of the run seed and events with equal firing times process in
+scheduling order, which makes complete runs bit-reproducible.
 
 ``Simulation`` is the protocol-agnostic core: event loop, hash and trace,
 key charging, admission, L2 transmission and accounting.
@@ -112,22 +112,18 @@ class EventQueue:
     """Time-ordered event set; equal times resolve by scheduling order.
     Sequence numbers are unique, so heap comparisons never reach ``kind``.
 
-    ``push`` drops an event timed after ``horizon``, before it draws a
-    sequence number, and returns None for it. A run's ``SimulationEnd``
-    sits at the horizon and is pushed before the run starts, so a dropped
-    event could never have fired."""
+    ``push`` drops an event timed after ``horizon`` before it draws a
+    sequence number. A run's ``SimulationEnd`` sits at the horizon and is
+    pushed before the run starts, so a dropped event could never have fired."""
 
     def __init__(self, horizon: float = math.inf) -> None:
         self.horizon = horizon
         self._heap: list[SimEvent] = []
         self._seq = count()
 
-    def push(self, fire_at: float, kind: EventKind, payload: tuple = ()) -> SimEvent | None:
-        if fire_at > self.horizon:
-            return None
-        ev = tuple.__new__(SimEvent, (fire_at, next(self._seq), kind, payload))
-        heappush(self._heap, ev)
-        return ev
+    def push(self, fire_at: float, kind: EventKind, payload: tuple = ()) -> None:
+        if fire_at <= self.horizon:
+            heappush(self._heap, tuple.__new__(SimEvent, (fire_at, next(self._seq), kind, payload)))
 
     def pop(self) -> SimEvent | None:
         if not self._heap:
@@ -402,25 +398,26 @@ class Simulation:
     # ------------------------------------------------------------ transmission
 
     def _send(self, at: int, target: int, pkt: SimPacket) -> bool:
-        """Transmit at once if the link admits the packet; False when it is refused."""
-        admitted = admission_cost(self._link_by_dir[(at, target)], pkt, self.now) is not None
-        if admitted:
+        """Transmit at once if the link admits the packet; False when it is refused.
+        An admitted packet that finds the L2 queue full is lost, data and routing
+        updates alike (GPSRQ's queued packets wait at decision time instead)."""
+        direction = (at, target)
+        if admission_cost(self._link_by_dir[direction], pkt, self.now) is None:
+            return False
+        if len(self.l2[direction]) <= self.cfg.queue_capacity:
             self._transmit(at, target, pkt)
-        return admitted
+        elif pkt.kind == "data":
+            self._count_drop("queue", pkt, at)
+        else:
+            self._record("tx_blocked", pkt.kind, at, target)
+        return True
 
     def _transmit(self, at: int, target: int, pkt: SimPacket) -> None:
-        """Send ``pkt``, which the link has just admitted, and consume its key cost."""
+        """Send ``pkt``, which the link has just admitted and whose L2 queue
+        has room, and consume its key cost."""
         direction = (at, target)
         lk = self._link_by_dir[direction]
         queue = self.l2[direction]
-        if len(queue) > self.cfg.queue_capacity:
-            # GPSRQ's queued packets wait at decision time instead; what DV
-            # sends at once, data and routing updates alike, is lost here.
-            if pkt.kind == "data":
-                self._count_drop("queue", pkt, at)
-            else:
-                self._record("tx_blocked", pkt.kind, at, target)
-            return
         premium = pkt.traffic_class == _PREMIUM
         cost = pkt.key_cost
         if not lk.storage.consume(cost, premium):
@@ -582,15 +579,9 @@ class GpsrqSimulation(Simulation):
             # An idle node: the packet would be the head, so decide it now. A
             # forward or a drop leaves the queues empty, as serving it would;
             # a wait queues it in an empty class queue, which always has room.
-            action = self._decide(at, pkt)
-            if action[0] == "wait":
+            if not self._decide(at, pkt):
                 qs.enqueue(pkt)
                 self._schedule_retry(at)
-            elif action[0] == "drop":
-                self._count_drop(action[1], pkt, at)
-            else:
-                self.stats.served_by_class[CLASS_NAME[pkt.traffic_class]] += 1
-                self._transmit(at, action[1], pkt)
             return
         if not qs.enqueue(pkt):
             self.stats.dropped_by_class[CLASS_NAME[pkt.traffic_class]] += 1
@@ -648,16 +639,10 @@ class GpsrqSimulation(Simulation):
         qs = self.queues[at]
         while qs.size:
             cls, pkt = qs.head()
-            action = self._decide(at, pkt)
-            if action[0] == "wait":
+            if not self._decide(at, pkt):
                 self._schedule_retry(at)
                 return
             qs.pop(cls)
-            if action[0] == "drop":
-                self._count_drop(action[1], pkt, at)
-                continue
-            self.stats.served_by_class[CLASS_NAME[cls]] += 1
-            self._transmit(at, action[1], pkt)
 
     def _schedule_retry(self, at: int) -> None:
         if at not in self._retry_pending:
@@ -722,57 +707,63 @@ class GpsrqSimulation(Simulation):
         pkt.rec_if = None
         pkt.recovery_tried = set()
 
-    def _forward_action(self, at: int, target: int, pkt: SimPacket, admitted: bool = False):
-        """Forward to ``target`` unless its L2 queue is full or its link refuses
+    def _can_forward(self, at: int, target: int, pkt: SimPacket, admitted: bool = False) -> bool:
+        """True unless the L2 queue to ``target`` is full or its link refuses
         the packet; ``admitted`` says that a pick has just asked the link."""
         direction = (at, target)
-        if len(self.l2[direction]) > self.cfg.queue_capacity:
-            return ("wait",)
-        if not admitted and admission_cost(self._link_by_dir[direction], pkt, self.now) is None:
-            return ("wait",)
-        return ("forward", target)
+        return len(self.l2[direction]) <= self.cfg.queue_capacity and (
+            admitted or admission_cost(self._link_by_dir[direction], pkt, self.now) is not None)
 
-    def _send_back(self, at: int, pkt: SimPacket, target: int):
-        """Return the packet toward ``target`` as a returning loop (loop=1)."""
-        action = self._forward_action(at, target, pkt)
-        if action[0] == "forward":
-            self._clear_recovery(pkt)
-            pkt.loop = 1
-            self._record("loop_return", at, pkt.uid, target)
-        return action
+    def _forward(self, at: int, target: int, pkt: SimPacket) -> bool:
+        """Count ``pkt`` served and transmit it; True, as the decision that sent it returns."""
+        self.stats.served_by_class[CLASS_NAME[pkt.traffic_class]] += 1
+        self._transmit(at, target, pkt)
+        return True
 
-    def _dead_end(self, at: int, pkt: SimPacket, target: int):
+    def _send_back(self, at: int, pkt: SimPacket, target: int) -> bool:
+        """Return the packet toward ``target`` as a returning loop (loop=1);
+        False when it must wait."""
+        if not self._can_forward(at, target, pkt):
+            return False
+        self._clear_recovery(pkt)
+        pkt.loop = 1
+        self._record("loop_return", at, pkt.uid, target)
+        return self._forward(at, target, pkt)
+
+    def _dead_end(self, at: int, pkt: SimPacket, target: int) -> bool:
         """Send the packet back toward ``target``; drop it at the source."""
         if at == pkt.src:
-            return ("drop", "source")
+            self._count_drop("source", pkt, at)
+            return True
         return self._send_back(at, pkt, target)
 
-    def _decide(self, at: int, pkt: SimPacket):
-        """Routing decision for the head-of-line packet: ("wait",),
-        ("drop", cause) or ("forward", target); may mutate the packet.
+    def _decide(self, at: int, pkt: SimPacket) -> bool:
+        """Route the head-of-line packet: forward or drop it and return True,
+        or return False when it must wait. May mutate the packet.
 
         In order: signaling, an expired return unwinding toward the source
         (loop 1), delay return, perimeter transit away from the entry node
         (ended at a node closer to the destination), greedy, perimeter entry
         or re-entry, dead end.
-        Packet state is only touched on decisions that leave the queue, so a
-        "wait" can be retried later with unchanged state.
+        Packet state is only touched when the packet leaves, so a wait can be
+        retried later with unchanged state; each trace record of a forward
+        comes before its ``tx``.
         """
         if pkt.kind == "signaling":
-            action = self._forward_action(at, pkt.fixed_egress, pkt)
-            if action[0] == "forward":
-                self._pending_signals.pop((at, pkt.fixed_egress), None)
-            return action
+            if not self._can_forward(at, pkt.dst, pkt):
+                return False
+            self._pending_signals.pop((at, pkt.dst), None)
+            return self._forward(at, pkt.dst, pkt)
 
         node = self.gpsrq_nodes[at]
         arrived = pkt.arrived_from
 
         if pkt.loop == 1:
             target = self._upstream(pkt, at, arrived)
-            action = self._forward_action(at, target, pkt)
-            if action[0] == "forward":
-                self._record("loop_return", at, pkt.uid, target)
-            return action
+            if not self._can_forward(at, target, pkt):
+                return False
+            self._record("loop_return", at, pkt.uid, target)
+            return self._forward(at, target, pkt)
 
         if (
             pkt.loop == 0
@@ -780,11 +771,11 @@ class GpsrqSimulation(Simulation):
             and arrived is not None
             and self.now - pkt.created_at > pkt.max_delay
         ):
-            action = self._forward_action(at, arrived, pkt)
-            if action[0] == "forward":
-                pkt.loop = 1
-                self._record("delay_return", at, pkt.uid, arrived)
-            return action
+            if not self._can_forward(at, arrived, pkt):
+                return False
+            pkt.loop = 1
+            self._record("delay_return", at, pkt.uid, arrived)
+            return self._forward(at, arrived, pkt)
 
         at_entry = at == pkt.rec_position
         if pkt.rec_position is not None and not at_entry:
@@ -793,24 +784,26 @@ class GpsrqSimulation(Simulation):
                 self._record("recovery_exit", at, pkt.uid)
             else:
                 v = self._ccw_pick(at, pkt, node, set(), arrived)
-                if v is not None:
-                    return self._forward_action(at, v, pkt, admitted=True)
-                return self._send_back(at, pkt, arrived)
+                if v is None:
+                    return self._send_back(at, pkt, arrived)
+                if not self._can_forward(at, v, pkt, admitted=True):
+                    return False
+                return self._forward(at, v, pkt)
 
         choice, unasked = self._greedy_pick(at, pkt, node)
         if choice is not None:
-            action = self._forward_action(at, choice, pkt, admitted=True)
-            if action[0] == "forward":
-                self._clear_recovery(pkt)
-                pkt.retry_exclude = set()
-            return action
+            if not self._can_forward(at, choice, pkt, admitted=True):
+                return False
+            self._clear_recovery(pkt)
+            pkt.retry_exclude = set()
+            return self._forward(at, choice, pkt)
 
         if at_entry:
             # The walk came back: retry the edges not yet tried this episode.
             exclude = set(pkt.recovery_tried)
             target = arrived
         elif self._all_refused(at, pkt, unasked):
-            return ("wait",)  # no serviceable link: hold for reprocessing
+            return False  # no serviceable link: hold for reprocessing
         elif pkt.loop != 0:  # loop == 2: a retried packet hit another dead end
             return self._dead_end(at, pkt, self._upstream(pkt, at, arrived))
         else:
@@ -821,16 +814,16 @@ class GpsrqSimulation(Simulation):
         v = self._ccw_pick(at, pkt, node, exclude, pkt.dst)
         if v is None:
             return self._dead_end(at, pkt, target)
-        action = self._forward_action(at, v, pkt, admitted=True)
-        if action[0] == "forward":
-            if not at_entry:
-                pkt.rec_position = at
-                pkt.recovery_tried = set()
-                pkt.retry_exclude = set()
-            pkt.rec_if = v
-            pkt.recovery_tried.add(v)
-            self._record("recovery_enter", at, pkt.uid, v)
-        return action
+        if not self._can_forward(at, v, pkt, admitted=True):
+            return False
+        if not at_entry:
+            pkt.rec_position = at
+            pkt.recovery_tried = set()
+            pkt.retry_exclude = set()
+        pkt.rec_if = v
+        pkt.recovery_tried.add(v)
+        self._record("recovery_enter", at, pkt.uid, v)
+        return self._forward(at, v, pkt)
 
     # -------------------------------------------------------------- signaling
 
@@ -851,10 +844,8 @@ class GpsrqSimulation(Simulation):
         self._record("signal", nid, value)
         queue = self.queues[nid]
         for nbr in self.topo.neighbors(nid):
-            pkt = self._control_packet(
-                "signaling", nid, nbr, self.signaling_key_cost, SIGNALING_WIRE_BYTES,
-                signal_value=value, fixed_egress=nbr,
-            )
+            pkt = self._control_packet("signaling", nid, nbr, self.signaling_key_cost,
+                                       SIGNALING_WIRE_BYTES, signal_value=value)
             old = self._pending_signals.pop((nid, nbr), None)
             if old is not None:
                 queue.remove(old)

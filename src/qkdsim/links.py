@@ -32,12 +32,11 @@ class KeyStorage:
         if self.charge_period <= 0.0:
             raise ValueError("charge_period must be positive")
 
-    def charge(self) -> float:
-        """Add one charging burst, discarding overflow; returns bits added."""
+    def charge(self) -> None:
+        """Add one charging burst, discarding overflow."""
         added = min(self.m_max, self.m_cur + self.rate * self.charge_period) - self.m_cur
         self.m_cur += added
         self.charged_total += added
-        return added
 
     def can_consume(self, key_bits: float, premium: bool) -> bool:
         if key_bits <= 0.0:

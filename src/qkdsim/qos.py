@@ -56,7 +56,6 @@ class SimPacket:
     retry_exclude: set | frozenset = frozenset()
     recovery_tried: set | frozenset = frozenset()
     signal_value: float | None = None
-    fixed_egress: int | None = None
     entries: tuple = ()
     # GPSRQ: node -> the neighbour this packet came from, made on first use.
     upstream: dict | None = None

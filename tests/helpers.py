@@ -233,6 +233,8 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
     tests each region's circle against the packet's destination. Every data
     packet joins its class queue on arrival and is decided only when
     ``_serve`` finds it at the head, which scans the queues until none is left.
+    ``_decide`` returns its outcome as an action tuple, ("wait",), ("drop",
+    cause) or ("forward", target), and ``_serve`` carries it out.
     """
 
     def _start_protocol(self) -> None:
@@ -327,11 +329,19 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
             return ("wait",)
         return ("forward", target)
 
+    def _send_back(self, at: int, pkt: SimPacket, target: int):
+        action = self._forward_action(at, target, pkt)
+        if action[0] == "forward":
+            self._clear_recovery(pkt)
+            pkt.loop = 1
+            self._record("loop_return", at, pkt.uid, target)
+        return action
+
     def _decide(self, at: int, pkt: SimPacket):
         if pkt.kind == "signaling":
-            action = self._forward_action(at, pkt.fixed_egress, pkt)
+            action = self._forward_action(at, pkt.dst, pkt)
             if action[0] == "forward":
-                self._pending_signals.pop((at, pkt.fixed_egress), None)
+                self._pending_signals.pop((at, pkt.dst), None)
             return action
 
         node = self.gpsrq_nodes[at]

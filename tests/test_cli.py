@@ -8,7 +8,7 @@ from qkdsim.cli import main
 from qkdsim.config import ConfigError
 from qkdsim.experiment import parse_sweep_spec, run_sweep
 from qkdsim.stats import write_csv
-from qkdsim.topology import load_topology
+from qkdsim.topology import TopologySpec, generate_topology, load_topology
 
 
 def run_cli(args):
@@ -32,6 +32,16 @@ def test_gen_topology_and_simulate_round_trip(tmp_path, capsys):
     body = out_path.read_text()
     assert "protocol,nodes,seed" in body
     assert "gpsrq,8,3" in body
+
+
+def test_gen_topology_draws_waxman_edges_without_the_gabriel_flag(tmp_path):
+    # Unlike a sweep, whose ``gabriel`` key is on unless set off.
+    topo_path = tmp_path / "topo.txt"
+    assert run_cli(["gen-topology", "--nodes", "12", "--seed", "4",
+                    "--out", str(topo_path)]) == 0
+    waxman = generate_topology(TopologySpec(node_count=12, gabriel=False), 4)
+    assert waxman.edges != generate_topology(TopologySpec(node_count=12), 4).edges
+    assert load_topology(str(topo_path)).edges == waxman.edges
 
 
 def test_simulate_waxman_flag(tmp_path):

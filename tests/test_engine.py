@@ -47,11 +47,12 @@ def test_events_ordered_by_time_then_sequence():
 
 def test_events_after_the_horizon_are_dropped_without_a_sequence_number():
     q = EventQueue(5.0)
-    assert q.push(5.0, EventKind.KEY_CHARGE, ("kept",)) is not None
-    assert q.push(math.nextafter(5.0, 6.0), EventKind.KEY_CHARGE, ("dropped",)) is None
+    q.push(5.0, EventKind.KEY_CHARGE, ("kept",))
+    q.push(math.nextafter(5.0, 6.0), EventKind.KEY_CHARGE, ("dropped",))
+    assert len(q) == 1
     # The benchmark counts popped events as sequence numbers drawn minus events queued.
     assert next(q._seq) == 1
-    assert len(q) == 1 and q.pop().payload == ("kept",)
+    assert q.pop().payload == ("kept",)
 
 
 @pytest.mark.parametrize("protocol, nodes, kw", [
@@ -596,7 +597,7 @@ def test_an_arrival_waits_behind_a_queued_packet_of_another_class():
     sim.links[(0, 2)].storage.m_cur = 0.0
     sim._on_signaling_timer(0)
     qs = sim.queues[0]
-    assert [p.fixed_egress for p in qs.queues[TrafficClass.PREMIUM]] == [2]
+    assert [p.dst for p in qs.queues[TrafficClass.PREMIUM]] == [2]
     pkt = sim._make_data_packet()
     sim._route_data(0, None, pkt)
     assert list(qs.queues[pkt.traffic_class]) == [pkt]
@@ -622,14 +623,16 @@ def test_a_replaced_signal_leaves_the_queue_size_exact(monkeypatch):
         assert qs.size == sum(len(q) for q in qs.queues.values())
 
 
+# expected: (packets on the wire from 0 to 2, packets dropped at the source)
 @pytest.mark.parametrize("unasked, refused, expected", [
-    ("farther", (0, 1), ("forward", 2)),
-    ("excluded", (0, 2), ("drop", "source")),
-    ("cache-blocked", (0, 2), ("drop", "source")),
+    ("farther", (0, 1), (1, 0)),
+    ("excluded", (0, 2), (0, 1)),
+    ("cache-blocked", (0, 2), (0, 1)),
 ])
 def test_a_link_the_greedy_pick_did_not_ask_is_serviceable(unasked, refused, expected):
     # Only the link to the neighbour that the greedy pick skips admits the
-    # packet, so the node has a serviceable link and must not wait.
+    # packet, so the node has a serviceable link and must not wait: it sends
+    # the packet over that link, or, a dead end at the source, drops it.
     sim = _fork_sim()
     sim.links[refused].storage.m_cur = 0.0
     pkt = sim._make_data_packet()
@@ -637,7 +640,8 @@ def test_a_link_the_greedy_pick_did_not_ask_is_serviceable(unasked, refused, exp
         pkt.loop, pkt.retry_exclude = 2, {1}
     elif unasked == "cache-blocked":
         sim.gpsrq_nodes[0].add_cache(1, 5.0, sim.now, 1.0)
-    assert sim._decide(0, pkt) == expected
+    assert sim._decide(0, pkt) is True
+    assert (len(sim.l2[(0, 2)]), sim.stats.drop_source) == expected
 
 
 # --- threshold convergence ----------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The experiment scripts in ``scripts/`` write self-describing CSVs."""
+"""The scripts in ``scripts/``: the experiment scripts write self-describing
+CSVs, and the kill-list runner fails on every mutant it cannot show killed."""
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -44,3 +46,26 @@ def test_cache_and_window_writes_one_csv_per_sweep(tmp_path):
         experiments = [meta[f"experiment_{i:03d}"] for i in range(len(groups[name]))]
         # Every run, and so every mean row, has its own sweep's key stores.
         assert {tuple(e["base"]["link"]["init_key_bytes_range"]) for e in experiments} == {key_range}
+
+
+def test_every_kill_list_mutant_changes_text_that_occurs_once():
+    # The runner checks this too; here a refactor that moves the text fails tier-1 at once.
+    root = SCRIPTS.parent
+    mutants = json.loads((SCRIPTS / "mutants.json").read_text())
+    assert len({m["name"] for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert (root / m["file"]).read_text().count(m["find"]) == 1, m["name"]
+        assert m["replace"] != m["find"] and m["kills"], m["name"]
+
+
+def test_kill_mutants_fails_on_a_survivor_and_on_stale_text(tmp_path, capsys):
+    script = _load("kill_mutants")
+    survivor = {"name": "survivor", "file": "src/qkdsim/rng.py", "find": "Named pseudo-random",
+                "replace": "Named pseudo random",
+                "kills": ["tests/test_links.py::test_charge_adds_rate_times_period"]}
+    listing = tmp_path / "mutants.json"
+    listing.write_text(json.dumps([survivor, dict(survivor, name="stale", find="no such text")]))
+    assert script.main(["--list", str(listing)]) == 1
+    out = capsys.readouterr().out
+    assert "survivor: FAIL: survived: tests/test_links.py::test_charge_adds_rate_times_period" in out
+    assert "stale: FAIL: source text occurs 0 times in src/qkdsim/rng.py" in out

@@ -6,12 +6,15 @@ must fail once the text is replaced. Each mutant is applied to a fresh copy
 of ``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml`` in a temporary
 directory, and only its tests run there, one pytest process per mutant:
 
-    python3 scripts/kill_mutants.py [--list FILE] [NAME ...]
+    python3 scripts/kill_mutants.py [--list FILE]
 
-NAMEs pick entries of the list; by default every entry runs. Exits 1 when a
-mutant's source text no longer occurs exactly once (a refactor must update
-the list), when one of its tests passes (the mutant survived), or when its
-tests cannot run: they time out, an id names no test, or collection fails.
+A failure counts as a kill only if the test passes without the mutant, so
+every listed test first runs once on an unmodified copy, and the runner
+stops with exit 1 if any of them fails there. Otherwise it checks every
+entry and exits 1 when a mutant's source text no longer occurs exactly once
+(a refactor must update the list), when one of its tests passes (the mutant
+survived), or when its tests cannot run: they time out, an id names no
+test, or collection fails.
 """
 
 from __future__ import annotations
@@ -72,6 +75,18 @@ def failing_tests(tree: Path, ids: list[str]) -> set[str]:
     return set(FAILED.findall(proc.stdout))
 
 
+def baseline(ids: list[str]) -> str | None:
+    """None when every test in ``ids`` passes on an unmodified copy; otherwise why not."""
+    with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        try:
+            failed = failing_tests(tree, ids)
+        except RuntimeError as exc:
+            return str(exc)
+    return f"fails without a mutant: {', '.join(sorted(failed))}" if failed else None
+
+
 def check(mutant: dict) -> str | None:
     """None when every listed test fails on the mutant; otherwise why not."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -91,24 +106,21 @@ def check(mutant: dict) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", type=Path, default=ROOT / "scripts" / "mutants.json")
-    parser.add_argument("names", nargs="*", help="run only these entries")
     args = parser.parse_args(argv)
     mutants = json.loads(args.list.read_text())
-    unknown = set(args.names) - {m["name"] for m in mutants}
-    if unknown:
-        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
+    problem = baseline(sorted({i for m in mutants for i in m["kills"]}))
+    if problem:
+        print(f"unmutated: FAIL: {problem}")
+        return 1
     bad = 0
     for mutant in mutants:
-        if args.names and mutant["name"] not in args.names:
-            continue
         t0 = perf_counter()
         problem = check(mutant)
         verdict = "killed" if problem is None else f"FAIL: {problem}"
         print(f"{mutant['name']}: {verdict} ({perf_counter() - t0:.1f} s)", flush=True)
         bad += problem is not None
-    print(f"{bad} of the checked mutants not killed" if bad else "every checked mutant killed")
+    print(f"{bad} of {len(mutants)} mutants not killed" if bad else "every mutant killed")
     return 1 if bad else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

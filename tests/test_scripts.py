@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -69,3 +71,16 @@ def test_kill_mutants_fails_on_a_survivor_and_on_stale_text(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "survivor: FAIL: survived: tests/test_links.py::test_charge_adds_rate_times_period" in out
     assert "stale: FAIL: source text occurs 0 times in src/qkdsim/rng.py" in out
+
+
+def test_kill_mutants_stops_when_a_listed_test_fails_without_a_mutant(tmp_path, capsys,
+                                                                      monkeypatch):
+    # A test that already fails would otherwise count as killing every mutant that lists it.
+    script = _load("kill_mutants")
+    monkeypatch.setattr(script, "failing_tests", lambda tree, ids: set(ids))
+    monkeypatch.setattr(script, "check", lambda mutant: pytest.fail("a mutant was checked"))
+    listing = tmp_path / "mutants.json"
+    listing.write_text(json.dumps([{"name": "m", "file": "src/qkdsim/rng.py", "find": "x",
+                                    "replace": "y", "kills": ["tests/a.py::b"]}]))
+    assert script.main(["--list", str(listing)]) == 1
+    assert "unmutated: FAIL: fails without a mutant: tests/a.py::b" in capsys.readouterr().out

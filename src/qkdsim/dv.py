@@ -62,25 +62,18 @@ class DvNode:
         return [(dst, metric, seq) for dst, (metric, seq) in sorted(self.pending.items())]
 
     def process_update(self, from_neighbor: int, entries) -> list[int]:
-        """Merge an advertisement received from a neighbor; returns changed routes."""
+        """Merge an advertisement received from a neighbor; returns changed routes.
+        An accepted entry is newer or shorter, so it always changes its route."""
         changed: list[int] = []
         for dst, metric, seq in entries:
             if dst == self.node_id:
                 continue
             cand_metric = metric + 1 if metric < INFINITE_METRIC else INFINITE_METRIC
             cur = self.table.get(dst)
-            accept = (
-                cur is None
-                or seq > cur.seq
-                or (seq == cur.seq and cand_metric < cur.metric)
-            )
-            if not accept:
-                continue
-            if cur is not None and (cur.next_hop, cur.metric, cur.seq) == (from_neighbor, cand_metric, seq):
-                continue
-            self.table[dst] = DvRoute(from_neighbor, cand_metric, seq)
-            self.pending[dst] = (cand_metric, seq)
-            changed.append(dst)
+            if cur is None or seq > cur.seq or (seq == cur.seq and cand_metric < cur.metric):
+                self.table[dst] = DvRoute(from_neighbor, cand_metric, seq)
+                self.pending[dst] = (cand_metric, seq)
+                changed.append(dst)
         return changed
 
     def mark_link_dead(self, neighbor: int) -> list[int]:

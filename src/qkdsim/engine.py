@@ -40,7 +40,7 @@ from .geometry import Position, angle_of, ccw_order, euclidean_distance
 from .gpsrq import GpsrqNode, cache_ttl, greedy_choice
 from .links import KeyStorage, PublicChannelStats, QkdLink
 from .metrics import link_metric, local_mean, public_metric, quantum_metric
-from .qos import PriorityQueueSet, SimPacket, TrafficClass, admission_cost
+from .qos import NO_NODES, PriorityQueueSet, SimPacket, TrafficClass, admission_cost
 from .rng import substream
 from .stats import RunStats
 from .topology import Topology, is_connected
@@ -99,6 +99,12 @@ _PREMIUM = TrafficClass.PREMIUM
 
 # Hash lines per ``update``; SHA-256 streams, so the digest does not change.
 HASH_BATCH_LINES = 1024
+# Hash lines (README) of a forwarded and a source arrival, a transmit-done and any
+# other kind; ``%.9f`` and ``%s`` give the bytes of ``f"{fire_at:.9f}"`` and ``str()``.
+_FORWARDED_LINE = f"%.9f|{KIND_TAG[_ARRIVAL]}|p%s.%s.%s|%s|%s\n"
+_SOURCE_LINE = f"%.9f|{KIND_TAG[_ARRIVAL]}|None|%s|%s\n"
+_TRANSMIT_DONE_LINE = f"%.9f|{KIND_TAG[_TRANSMIT_DONE]}|(%s, %s)|p%s.%s.%s|%s\n"
+_OTHER_LINE = "%.9f|%s\n"
 
 
 class SimEvent(NamedTuple):
@@ -184,12 +190,10 @@ class Simulation:
         # Each direction's L2 queue; its head is the packet on the wire.
         self.l2: dict[tuple[int, int], deque] = {}
         self._link_by_dir: dict[tuple[int, int], QkdLink] = {}
-        self._dir_str: dict[tuple[int, int], str] = {}
         for (u, v), lk in self.links.items():
             for d in ((u, v), (v, u)):
                 self.l2[d] = deque()
                 self._link_by_dir[d] = lk
-                self._dir_str[d] = str(d)
 
         self.data_class = cfg.traffic.resolved_class()
         self.data_wire = HEADER_OVERHEAD_BYTES + UDP_IP_BYTES + cfg.traffic.packet_bytes
@@ -202,10 +206,9 @@ class Simulation:
         self.trace: list[tuple] = []
         self._tracing = trace
         self._hasher = sha256()
-        self._hash_lines: list[str] = []
-        # The last hashed event time and its formatted "<time>|" prefix.
-        self._stamp_at = math.nan
-        self._stamp = ""
+        # The batch not yet hashed: each line's format, and all their values in order.
+        self._hash_formats: list[str] = []
+        self._hash_values: list = []
         self.metrics_log: list[tuple] | None = [] if metrics_log else None
 
         # The run's counts; the two sums give the means at the end.
@@ -263,33 +266,36 @@ class Simulation:
             self.trace.append((self.now, *entry))
 
     def _hash_event(self, ev: SimEvent) -> None:
-        """Add the event's line (format in README) to ``trace_hash``. It is built
+        """Queue the event's line for ``trace_hash``: its format and its values, read
         now, when the event is popped, because its packet changes later."""
         fire_at, _, kind, payload = ev
-        if fire_at != self._stamp_at:
-            # Many events share their time with the one before; format it once.
-            self._stamp_at = fire_at
-            self._stamp = f"{fire_at:.9f}|"
-        stamp = self._stamp
+        formats, values = self._hash_formats, self._hash_values
         if kind is _ARRIVAL:
             pkt, at, frm = payload
-            item = "None" if pkt is None else f"p{pkt.uid}.{pkt.hop_count}.{pkt.loop}"
-            line = f"{stamp}{KIND_TAG[kind]}|{item}|{at}|{frm}\n"
+            if pkt is None:
+                formats.append(_SOURCE_LINE)
+                values += (fire_at, at, frm)
+            else:
+                formats.append(_FORWARDED_LINE)
+                values += (fire_at, pkt.uid, pkt.hop_count, pkt.loop, at, frm)
         elif kind is _TRANSMIT_DONE:
-            direction, pkt, wire = payload
-            line = (f"{stamp}{KIND_TAG[kind]}|{self._dir_str[direction]}"
-                    f"|p{pkt.uid}.{pkt.hop_count}.{pkt.loop}|{wire}\n")
+            (u, v), pkt, wire = payload
+            formats.append(_TRANSMIT_DONE_LINE)
+            values += (fire_at, u, v, pkt.uid, pkt.hop_count, pkt.loop, wire)
         else:
             # No other kind carries a packet.
-            line = stamp + "|".join([KIND_TAG[kind], *map(str, payload[:3])]) + "\n"
-        lines = self._hash_lines
-        lines.append(line)
-        if len(lines) >= HASH_BATCH_LINES:
+            formats.append(_OTHER_LINE)
+            values += (fire_at, "|".join([KIND_TAG[kind], *map(str, payload[:3])]))
+        if len(formats) >= HASH_BATCH_LINES:
             self._flush_hash()
 
     def _flush_hash(self) -> None:
-        self._hasher.update("".join(self._hash_lines).encode())
-        self._hash_lines.clear()
+        """Format the queued lines with one ``%`` and add their bytes to ``trace_hash``.
+        The batch is emptied before the text is encoded, which keeps peak memory down."""
+        text = "".join(self._hash_formats) % tuple(self._hash_values)
+        self._hash_formats.clear()
+        self._hash_values.clear()
+        self._hasher.update(text.encode())
 
     def _make_data_packet(self) -> SimPacket:
         return SimPacket(
@@ -658,16 +664,19 @@ class GpsrqSimulation(Simulation):
                      node: GpsrqNode) -> tuple[int | None, list[int]]:
         """Best-scoring admissible closer neighbour, if any, and the closer
         neighbours whose admission it did not ask: the excluded and cache-blocked."""
-        now, exclude = self.now, pkt.retry_exclude
-        out, unasked = [], []
+        now, exclude, links = self.now, pkt.retry_exclude, self._link_by_dir
+        admitted, unasked = [], []
         for v, d in self._closer[at]:
             if v in exclude or node.cache_blocked(v, now):
                 unasked.append(v)
                 continue
-            lk = self._link_by_dir[(at, v)]
+            lk = links[(at, v)]
             if admission_cost(lk, pkt, now) is not None:
-                out.append((v, self._link_metrics(at, v, lk)[3], d))
-        return greedy_choice(out, node.beta), unasked
+                admitted.append((v, lk, d))
+        if len(admitted) < 2:  # a lone candidate wins whatever its score
+            return (admitted[0][0] if admitted else None), unasked
+        scored = [(v, self._link_metrics(at, v, lk)[3], d) for v, lk, d in admitted]
+        return greedy_choice(scored, node.beta), unasked
 
     def _all_refused(self, at: int, pkt: SimPacket, unasked: list[int]) -> bool:
         """True when no link out of ``at`` admits ``pkt``, given that the greedy
@@ -794,8 +803,9 @@ class GpsrqSimulation(Simulation):
         if choice is not None:
             if not self._can_forward(at, choice, pkt, admitted=True):
                 return False
-            self._clear_recovery(pkt)
-            pkt.retry_exclude = set()
+            if at_entry:  # the only packets here that still hold recovery state
+                self._clear_recovery(pkt)
+            pkt.retry_exclude = NO_NODES
             return self._forward(at, choice, pkt)
 
         if at_entry:

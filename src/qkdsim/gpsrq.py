@@ -37,11 +37,11 @@ def greedy_choice(candidates: list[tuple[int, float, float]], beta: float) -> in
     """
     if not candidates:
         return None
-    d_max = max(d for _, _, d in candidates)
-    best = min(
+    d_max = max([d for _, _, d in candidates])
+    best = min([
         (forwarding_score(r_m, (d / d_max) if d_max > 0.0 else 0.0, beta), nbr)
         for nbr, r_m, d in candidates
-    )
+    ])
     return best[1]
 
 

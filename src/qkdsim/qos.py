@@ -25,6 +25,8 @@ class TrafficClass(IntEnum):
 
 # Read on every admission; an Enum class attribute lookup costs more.
 _PREMIUM = TrafficClass.PREMIUM
+# GPSRQ's shared empty set of neighbours: a packet's default exclusions.
+NO_NODES: frozenset = frozenset()
 
 PRIORITY_ORDER: tuple[TrafficClass, ...] = (
     TrafficClass.PREMIUM,
@@ -53,8 +55,8 @@ class SimPacket:
     arrived_from: int | None = None
     # GPSRQ: one shared empty default; the engine assigns a fresh set before
     # any add, so an add on the default fails loudly.
-    retry_exclude: set | frozenset = frozenset()
-    recovery_tried: set | frozenset = frozenset()
+    retry_exclude: set | frozenset = NO_NODES
+    recovery_tried: set | frozenset = NO_NODES
     signal_value: float | None = None
     entries: tuple = ()
     # GPSRQ: node -> the neighbour this packet came from, made on first use.

@@ -29,7 +29,8 @@ from qkdsim.engine import (
 )
 from qkdsim.experiment import run_sweep
 from qkdsim.geometry import Position, euclidean_distance
-from qkdsim.qos import PriorityQueueSet, TrafficClass
+from qkdsim.gpsrq import greedy_choice
+from qkdsim.qos import PriorityQueueSet, SimPacket, TrafficClass
 from qkdsim.topology import Topology, TopologySpec, generate_topology
 
 
@@ -74,31 +75,78 @@ def test_no_pending_event_outlives_the_run(protocol, nodes, kw):
 
 # --- trace hash ----------------------------------------------------------------
 
-@pytest.mark.parametrize("case", ["narrative", "gpsrq", "dv"])
-def test_trace_hash_matches_reference_encoding(monkeypatch, case):
-    """The per-kind line builders and the batched updates give the digest of
-    the generic encoding, for a run shorter than one batch (the narrative) and
-    runs longer than three; both gpsrq runs enter recovery."""
+def _hash_case(case: str) -> Simulation:
     if case == "narrative":
-        sim = narrative_sim(trace=True)
-    else:
-        cfg = RunConfig(protocol=case, seed=3, duration_s=20.0 if case == "gpsrq" else 5.0)
-        sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 3), trace=True)
-    lines = []
+        return narrative_sim(trace=True)
+    protocol, seed, duration, kw = {
+        "gpsrq": ("gpsrq", 3, 20.0, {}),
+        "gpsrq-starved": ("gpsrq", 1, 20.0, {"link": LinkConfig(
+            max_key_bytes=4_000_000, init_key_bytes_range=(1_000_000, 4_000_000))}),
+        "dv": ("dv", 3, 5.0, {}),
+        "dv-hello": ("dv", 3, 5.0, {"dv_liveness": "hello"}),
+    }[case]
+    cfg = RunConfig(protocol=protocol, seed=seed, duration_s=duration, **kw)
+    return Simulation(cfg, generate_topology(TopologySpec(node_count=10), seed), trace=True)
+
+
+def _hash_features(ev) -> set:
+    """What of the hash encoding one event's line exercises: its kind, a DV
+    timer's mode, a source arrival and the loop value of a packet."""
+    out = {ev.kind}
+    if ev.kind is EventKind.DV_TIMER:
+        out.add(("dv mode", ev.payload[1]))
+    if ev.kind is EventKind.PACKET_ARRIVAL and ev.payload[0] is None:
+        out.add("source arrival")
+    out.update(("loop", item.loop) for item in ev.payload[:3] if isinstance(item, SimPacket))
+    return out
+
+
+_COMMON = {EventKind.PACKET_ARRIVAL, EventKind.LINK_TRANSMIT_DONE, EventKind.SIMULATION_END,
+           "source arrival", ("loop", 0)}
+# What each case of the reference-encoding test must reach.
+HASH_CASE_COVERS = {
+    "narrative": _COMMON | {("loop", 1), ("loop", 2)},
+    "gpsrq": _COMMON | {EventKind.KEY_CHARGE, EventKind.SIGNALING_TIMER, EventKind.CACHE_EXPIRY,
+                        ("loop", 1), ("loop", 2)},
+    "gpsrq-starved": _COMMON | {EventKind.RETRY_TIMER},
+    "dv": _COMMON | {EventKind.DV_TIMER, ("dv mode", "periodic"), ("dv mode", "flush")},
+    "dv-hello": _COMMON | {EventKind.DV_TIMER, ("dv mode", "hello")},
+}
+
+
+def test_hash_cases_cover_every_line_format():
+    """Together the reference-encoding cases hash every event kind, every DV
+    timer mode, source arrivals and packets at every loop value, so each
+    line format is checked against the oracle."""
+    covered = set().union(*HASH_CASE_COVERS.values())
+    assert covered == {*EventKind, ("dv mode", "periodic"), ("dv mode", "flush"),
+                       ("dv mode", "hello"), "source arrival", ("loop", 0), ("loop", 1),
+                       ("loop", 2)}
+
+
+@pytest.mark.parametrize("case", list(HASH_CASE_COVERS))
+def test_trace_hash_matches_reference_encoding(monkeypatch, case):
+    """The per-kind line formats and the batched updates give the digest of
+    the generic encoding, for a run shorter than one batch (the narrative) and
+    runs longer than three; the first two gpsrq runs enter recovery."""
+    sim = _hash_case(case)
+    lines, seen = [], set()
     real = Simulation._hash_event
 
     def oracle_then_real(self, ev):
         lines.append(reference_hash_line(ev))
+        seen.update(_hash_features(ev))
         real(self, ev)
 
     monkeypatch.setattr(Simulation, "_hash_event", oracle_then_real)
     stats = sim.run()
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == stats.trace_hash
+    assert HASH_CASE_COVERS[case] <= seen
     if case == "narrative":
         assert len(lines) < HASH_BATCH_LINES
     else:
         assert len(lines) > 3 * HASH_BATCH_LINES
-    if case != "dv":
+    if case in ("narrative", "gpsrq"):
         assert any(entry[1] == "recovery_enter" for entry in sim.trace)
 
 
@@ -642,6 +690,44 @@ def test_a_link_the_greedy_pick_did_not_ask_is_serviceable(unasked, refused, exp
         sim.gpsrq_nodes[0].add_cache(1, 5.0, sim.now, 1.0)
     assert sim._decide(0, pkt) is True
     assert (len(sim.l2[(0, 2)]), sim.stats.drop_source) == expected
+
+
+def _two_closer_sim() -> Simulation:
+    """Source 0 with two closer neighbours of destination 3: 1, the closer one,
+    whose link holds little key, and 2, whose link is full. With beta 0 the
+    link metric alone scores them, so 2 wins."""
+    topo = Topology(
+        nodes=[(0, Position(0, 10)), (1, Position(12, 12)), (2, Position(10, 6)),
+               (3, Position(30, 10))],
+        edges={(0, 1), (0, 2), (1, 3), (2, 3)},
+        grid_size=40.0,
+    )
+    cfg = ample_cfg(seed=1, duration_s=1.0, beta=0.0)
+    cfg.link.rate_bps = 0.0
+    sim = Simulation(cfg, topo)
+    sim.links[(0, 1)].storage.m_cur = 2 * sim.links[(0, 1)].storage.m_min
+    sim.links[(0, 2)].storage.m_cur = sim.links[(0, 2)].storage.m_max
+    return sim
+
+
+def test_a_lone_admissible_closer_neighbour_is_chosen_unscored(monkeypatch):
+    sim = _two_closer_sim()
+    sim.links[(0, 2)].storage.m_cur = 0.0  # refuses the packet
+
+    def unexpected(*args):
+        raise AssertionError("a lone candidate was scored")
+
+    monkeypatch.setattr(sim, "_link_metrics", unexpected)
+    monkeypatch.setattr(engine, "greedy_choice", unexpected)
+    assert sim._greedy_pick(0, sim._make_data_packet(), sim.gpsrq_nodes[0]) == (1, [])
+
+
+def test_two_admissible_closer_neighbours_are_scored():
+    sim = _two_closer_sim()
+    pkt, node = sim._make_data_packet(), sim.gpsrq_nodes[0]
+    scored = [(v, sim._link_metrics(0, v, sim.link(0, v))[3], sim._to_dst[v]) for v in (1, 2)]
+    assert greedy_choice(scored, node.beta) == 2  # not the first candidate
+    assert sim._greedy_pick(0, pkt, node) == (2, [])
 
 
 # --- threshold convergence ----------------------------------------------------------

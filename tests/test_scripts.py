@@ -1,6 +1,5 @@
 """The scripts in ``scripts/``: the experiment scripts write self-describing
-CSVs, the kill-list runner fails on every mutant it cannot show killed, and
-the exact-work counter sums calls per code object."""
+CSVs, and the kill-list runner fails on every mutant it cannot show killed."""
 
 import ast
 import importlib.util
@@ -85,40 +84,3 @@ def test_kill_mutants_stops_when_a_listed_test_fails_without_a_mutant(tmp_path, 
                                     "replace": "y", "kills": ["tests/a.py::b"]}]))
     assert script.main(["--list", str(listing)]) == 1
     assert "unmutated: FAIL: fails without a mutant: tests/a.py::b" in capsys.readouterr().out
-
-
-def test_bench_exact_counts_every_dataclass_init_apart(tmp_path, monkeypatch):
-    # Every dataclass-generated __init__ carries the label <string>:2(__init__),
-    # under which pstats keeps only one of them; summing per code object counts
-    # the calls of both.
-    from dataclasses import dataclass
-
-    @dataclass
-    class A:
-        x: int
-
-    @dataclass
-    class B:
-        y: int
-
-    script = _load("bench_exact")
-    built = {"n": 0}
-
-    def fake_repetition(name, seed, trace):
-        for i in range(built["n"]):
-            A(i), B(i)
-        return {"events": 4}
-
-    monkeypatch.setattr(script, "run_repetition", fake_repetition)
-    calls = []
-    for n in (0, 3):
-        built["n"] = n
-        out = tmp_path / f"bench{n}.json"
-        assert script.main(["--out", str(out), "sweep-greedy"]) == 0
-        got = json.loads(out.read_text(encoding="ascii"))
-        assert list(got) == ["sweep-greedy"] and got["sweep-greedy"]["events"] == 4
-        calls.append(got["sweep-greedy"]["calls"])
-    assert calls[1] - calls[0] == 6
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--out", str(tmp_path / "x.json"), "no-such-workload"])
-    assert exc.value.code == 2

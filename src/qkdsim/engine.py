@@ -114,6 +114,11 @@ class SimEvent(NamedTuple):
     payload: tuple
 
 
+# Builds a SimEvent from a ready tuple, skipping the NamedTuple constructor's
+# argument handling; bound once, so a push does no attribute lookup for it.
+_new_tuple = tuple.__new__
+
+
 class EventQueue:
     """Time-ordered event set; equal times resolve by scheduling order.
     Sequence numbers are unique, so heap comparisons never reach ``kind``.
@@ -129,7 +134,7 @@ class EventQueue:
 
     def push(self, fire_at: float, kind: EventKind, payload: tuple = ()) -> None:
         if fire_at <= self.horizon:
-            heappush(self._heap, tuple.__new__(SimEvent, (fire_at, next(self._seq), kind, payload)))
+            heappush(self._heap, _new_tuple(SimEvent, (fire_at, next(self._seq), kind, payload)))
 
     def pop(self) -> SimEvent | None:
         if not self._heap:
@@ -543,8 +548,10 @@ class GpsrqSimulation(Simulation):
         self._to_dst = to_dst = {nid: euclidean_distance(p, self._dst_pos)
                                  for nid, p in self._pos.items()}
         # Greedy candidates: each node's strictly closer neighbours, in
-        # neighbour order, with their distances to the destination.
-        self._closer = {nid: tuple((v, to_dst[v]) for v in self.topo.neighbors(nid)
+        # neighbour order, with their distances to the destination and links.
+        links = self._link_by_dir
+        self._closer = {nid: tuple((v, to_dst[v], links[(nid, v)])
+                                   for v in self.topo.neighbors(nid)
                                    if to_dst[v] < to_dst[nid])
                         for nid in self._pos}
         # Recovery: (node, reference neighbour) -> ccw_order, filled on first use.
@@ -663,19 +670,26 @@ class GpsrqSimulation(Simulation):
     def _greedy_pick(self, at: int, pkt: SimPacket,
                      node: GpsrqNode) -> tuple[int | None, list[int]]:
         """Best-scoring admissible closer neighbour, if any, and the closer
-        neighbours whose admission it did not ask: the excluded and cache-blocked."""
-        now, exclude, links = self.now, pkt.retry_exclude, self._link_by_dir
+        neighbours whose admission it did not ask: the excluded and cache-blocked.
+        Each asked link's public metric is read once, for its admission and its
+        score; the score is ``_link_metrics``' link metric."""
+        now, exclude = self.now, pkt.retry_exclude
         admitted, unasked = [], []
-        for v, d in self._closer[at]:
+        for v, d, lk in self._closer[at]:
+            # Asked even at a node that holds no exclusion: perfbench's self-test
+            # expects every GPSRQ run to count cache lookups here.
             if v in exclude or node.cache_blocked(v, now):
                 unasked.append(v)
                 continue
-            lk = links[(at, v)]
-            if admission_cost(lk, pkt, now) is not None:
-                admitted.append((v, lk, d))
+            p_m = public_metric(lk.pub_stats, now)
+            if admission_cost(lk, pkt, now, p_m) is not None:
+                admitted.append((v, d, lk.storage, p_m))
         if len(admitted) < 2:  # a lone candidate wins whatever its score
             return (admitted[0][0] if admitted else None), unasked
-        scored = [(v, self._link_metrics(at, v, lk)[3], d) for v, lk, d in admitted]
+        alpha = self.cfg.alpha
+        scored = [(v, link_metric(quantum_metric(s.m_cur, node.m_thr(v, s.m_max), s.m_max)[1],
+                                  p_m, alpha), d)
+                  for v, d, s, p_m in admitted]
         return greedy_choice(scored, node.beta), unasked
 
     def _all_refused(self, at: int, pkt: SimPacket, unasked: list[int]) -> bool:
@@ -688,7 +702,7 @@ class GpsrqSimulation(Simulation):
         return all(admission_cost(links[(at, v)], pkt, now) is None
                    for v in chain(unasked, farther))
 
-    def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set,
+    def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set | frozenset,
                   toward: int) -> int | None:
         """First admissible neighbour counterclockwise from the bearing of ``toward``;
         None when none qualifies."""
@@ -698,9 +712,10 @@ class GpsrqSimulation(Simulation):
             order = self._ccw_orders[(at, toward)] = ccw_order(
                 pos[at], angle_of(pos[at], pos[toward]),
                 [(v, pos[v]) for v in self.topo.neighbors(at)])
-        now, links = self.now, self._link_by_dir
+        # A node that holds no exclusion blocks nothing, so its cache is not asked.
+        now, links, blocked = self.now, self._link_by_dir, node.blocked_until
         for v in order:
-            if (v not in exclude and not node.cache_blocked(v, now)
+            if (v not in exclude and not (blocked and node.cache_blocked(v, now))
                     and admission_cost(links[(at, v)], pkt, now) is not None):
                 return v
         return None
@@ -714,7 +729,7 @@ class GpsrqSimulation(Simulation):
     def _clear_recovery(pkt: SimPacket) -> None:
         pkt.rec_position = None
         pkt.rec_if = None
-        pkt.recovery_tried = set()
+        pkt.recovery_tried = NO_NODES
 
     def _can_forward(self, at: int, target: int, pkt: SimPacket, admitted: bool = False) -> bool:
         """True unless the L2 queue to ``target`` is full or its link refuses
@@ -792,7 +807,7 @@ class GpsrqSimulation(Simulation):
                 self._clear_recovery(pkt)
                 self._record("recovery_exit", at, pkt.uid)
             else:
-                v = self._ccw_pick(at, pkt, node, set(), arrived)
+                v = self._ccw_pick(at, pkt, node, NO_NODES, arrived)
                 if v is None:
                     return self._send_back(at, pkt, arrived)
                 if not self._can_forward(at, v, pkt, admitted=True):

@@ -21,28 +21,28 @@ def cache_ttl(stats: PublicChannelStats) -> float:
     return stats.t_average
 
 
-def forwarding_score(r_m: float, normalized_distance: float, beta: float) -> float:
-    """Blend of link state and geographic progress; beta=1 is distance-only."""
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError("beta must lie in [0, 1]")
-    return (1.0 - beta) * r_m + beta * normalized_distance
-
-
 def greedy_choice(candidates: list[tuple[int, float, float]], beta: float) -> int | None:
     """Pick the neighbor minimizing the forwarding score.
 
     ``candidates`` holds (neighbor id, link metric, distance to destination)
     triples; distances are normalized by the largest candidate distance so
-    beta mixes two [0, 1] quantities. Ties break toward the smaller id.
+    beta mixes two [0, 1] quantities, and beta=1 is distance-only. Ties break
+    toward the smaller id.
     """
     if not candidates:
         return None
-    d_max = max([d for _, _, d in candidates])
-    best = min([
-        (forwarding_score(r_m, (d / d_max) if d_max > 0.0 else 0.0, beta), nbr)
-        for nbr, r_m, d in candidates
-    ])
-    return best[1]
+    if not (0.0 <= beta <= 1.0):
+        raise ValueError("beta must lie in [0, 1]")
+    d_max = 0.0
+    for _, _, d in candidates:
+        if d > d_max:
+            d_max = d
+    best_score, best = 0.0, None
+    for nbr, r_m, d in candidates:
+        score = (1.0 - beta) * r_m + beta * (d / d_max if d_max > 0.0 else 0.0)
+        if best is None or score < best_score or (score == best_score and nbr < best):
+            best_score, best = score, nbr
+    return best
 
 
 class GpsrqNode:

@@ -106,13 +106,17 @@ class PriorityQueueSet:
         return True
 
 
-def admission_cost(link: QkdLink, pkt: SimPacket, now: float) -> float | None:
+def admission_cost(link: QkdLink, pkt: SimPacket, now: float,
+                   p_m: float | None = None) -> float | None:
     """Key bits the link must supply to serve the packet now, or None if refused.
 
     Admission requires both enough key material for the packet's class and a
-    public channel that is not flagged as failing.
+    public channel that is not flagged as failing. ``p_m`` is the link's
+    public metric at ``now`` when the caller has already read it.
     """
-    if public_metric(link.pub_stats, now) > 1.0:
+    if p_m is None:
+        p_m = public_metric(link.pub_stats, now)
+    if p_m > 1.0:
         return None
     premium = pkt.traffic_class == _PREMIUM
     if link.storage.can_consume(pkt.key_cost, premium):

@@ -222,6 +222,24 @@ def narrative_sim(trace: bool = False) -> Simulation:
     return sim
 
 
+def two_closer_sim() -> Simulation:
+    """Source 0 with two closer neighbours of destination 3: 1, the closer one,
+    whose link holds little key, and 2, whose link is full. With beta 0 the
+    link metric alone scores them, so 2 wins."""
+    topo = Topology(
+        nodes=[(0, Position(0, 10)), (1, Position(12, 12)), (2, Position(10, 6)),
+               (3, Position(30, 10))],
+        edges={(0, 1), (0, 2), (1, 3), (2, 3)},
+        grid_size=40.0,
+    )
+    cfg = ample_cfg(seed=1, duration_s=1.0, beta=0.0)
+    cfg.link.rate_bps = 0.0
+    sim = Simulation(cfg, topo)
+    sim.links[(0, 1)].storage.m_cur = 2 * sim.links[(0, 1)].storage.m_min
+    sim.links[(0, 2)].storage.m_cur = sim.links[(0, 2)].storage.m_max
+    return sim
+
+
 class ReferenceGpsrqSimulation(GpsrqSimulation):
     """GPSRQ with the routing decision as it was before it read per-run tables.
 

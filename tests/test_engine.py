@@ -15,9 +15,10 @@ from helpers import (
     collect_overhead,
     narrative_sim,
     reference_hash_line,
+    two_closer_sim,
     two_node_topology,
 )
-from qkdsim import engine
+from qkdsim import engine, qos
 from qkdsim.config import PROTOCOLS, LinkConfig, RunConfig
 from qkdsim.engine import (
     HASH_BATCH_LINES,
@@ -29,8 +30,8 @@ from qkdsim.engine import (
 )
 from qkdsim.experiment import run_sweep
 from qkdsim.geometry import Position, euclidean_distance
-from qkdsim.gpsrq import greedy_choice
-from qkdsim.qos import PriorityQueueSet, SimPacket, TrafficClass
+from qkdsim.gpsrq import GpsrqNode, greedy_choice
+from qkdsim.qos import NO_NODES, PriorityQueueSet, SimPacket, TrafficClass
 from qkdsim.topology import Topology, TopologySpec, generate_topology
 
 
@@ -564,8 +565,10 @@ def test_an_equally_far_neighbour_is_not_a_greedy_candidate():
     )
     sim = Simulation(RunConfig(seed=1, duration_s=1.0), topo)
     assert sim._to_dst[0] == sim._to_dst[1] == 5.0
-    assert sim._closer[0] == sim._closer[1] == ((2, 2.0),)
-    assert sim._closer[2] == ((3, 0.0),)
+    closer = {u: [(v, d) for v, d, _ in sim._closer[u]] for u in sim._closer}
+    assert closer[0] == closer[1] == [(2, 2.0)]
+    assert closer[2] == [(3, 0.0)]
+    assert all(lk is sim.link(u, v) for u in sim._closer for v, _, lk in sim._closer[u])
 
 
 def test_recovery_computes_each_bearing_order_once(monkeypatch):
@@ -692,26 +695,8 @@ def test_a_link_the_greedy_pick_did_not_ask_is_serviceable(unasked, refused, exp
     assert (len(sim.l2[(0, 2)]), sim.stats.drop_source) == expected
 
 
-def _two_closer_sim() -> Simulation:
-    """Source 0 with two closer neighbours of destination 3: 1, the closer one,
-    whose link holds little key, and 2, whose link is full. With beta 0 the
-    link metric alone scores them, so 2 wins."""
-    topo = Topology(
-        nodes=[(0, Position(0, 10)), (1, Position(12, 12)), (2, Position(10, 6)),
-               (3, Position(30, 10))],
-        edges={(0, 1), (0, 2), (1, 3), (2, 3)},
-        grid_size=40.0,
-    )
-    cfg = ample_cfg(seed=1, duration_s=1.0, beta=0.0)
-    cfg.link.rate_bps = 0.0
-    sim = Simulation(cfg, topo)
-    sim.links[(0, 1)].storage.m_cur = 2 * sim.links[(0, 1)].storage.m_min
-    sim.links[(0, 2)].storage.m_cur = sim.links[(0, 2)].storage.m_max
-    return sim
-
-
 def test_a_lone_admissible_closer_neighbour_is_chosen_unscored(monkeypatch):
-    sim = _two_closer_sim()
+    sim = two_closer_sim()
     sim.links[(0, 2)].storage.m_cur = 0.0  # refuses the packet
 
     def unexpected(*args):
@@ -723,11 +708,49 @@ def test_a_lone_admissible_closer_neighbour_is_chosen_unscored(monkeypatch):
 
 
 def test_two_admissible_closer_neighbours_are_scored():
-    sim = _two_closer_sim()
+    sim = two_closer_sim()
     pkt, node = sim._make_data_packet(), sim.gpsrq_nodes[0]
     scored = [(v, sim._link_metrics(0, v, sim.link(0, v))[3], sim._to_dst[v]) for v in (1, 2)]
     assert greedy_choice(scored, node.beta) == 2  # not the first candidate
     assert sim._greedy_pick(0, pkt, node) == (2, [])
+
+
+def test_a_greedy_pick_reads_each_asked_public_metric_once(monkeypatch):
+    # Both bindings are counted: the pick's own read and any read inside admission.
+    reads = []
+    public_metric = engine.public_metric
+
+    def counted(*args):
+        reads.append(args)
+        return public_metric(*args)
+
+    monkeypatch.setattr(engine, "public_metric", counted)
+    monkeypatch.setattr(qos, "public_metric", counted)
+    sim = two_closer_sim()
+    pkt, node = sim._make_data_packet(), sim.gpsrq_nodes[0]
+    assert sim._greedy_pick(0, pkt, node) == (2, [])
+    assert len(reads) == 2  # two asked candidates, both admitted and scored
+
+
+def test_a_recovery_pick_at_a_node_without_exclusions_never_asks_its_cache(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("asked the cache of a node that holds no exclusion")
+
+    monkeypatch.setattr(GpsrqNode, "cache_blocked", unexpected)
+    sim = two_closer_sim()
+    pkt, node = sim._make_data_packet(), sim.gpsrq_nodes[0]
+    assert sim._ccw_pick(0, pkt, node, NO_NODES, 3) == 1
+
+
+def test_a_live_exclusion_skips_its_neighbour():
+    sim = two_closer_sim()
+    pkt, node = sim._make_data_packet(), sim.gpsrq_nodes[0]
+    node.add_cache(1, 5.0, sim.now, 1.0)
+    assert sim._greedy_pick(0, pkt, node) == (2, [1])
+    assert sim._ccw_pick(0, pkt, node, NO_NODES, 3) == 2
+    node.add_cache(2, 5.0, sim.now, 1.0)
+    assert sim._greedy_pick(0, pkt, node) == (None, [1, 2])
+    assert sim._ccw_pick(0, pkt, node, NO_NODES, 3) is None
 
 
 # --- threshold convergence ----------------------------------------------------------

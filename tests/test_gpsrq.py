@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import NaiveExclusionCache
 from qkdsim.geometry import Position
-from qkdsim.gpsrq import GpsrqNode, cache_ttl, forwarding_score, greedy_choice
+from qkdsim.gpsrq import GpsrqNode, cache_ttl, greedy_choice
 from qkdsim.links import PublicChannelStats
 
 
@@ -159,6 +159,8 @@ def test_beta_zero_picks_best_link_state():
 def test_tie_breaks_to_smaller_id():
     cands = [(5, 0.5, 10.0), (3, 0.5, 10.0)]
     assert greedy_choice(cands, beta=0.6) == 3
+    # 0.5 * 0.5 + 0.5 * 1.0 == 0.5 * 0.75 + 0.5 * 0.75 == 0.75
+    assert greedy_choice([(4, 0.5, 10.0), (1, 0.75, 7.5)], beta=0.5) == 1
 
 
 def test_empty_candidates_is_none():
@@ -166,11 +168,18 @@ def test_empty_candidates_is_none():
 
 
 def test_scores_blend_convexly():
-    assert forwarding_score(0.4, 0.8, 0.5) == pytest.approx(0.6)
-    assert forwarding_score(0.4, 0.8, 0.0) == 0.4
-    assert forwarding_score(0.4, 0.8, 1.0) == 0.8
+    # Normalized distances 0.8 and 1.0: at beta 0.5, 1 scores 0.6 against
+    # 2's 0.55 (link metric 0.1) or 0.65 (0.3), so the blend decides.
+    assert greedy_choice([(1, 0.4, 8.0), (2, 0.1, 10.0)], beta=0.5) == 2
+    assert greedy_choice([(1, 0.4, 8.0), (2, 0.3, 10.0)], beta=0.5) == 1
+    assert greedy_choice([(1, 0.4, 8.0), (2, 0.3, 10.0)], beta=0.0) == 2
+    assert greedy_choice([(1, 0.4, 8.0), (2, 0.1, 10.0)], beta=1.0) == 1
     with pytest.raises(ValueError):
-        forwarding_score(0.4, 0.8, 1.2)
+        greedy_choice([(1, 0.4, 8.0)], beta=1.2)
+
+
+def test_candidates_all_at_the_destination_are_scored_by_link_alone():
+    assert greedy_choice([(1, 0.5, 0.0), (2, 0.4, 0.0)], beta=0.6) == 2
 
 
 # --- threshold views -------------------------------------------------------------

@@ -3,11 +3,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import two_closer_sim
 from qkdsim.config import (
     AES_REFRESH_PACKETS, AES_SESSION_KEY_BITS, CLASS_NAMES, RunConfig, TrafficConfig,
 )
 from qkdsim.engine import Simulation
 from qkdsim.links import KeyStorage, PublicChannelStats, QkdLink
+from qkdsim.metrics import public_metric
 from qkdsim.qos import (
     PRIORITY_ORDER,
     PriorityQueueSet,
@@ -187,3 +189,16 @@ def test_admission_refused_when_public_channel_failing():
     # metric crosses 1.0 once the last record is older than 7 s.
     assert admission_cost(lk, _packet(), now=6.9) is not None
     assert admission_cost(lk, _packet(), now=7.1) is None
+
+
+def test_a_public_metric_of_exactly_one_admits():
+    # t_last = t_average = 7 s, last recorded at 0: at 7 s the metric is
+    # (7 + 7) / 14 == 1.0, the highest value that still admits.
+    lk = _link(m_cur=1e7)
+    assert public_metric(lk.pub_stats, 7.0) == 1.0
+    assert admission_cost(lk, _packet(), now=7.0) == 4352.0
+    assert admission_cost(lk, _packet(), now=7.0, p_m=1.0) == 4352.0
+    # Both closer neighbours' links carry the same default public channel stats.
+    sim = two_closer_sim()
+    sim.now = 7.0
+    assert sim._greedy_pick(0, sim._make_data_packet(), sim.gpsrq_nodes[0]) == (2, [])

@@ -4,7 +4,9 @@ Each entry of ``scripts/mutants.json`` names a file, a source text that
 occurs there exactly once, its replacement and the ids of the tests that
 must fail once the text is replaced. Each mutant is applied to a fresh copy
 of ``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml`` in a temporary
-directory, and only its tests run there, one pytest process per mutant:
+directory, and only its tests run there, one pytest process per mutant,
+under the ``mutants`` hypothesis profile, which does not shrink a failing
+example:
 
     python3 scripts/kill_mutants.py [--list FILE]
 
@@ -64,7 +66,8 @@ def failing_tests(tree: Path, ids: list[str]) -> set[str]:
     the tests cannot run to completion."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE", *ids]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
+           "--hypothesis-profile=mutants", *ids]
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)

@@ -42,15 +42,16 @@ class DvRoute:
 
 
 class DvNode:
+    """A node's routing table, and ``pending``: the destinations whose routes
+    changed since the node last advertised, read from ``table`` when sent."""
+
     def __init__(self, node_id: int):
         self.node_id = node_id
-        self.own_seq = 0
         self.table: dict[int, DvRoute] = {node_id: DvRoute(node_id, 0, 0)}
-        self.pending: dict[int, tuple[int, int]] = {}
+        self.pending: set[int] = set()
 
     def bump_own_sequence(self) -> None:
-        self.own_seq += 2
-        self.table[self.node_id].seq = self.own_seq
+        self.table[self.node_id].seq += 2
 
     def full_dump(self) -> list[tuple[int, int, int]]:
         return [
@@ -59,7 +60,8 @@ class DvNode:
         ]
 
     def pending_dump(self) -> list[tuple[int, int, int]]:
-        return [(dst, metric, seq) for dst, (metric, seq) in sorted(self.pending.items())]
+        table = self.table
+        return [(dst, table[dst].metric, table[dst].seq) for dst in sorted(self.pending)]
 
     def process_update(self, from_neighbor: int, entries) -> list[int]:
         """Merge an advertisement received from a neighbor; returns changed routes.
@@ -72,7 +74,7 @@ class DvNode:
             cur = self.table.get(dst)
             if cur is None or seq > cur.seq or (seq == cur.seq and cand_metric < cur.metric):
                 self.table[dst] = DvRoute(from_neighbor, cand_metric, seq)
-                self.pending[dst] = (cand_metric, seq)
+                self.pending.add(dst)
                 changed.append(dst)
         return changed
 
@@ -82,7 +84,7 @@ class DvNode:
         for dst, route in self.table.items():
             if route.next_hop == neighbor and route.metric < INFINITE_METRIC:
                 self.table[dst] = DvRoute(None, INFINITE_METRIC, route.seq + 1)
-                self.pending[dst] = (INFINITE_METRIC, route.seq + 1)
+                self.pending.add(dst)
                 changed.append(dst)
         return changed
 

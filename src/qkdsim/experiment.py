@@ -89,6 +89,7 @@ SWEEP_FIELDS = {
     "auth_key_bits": ("base.link", "auth_key_bits"),
     "round_load_gain": ("base.link", "round_load_gain"),
     "round_stddev_frac": ("base.link", "round_stddev_frac"),
+    "round_floor_s": ("base.link", "round_floor_s"),
     "gabriel": ("topology", "gabriel"),
     "grid_size": ("topology", "grid_size"),
     "theta": ("topology", "theta"),

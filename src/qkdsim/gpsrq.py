@@ -54,7 +54,7 @@ class GpsrqNode:
     covers that destination, and ``blocked_until`` holds each neighbor's
     latest expiry over its regions. Re-adding a region keeps the later
     expiry, so the region stays where it was first inserted.
-    ``prune_cache`` deletes expired regions.
+    ``prune_cache`` deletes expired regions and blocks.
     """
 
     def __init__(self, node_id: int, beta: float, cache_enabled: bool):
@@ -87,5 +87,6 @@ class GpsrqNode:
         return self.blocked_until.get(via, now) > now
 
     def prune_cache(self, now: float) -> None:
-        """Drop every region with ``expires_at <= now``."""
+        """Drop every region and every neighbor's block with ``expires_at <= now``."""
         self.cache = {region: t for region, t in self.cache.items() if t > now}
+        self.blocked_until = {via: t for via, t in self.blocked_until.items() if t > now}

@@ -42,6 +42,7 @@ def test_poisoning_uses_odd_sequence():
     assert n.table[5].metric == INFINITE_METRIC
     assert n.table[5].seq == 3
     assert n.next_hop(5) is None
+    assert n.pending_dump() == [(5, INFINITE_METRIC, 3)]  # the poisoned route, not the first
 
 
 def test_poison_propagates_then_heals():
@@ -58,8 +59,8 @@ def test_own_sequence_bumps_by_two():
     n = DvNode(0)
     n.bump_own_sequence()
     n.bump_own_sequence()
-    assert n.own_seq == 4
-    assert n.table[0].seq == 4
+    assert n.table[0] == DvRoute(0, 0, 4)
+    assert n.full_dump() == [(0, 0, 4)]
 
 
 def test_no_change_no_pending():
@@ -67,7 +68,8 @@ def test_no_change_no_pending():
     n.process_update(1, [(5, 0, 2)])
     n.pending.clear()
     n.process_update(2, [(5, 5, 2)])  # worse metric, same seq
-    assert n.pending == {}
+    assert n.pending == set()
+    assert n.pending_dump() == []
 
 
 def test_pending_tracks_changes():

@@ -742,6 +742,22 @@ def test_a_recovery_pick_at_a_node_without_exclusions_never_asks_its_cache(monke
     assert sim._ccw_pick(0, pkt, node, NO_NODES, 3) == 1
 
 
+def test_a_recovery_pick_after_every_exclusion_expired_never_asks_its_cache(monkeypatch):
+    sim = two_closer_sim()
+    pkt, node = sim._make_data_packet(), sim.gpsrq_nodes[0]
+    sim._add_exclusion(node, 1, 1)
+    assert sim._ccw_pick(0, pkt, node, NO_NODES, 3) == 2
+    sim.now = node.blocked_until[1]
+    sim._on_cache_expiry(0)  # the exclusion's expiry event
+    assert node.blocked_until == {} and node.cache == {}
+
+    def unexpected(*args):
+        raise AssertionError("asked the cache of a node whose every exclusion expired")
+
+    monkeypatch.setattr(GpsrqNode, "cache_blocked", unexpected)
+    assert sim._ccw_pick(0, pkt, node, NO_NODES, 3) == 1
+
+
 def test_a_live_exclusion_skips_its_neighbour():
     sim = two_closer_sim()
     pkt, node = sim._make_data_packet(), sim.gpsrq_nodes[0]

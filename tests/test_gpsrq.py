@@ -32,7 +32,7 @@ def test_expired_record_ignored_and_pruned():
     node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
     assert not node.cache_blocked(1, now=5.0)
     node.prune_cache(now=5.0)
-    assert node.cache == {}
+    assert node.cache == {} and node.blocked_until == {}
 
 
 def test_disabled_cache_stores_nothing():
@@ -117,8 +117,9 @@ def test_pruned_cache_retains_no_records():
         node.add_cache(via=1 + i % 4, radius=float(i), now=i * 0.25, ttl=1.0 + i % 3)
     node.prune_cache(now=3.0)
     assert 0 < len(node.cache) < 40
+    assert node.blocked_until == {via: t for via, t in node.blocked_until.items() if t > 3.0}
     node.prune_cache(now=100.0)
-    assert node.cache == {}
+    assert node.cache == {} and node.blocked_until == {}
 
 
 # --- cache validity interval ---------------------------------------------------

@@ -1,5 +1,6 @@
-"""The scripts in ``scripts/``: the experiment scripts write self-describing
-CSVs, and the kill-list runner fails on every mutant it cannot show killed."""
+"""The experiment specs in ``experiments/`` write self-describing CSVs
+through ``qkdsim sweep``, and the kill-list runner in ``scripts/`` fails on
+every mutant it cannot show killed."""
 
 import ast
 import importlib.util
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from qkdsim.cli import main as qkdsim
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name: str):
@@ -30,18 +34,22 @@ def _read(path: Path) -> tuple[dict, list[list[str]]]:
 
 
 def test_cache_and_window_writes_one_csv_per_sweep(tmp_path):
-    script = _load("run_cache_and_window")
-    assert script.main(["--duration", "0.5", "--out", str(tmp_path / "cw.csv")]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cw_cache.csv", "cw_window.csv"]
-    key_ranges = {"cache": (500_000.0, 5_000_000.0), "window": (500_000.0, 25_000_000.0)}
+    # The two halves of the cache study differ in their link configuration, so
+    # each is a spec of its own, whose CSV covers only its own runs.
+    key_ranges = {"cache_ablation": (500_000.0, 5_000_000.0),
+                  "window_sweep": (500_000.0, 25_000_000.0)}
     # (t_avg_window, cache) of each mean row: one per experiment of the sweep.
-    groups = {"cache": {("5", "on"), ("5", "off")},
-              "window": {("2", "on"), ("5", "on"), ("7", "on"), ("10", "on")}}
+    groups = {"cache_ablation": {("5", "on"), ("5", "off")},
+              "window_sweep": {("2", "on"), ("5", "on"), ("7", "on"), ("10", "on")}}
     for name, key_range in key_ranges.items():
-        meta, rows = _read(tmp_path / f"cw_{name}.csv")
+        spec, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+        # A later line for a key replaces an earlier one: this shortens the run.
+        spec.write_text((ROOT / "experiments" / f"{name}.txt").read_text() + "duration=0.5\n")
+        assert qkdsim(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        meta, rows = _read(out)
         runs = [r for r in rows if r[2] != "mean"]
         means = [r for r in rows if r[2] == "mean"]
-        assert meta["script"] == f"run_cache_and_window:{name}"
+        assert meta["spec"] == str(spec)
         assert meta["runs"] == len(runs) == 4 * len(groups[name])
         assert meta["experiments"] == len(means) == len(groups[name])
         assert {(r[5], r[6]) for r in means} == groups[name]
@@ -52,11 +60,10 @@ def test_cache_and_window_writes_one_csv_per_sweep(tmp_path):
 
 def test_every_kill_list_mutant_changes_text_that_occurs_once():
     # The runner checks this too; here a refactor that moves the text fails tier-1 at once.
-    root = SCRIPTS.parent
     mutants = json.loads((SCRIPTS / "mutants.json").read_text())
     assert len({m["name"] for m in mutants}) == len(mutants)
     for m in mutants:
-        assert (root / m["file"]).read_text().count(m["find"]) == 1, m["name"]
+        assert (ROOT / m["file"]).read_text().count(m["find"]) == 1, m["name"]
         assert m["replace"] != m["find"] and m["kills"], m["name"]
 
 

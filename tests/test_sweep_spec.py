@@ -1,23 +1,27 @@
 """Sweep specs take every default and type from the config dataclasses, so a
 sweep run, a direct run and the README key table cannot drift apart."""
 
-import importlib.util
 import re
-import string
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from qkdsim import experiment
-from qkdsim.config import PROTOCOLS, ExperimentConfig, RunConfig, parse_value
+from qkdsim.config import PROTOCOLS, ExperimentConfig, LinkConfig, RunConfig, parse_value
 from qkdsim.engine import run_simulation
 from qkdsim.experiment import SWEEP_FIELDS, parse_sweep_spec, run_sweep
 from qkdsim.topology import TopologySpec, generate_topology
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_a_sweep_key_sets_every_link_config_field():
+    # Every field --link-config can set, a sweep spec can set too.
+    assert ({name for path, name in SWEEP_FIELDS.values() if path == "base.link"}
+            == {f.name for f in fields(LinkConfig)})
 
 
 def test_empty_spec_is_the_dataclass_default():
@@ -75,20 +79,19 @@ def test_a_failed_topology_fails_every_run_that_needs_it(generated):
     assert [row.error for row in rows] == ["grid_size must be positive and finite"] * 2
 
 
-def _script_specs():
-    for path in sorted((ROOT / "scripts").glob("*.py")):
-        spec = importlib.util.spec_from_file_location(path.stem, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        for name, text in vars(module).items():
-            if name.endswith("SPEC"):
-                yield pytest.param(text, id=f"{path.stem}.{name}")
+@pytest.mark.parametrize("path", sorted((ROOT / "experiments").glob("*.txt")),
+                         ids=attrgetter("stem"))
+def test_experiment_specs_parse(path):
+    assert parse_sweep_spec(path.read_text(encoding="ascii"))
 
 
-@pytest.mark.parametrize("text", list(_script_specs()))
-def test_script_specs_parse(text):
-    fields = {f for _, f, _, _ in string.Formatter().parse(text) if f}
-    assert parse_sweep_spec(text.format(**dict.fromkeys(fields, "1")))
+def test_a_later_line_for_a_key_replaces_the_earlier_one():
+    # So an experiment spec is shortened by appending lines, and its axes keep their order.
+    base = "nodes=30,40\nbeta=0.2,0.6\nseeds=1,2\ncache=on,off\nduration=60\n"
+    shortened = parse_sweep_spec(base + "nodes=10,12\nduration=0.5\nbeta=1.0,0.0\n")
+    assert [(e.node_counts, e.base.beta, e.base.cache_enabled, e.base.duration_s)
+            for e in shortened] == [([10, 12], b, c, 0.5)
+                                    for b in (1.0, 0.0) for c in (True, False)]
 
 
 def _readme_keys() -> dict[str, str]:

@@ -1,5 +1,7 @@
 """Command-line interface: simulate, gen-topology and sweep subcommands.
 
+``simulate`` and ``gen-topology`` take sweep keys as ``KEY=VALUE`` settings of one run.
+
 Exit status is 0 on success and 2 on configuration errors. The environment
 variable QKDSIM_LOG selects log verbosity (debug, info, warning, error).
 """
@@ -10,11 +12,11 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
-from .config import CLASS_NAMES, PROTOCOLS, ConfigError, LinkConfig, RunConfig, parse_value
+from .config import ConfigError, RunConfig
 from .engine import Simulation, SimulationError
-from .experiment import run_sweep
+from .experiment import SWEEP_FIELDS, parse_sweep_spec, run_sweep
 from .stats import write_csv
 from .topology import TopologyError, TopologySpec, generate_topology, load_topology, save_topology
 
@@ -25,72 +27,42 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+# The keys that shape a generated topology.
+TOPOLOGY_KEYS = {"nodes", *(key for key, (path, _) in SWEEP_FIELDS.items() if path == "topology")}
+
+
+def _one_run(settings: list[str], refused: set[str],
+             command: str) -> tuple[RunConfig, TopologySpec]:
+    """The one run that ``settings`` describe; a key in ``refused`` exits 2."""
+    keys = [item.split("=", 1)[0].strip() for item in settings]
+    for key in keys:
+        if key in refused:
+            raise ConfigError(f"{command} does not take {key!r}")
+    # The default seed goes last, so an error's setting number counts only the given settings.
+    seeds = [] if "seeds" in keys else [f"seeds={RunConfig().seed}"]
+    experiments = parse_sweep_spec("\n".join(settings + seeds), "setting")
+    runs = [run for exp in experiments for run in exp.expand()]
+    if len(runs) != 1:
+        raise ConfigError(f"the settings describe {len(runs)} runs; qkdsim sweep runs several")
+    return runs[0]
+
+
 def _add_simulate(sub: argparse._SubParsersAction) -> None:
-    run, spec = RunConfig(), TopologySpec()
     p = sub.add_parser("simulate", help="run one simulation and emit a CSV row")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--topology", metavar="FILE", help="load a topology file")
-    src.add_argument("--waxman", type=int, metavar="N", help="generate an N-node random topology")
-    p.add_argument("--seed", type=int, default=run.seed)
-    p.add_argument("--gabriel", action="store_true",
-                   help="connect the --waxman nodes as their Gabriel graph (planar) "
-                        "instead of drawing Waxman edges")
-    p.add_argument("--grid-size", type=float, default=spec.grid_size)
-    p.add_argument("--protocol", choices=PROTOCOLS, default=run.protocol)
-    p.add_argument("--beta", type=float, default=run.beta)
-    p.add_argument("--alpha", type=float, default=run.alpha)
-    p.add_argument("--t-avg-window", type=int, default=run.t_avg_window)
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--duration", type=float, default=run.duration_s)
-    p.add_argument("--traffic-rate", type=float, default=run.traffic.rate_bps, help="bits/second")
-    p.add_argument("--packet-bytes", type=int, default=run.traffic.packet_bytes)
-    p.add_argument("--traffic-class", choices=tuple(CLASS_NAMES),
-                   default=run.traffic.traffic_class)
-    p.add_argument("--link-config", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a link config key (e.g. rate_bps=100000)")
+    p.add_argument("--topology", metavar="FILE", help="load a topology file, not generate one")
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     p.add_argument("--dump-caches", action="store_true",
                    help="print per-node exclusion caches after the run")
     p.add_argument("--metrics-csv", metavar="FILE",
                    help="dump per-event link metric snapshots")
-
-
-def _apply_link_overrides(cfg: RunConfig, overrides: list[str]) -> None:
-    names = {f.name for f in fields(LinkConfig)}
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--link-config expects KEY=VALUE, got {item!r}")
-        key, raw = item.split("=", 1)
-        if key not in names:
-            raise ConfigError(f"unknown link config key {key!r}")
-        try:
-            setattr(cfg.link, key, parse_value(getattr(cfg.link, key), raw))
-        except ConfigError as exc:
-            raise ConfigError(f"--link-config {key}: {exc}") from None
+    p.add_argument("settings", nargs="*", metavar="KEY=VALUE", help="sweep keys, one value each")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    run_cfg = RunConfig(
-        protocol=args.protocol,
-        seed=args.seed,
-        duration_s=args.duration,
-        beta=args.beta,
-        alpha=args.alpha,
-        t_avg_window=args.t_avg_window,
-        cache_enabled=not args.no_cache,
-    )
-    run_cfg.traffic.rate_bps = args.traffic_rate
-    run_cfg.traffic.packet_bytes = args.packet_bytes
-    run_cfg.traffic.traffic_class = args.traffic_class
-    _apply_link_overrides(run_cfg, args.link_config)
+    refused = TOPOLOGY_KEYS if args.topology else set()
+    run_cfg, spec = _one_run(args.settings, refused, "simulate --topology")
     run_cfg.validate()
-
-    if args.topology:
-        topo = load_topology(args.topology)
-    else:
-        spec = TopologySpec(node_count=args.waxman, grid_size=args.grid_size,
-                            gabriel=args.gabriel)
-        topo = generate_topology(spec, args.seed)
+    topo = load_topology(args.topology) if args.topology else generate_topology(spec, run_cfg.seed)
 
     sim = Simulation(run_cfg, topo, metrics_log=bool(args.metrics_csv))
     stats = sim.run()
@@ -118,33 +90,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _add_gen_topology(sub: argparse._SubParsersAction) -> None:
-    spec = TopologySpec()
     p = sub.add_parser("gen-topology", help="generate a topology file")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--seed", type=int, default=RunConfig().seed)
-    p.add_argument("--grid-size", type=float, default=spec.grid_size)
-    p.add_argument("--theta", type=float, default=spec.theta)
-    p.add_argument("--omega", type=float, default=spec.omega)
-    p.add_argument("--lambda", dest="lambda_max", type=float, default=spec.lambda_max)
-    p.add_argument("--links-per-node", type=int, default=spec.links_per_node)
-    p.add_argument("--gabriel", action="store_true",
-                   help="connect the nodes as their Gabriel graph (planar); it depends only on "
-                        "--nodes, --seed and --grid-size, so the Waxman options are range-checked "
-                        "but have no effect")
     p.add_argument("--out", required=True, metavar="FILE")
+    p.add_argument("settings", nargs="*", metavar="KEY=VALUE", help="topology keys, nodes, seeds")
 
 
 def _cmd_gen_topology(args: argparse.Namespace) -> int:
-    spec = TopologySpec(
-        node_count=args.nodes,
-        grid_size=args.grid_size,
-        theta=args.theta,
-        omega=args.omega,
-        lambda_max=args.lambda_max,
-        links_per_node=args.links_per_node,
-        gabriel=args.gabriel,
-    )
-    topo = generate_topology(spec, args.seed)
+    refused = SWEEP_FIELDS.keys() - TOPOLOGY_KEYS - {"seeds"}
+    run_cfg, spec = _one_run(args.settings, refused, "gen-topology")
+    topo = generate_topology(spec, run_cfg.seed)
     save_topology(topo, args.out)
     print(f"wrote {args.out}: {len(topo.nodes)} nodes, {len(topo.edges)} edges, "
           f"{topo.retries} regeneration(s)")
@@ -179,7 +133,12 @@ def main(argv: list[str] | None = None) -> int:
     _add_simulate(sub)
     _add_gen_topology(sub)
     _add_sweep(sub)
-    args = parser.parse_args(argv)
+    # A setting after an option comes back unparsed, so it joins the settings.
+    args, late = parser.parse_known_args(argv)
+    if late:
+        if args.command == "sweep" or any(item.startswith("-") for item in late):
+            parser.error(f"unrecognized arguments: {' '.join(late)}")
+        args.settings += late
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)

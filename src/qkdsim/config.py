@@ -168,7 +168,7 @@ class RunConfig:
 class ExperimentConfig:
     """A set of runs: the base run config swept over node counts and seeds."""
 
-    node_counts: list[int] = field(default_factory=lambda: [30])
+    node_counts: list[int] = field(default_factory=lambda: [TopologySpec().node_count])
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
     base: RunConfig = field(default_factory=RunConfig)
     topology: TopologySpec = field(default_factory=TopologySpec)

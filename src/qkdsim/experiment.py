@@ -103,11 +103,12 @@ def _owner(exp: ExperimentConfig, path: str):
     return attrgetter(path)(exp) if path else exp
 
 
-def parse_sweep_spec(text: str) -> list[ExperimentConfig]:
+def parse_sweep_spec(text: str, line_name: str = "sweep spec line") -> list[ExperimentConfig]:
     """Parse key=value lines into experiment configs (cartesian product).
 
     ``nodes`` and ``seeds`` take a whole list per experiment; a list given
-    for any other key is a sweep axis.
+    for any other key is a sweep axis. An error names its line by
+    ``line_name`` and the line's number.
     """
     defaults = ExperimentConfig()
     values: dict[str, list] = {}
@@ -116,10 +117,10 @@ def parse_sweep_spec(text: str) -> list[ExperimentConfig]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"sweep spec line {lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{line_name} {lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in SWEEP_FIELDS:
-            raise ConfigError(f"sweep spec line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{line_name} {lineno}: unknown key {key!r}")
         path, name = SWEEP_FIELDS[key]
         default = getattr(_owner(defaults, path), name)
         try:
@@ -128,7 +129,7 @@ def parse_sweep_spec(text: str) -> list[ExperimentConfig]:
             else:
                 values[key] = [parse_value(default, item) for item in raw.split(",")]
         except ConfigError as exc:
-            raise ConfigError(f"sweep spec line {lineno}: {key}: {exc}") from None
+            raise ConfigError(f"{line_name} {lineno}: {key}: {exc}") from None
 
     combos: list[dict] = [{}]
     for key, vals in values.items():

@@ -327,8 +327,7 @@ def test_c10_window_sweep():
 def test_c11_process_determinism():
     args = [
         sys.executable, "-m", "qkdsim.cli", "simulate",
-        "--waxman", "10", "--seed", "17", "--gabriel",
-        "--protocol", "gpsrq", "--duration", "15",
+        "nodes=10", "seeds=17", "protocol=gpsrq", "duration=15",
     ]
     first = subprocess.run(args, capture_output=True, text=True, check=True).stdout
     second = subprocess.run(args, capture_output=True, text=True, check=True).stdout

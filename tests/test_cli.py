@@ -1,14 +1,13 @@
 import io
-import subprocess
-import sys
 
 import pytest
 
 from qkdsim.cli import main
-from qkdsim.config import ConfigError
+from qkdsim.config import ConfigError, RunConfig
+from qkdsim.engine import run_simulation
 from qkdsim.experiment import parse_sweep_spec, run_sweep
 from qkdsim.stats import write_csv
-from qkdsim.topology import TopologySpec, generate_topology, load_topology
+from qkdsim.topology import TopologySpec, generate_topology, load_topology, save_topology
 
 
 def run_cli(args):
@@ -17,69 +16,67 @@ def run_cli(args):
 
 def test_gen_topology_and_simulate_round_trip(tmp_path, capsys):
     topo_path = tmp_path / "topo.txt"
-    assert run_cli([
-        "gen-topology", "--nodes", "8", "--seed", "3", "--gabriel",
-        "--out", str(topo_path),
-    ]) == 0
+    assert run_cli(["gen-topology", "--out", str(topo_path), "nodes=8", "seeds=3"]) == 0
     topo = load_topology(str(topo_path))
     assert len(topo.nodes) == 8
+    assert topo.edges == generate_topology(TopologySpec(node_count=8), 3).edges
 
     out_path = tmp_path / "run.csv"
     assert run_cli([
-        "simulate", "--topology", str(topo_path), "--seed", "3",
-        "--protocol", "gpsrq", "--duration", "5", "--out", str(out_path),
+        "simulate", "--topology", str(topo_path), "seeds=3",
+        "protocol=gpsrq", "duration=5", "--out", str(out_path),
     ]) == 0
     body = out_path.read_text()
     assert "protocol,nodes,seed" in body
     assert "gpsrq,8,3" in body
 
 
-def test_gen_topology_draws_waxman_edges_without_the_gabriel_flag(tmp_path):
-    # Unlike a sweep, whose ``gabriel`` key is on unless set off.
+def test_gen_topology_draws_waxman_edges_with_gabriel_off(tmp_path):
+    # Like a sweep, gen-topology builds the Gabriel graph unless given gabriel=off.
     topo_path = tmp_path / "topo.txt"
-    assert run_cli(["gen-topology", "--nodes", "12", "--seed", "4",
-                    "--out", str(topo_path)]) == 0
+    assert run_cli(["gen-topology", "--out", str(topo_path), "nodes=12", "seeds=4",
+                    "gabriel=off"]) == 0
     waxman = generate_topology(TopologySpec(node_count=12, gabriel=False), 4)
     assert waxman.edges != generate_topology(TopologySpec(node_count=12), 4).edges
     assert load_topology(str(topo_path)).edges == waxman.edges
 
 
 def test_simulate_waxman_flag(tmp_path):
+    # gabriel=off draws Waxman edges, on the same topology as a direct run.
     out_path = tmp_path / "run.csv"
-    assert run_cli([
-        "simulate", "--waxman", "6", "--seed", "2", "--gabriel",
-        "--duration", "5", "--out", str(out_path),
-    ]) == 0
-    assert "gpsrq,6,2" in out_path.read_text()
+    assert run_cli(["simulate", "nodes=6", "seeds=2", "gabriel=off", "duration=5",
+                    "--out", str(out_path)]) == 0
+    direct = run_simulation(RunConfig(seed=2, duration_s=5.0),
+                            generate_topology(TopologySpec(node_count=6, gabriel=False), 2))
+    assert ",".join(direct.csv_row()) in out_path.read_text().splitlines()
+    assert f"trace_hash={direct.trace_hash}" in out_path.read_text()
 
 
 def test_simulate_rejects_bad_config(capsys):
-    rc = run_cli([
-        "simulate", "--waxman", "6", "--seed", "2", "--duration", "-5",
-    ])
+    rc = run_cli(["simulate", "nodes=6", "seeds=2", "duration=-5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_link_override(capsys):
-    rc = run_cli([
-        "simulate", "--waxman", "6", "--seed", "2", "--duration", "5",
-        "--link-config", "nonsense=1",
-    ])
+    # The error counts only the given settings, not the default seed added to them.
+    rc = run_cli(["simulate", "nodes=6", "duration=5", "rate_bps=abc"])
     assert rc == 2
+    assert capsys.readouterr().err == "error: setting 3: rate_bps: cannot parse 'abc'\n"
 
 
 def test_dump_caches_and_metrics_csv(tmp_path, capsys):
+    # Settings may follow the options as well as precede them.
     metrics_path = tmp_path / "metrics.csv"
     rc = run_cli([
-        "simulate", "--waxman", "8", "--seed", "5", "--gabriel",
-        "--duration", "15", "--out", str(tmp_path / "r.csv"),
-        "--metrics-csv", str(metrics_path), "--dump-caches",
+        "simulate", "nodes=8", "--out", str(tmp_path / "r.csv"),
+        "--metrics-csv", str(metrics_path), "--dump-caches", "seeds=5", "duration=15",
     ])
     assert rc == 0
     lines = metrics_path.read_text().splitlines()
     assert lines[0] == "time_s,node_u,node_v,q_frac,q_m,p_m,r_m"
     assert len(lines) > 1
+    assert "gpsrq,8,5," in (tmp_path / "r.csv").read_text()
 
 
 def test_sweep_spec_parsing_cartesian():
@@ -155,67 +152,76 @@ def test_topology_range_checks_run_when_the_run_starts():
                       "t_avg_window=5 cache=on: theta and omega must lie in (0, 1]"]
 
 
-def test_process_level_determinism(tmp_path):
-    """Two separate interpreter invocations produce byte-identical CSV."""
-    args = [
-        sys.executable, "-m", "qkdsim.cli", "simulate",
-        "--waxman", "8", "--seed", "11", "--gabriel",
-        "--protocol", "gpsrq", "--duration", "10",
-    ]
-    first = subprocess.run(args, capture_output=True, text=True, check=True)
-    second = subprocess.run(args, capture_output=True, text=True, check=True)
-    assert first.stdout == second.stdout
-    assert "trace_hash=" in first.stdout
-
-
+# A ported case keeps the id it had when simulate and gen-topology took flags.
 @pytest.mark.parametrize("where, item", [
     ("sweep", "beta=zz"),
     ("sweep", "nodes=6,x"),
     ("sweep", "seeds="),
     ("link", "rate_bps=abc"),
     ("link", "auth_key_bits=1.5"),
-    ("link", "init_key_bytes_range=5"),
+    pytest.param("link", "init_key_bytes=5", id="link-init_key_bytes_range=5"),
     ("link", "rate_bps=nan"),
     ("link", "charge_period_s=nan"),
     ("link", "bandwidth_bps=nan"),
     ("link", "round_floor_s=nan"),
     ("link", "round_stddev_frac=nan"),
     ("link", "max_key_bytes=inf"),
-    ("link", "init_key_bytes_range=1:inf"),
+    pytest.param("link", "init_key_bytes=1:inf", id="link-init_key_bytes_range=1:inf"),
     ("sweep", "# caf\u00e9"),
-    ("simulate", "--waxman 1"),
-    ("simulate", "--waxman 6 --grid-size -1"),
-    ("simulate", "--waxman 6 --grid-size nan"),
-    ("simulate", "--waxman 6 --duration nan"),
-    ("simulate", "--waxman 6 --duration inf"),
-    ("simulate", "--waxman 6 --traffic-rate nan"),
-    ("gen-topology", "--nodes 5 --grid-size nan --gabriel"),
-    ("gen-topology", "--nodes 5 --grid-size inf"),
-    ("gen-topology", "--nodes 1"),
-    ("gen-topology", "--nodes 5 --theta 0"),
-    ("gen-topology", "--nodes 5 --omega 1.5"),
-    ("gen-topology", "--nodes 5 --links-per-node 0"),
-    ("gen-topology", "--nodes 5 --lambda nan"),
+    pytest.param("simulate", "nodes=1 gabriel=off", id="simulate---waxman 1"),
+    pytest.param("simulate", "nodes=6 gabriel=off grid_size=-1",
+                 id="simulate---waxman 6 --grid-size -1"),
+    pytest.param("simulate", "nodes=6 gabriel=off grid_size=nan",
+                 id="simulate---waxman 6 --grid-size nan"),
+    pytest.param("simulate", "nodes=6 gabriel=off duration=nan",
+                 id="simulate---waxman 6 --duration nan"),
+    pytest.param("simulate", "nodes=6 gabriel=off duration=inf",
+                 id="simulate---waxman 6 --duration inf"),
+    pytest.param("simulate", "nodes=6 gabriel=off traffic_rate_bps=nan",
+                 id="simulate---waxman 6 --traffic-rate nan"),
+    ("simulate", "beta=0.2,0.6"),
+    ("simulate", "seeds=1,2"),
+    ("simulate", "nonsense=1"),
+    ("simulate", "bogus"),
+    pytest.param("gen-topology", "nodes=5 grid_size=nan",
+                 id="gen-topology---nodes 5 --grid-size nan --gabriel"),
+    pytest.param("gen-topology", "nodes=5 gabriel=off grid_size=inf",
+                 id="gen-topology---nodes 5 --grid-size inf"),
+    pytest.param("gen-topology", "nodes=1 gabriel=off", id="gen-topology---nodes 1"),
+    pytest.param("gen-topology", "nodes=5 gabriel=off theta=0",
+                 id="gen-topology---nodes 5 --theta 0"),
+    pytest.param("gen-topology", "nodes=5 gabriel=off omega=1.5",
+                 id="gen-topology---nodes 5 --omega 1.5"),
+    pytest.param("gen-topology", "nodes=5 gabriel=off links_per_node=0",
+                 id="gen-topology---nodes 5 --links-per-node 0"),
+    pytest.param("gen-topology", "nodes=5 gabriel=off lambda=nan",
+                 id="gen-topology---nodes 5 --lambda nan"),
+    ("gen-topology", "nodes=5 beta=0.5"),
     ("topology", "topology v1 x 1 10"),
     ("topology", "topology v1 1 0 10\nN 0 a 1"),
     ("topology", "topology v1 2 1 10\nN 0 nan 1\nN 1 2 2\nE 0 1"),
     ("topology", "topology v1 1 0 10\nN 0 1 caf\u00e9"),
+    ("loaded", "nodes=8"),
+    ("loaded", "gabriel=off"),
 ])
 def test_bad_values_exit_2_with_one_error_line(tmp_path, capsys, where, item):
+    topo_path = tmp_path / "t.txt"
     if where == "sweep":
         spec_path = tmp_path / "sweep.txt"
         spec_path.write_text(f"duration=5\n{item}\n", encoding="utf-8")
         args = ["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "s.csv")]
     elif where == "link":
-        args = ["simulate", "--waxman", "6", "--duration", "5", "--link-config", item]
+        args = ["simulate", "nodes=6", "duration=5", item]
     elif where == "gen-topology":
-        args = ["gen-topology", "--out", str(tmp_path / "t.txt"), *item.split()]
+        args = ["gen-topology", "--out", str(topo_path), *item.split()]
     elif where == "topology":
-        topo_path = tmp_path / "t.txt"
         topo_path.write_text(f"{item}\n", encoding="utf-8")
-        args = ["simulate", "--duration", "5", "--topology", str(topo_path)]
+        args = ["simulate", "duration=5", "--topology", str(topo_path)]
+    elif where == "loaded":
+        save_topology(generate_topology(TopologySpec(node_count=6), 1), str(topo_path))
+        args = ["simulate", "duration=5", "--topology", str(topo_path), item]
     else:
-        args = ["simulate", "--duration", "5", *item.split()]
+        args = ["simulate", "duration=5", *item.split()]
     assert run_cli(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

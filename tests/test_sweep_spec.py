@@ -1,6 +1,8 @@
 """Sweep specs take every default and type from the config dataclasses, so a
-sweep run, a direct run and the README key table cannot drift apart."""
+sweep run, a direct run, ``qkdsim simulate`` and the README key table cannot
+drift apart."""
 
+import io
 import re
 import weakref
 from dataclasses import asdict, fields
@@ -9,19 +11,28 @@ from pathlib import Path
 
 import pytest
 
-from qkdsim import experiment
-from qkdsim.config import PROTOCOLS, ExperimentConfig, LinkConfig, RunConfig, parse_value
+from qkdsim import cli, experiment
+from qkdsim.config import (PROTOCOLS, ExperimentConfig, LinkConfig, RunConfig, TrafficConfig,
+                           parse_value)
 from qkdsim.engine import run_simulation
 from qkdsim.experiment import SWEEP_FIELDS, parse_sweep_spec, run_sweep
+from qkdsim.stats import write_csv
 from qkdsim.topology import TopologySpec, generate_topology
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_a_sweep_key_sets_every_link_config_field():
-    # Every field --link-config can set, a sweep spec can set too.
-    assert ({name for path, name in SWEEP_FIELDS.values() if path == "base.link"}
-            == {f.name for f in fields(LinkConfig)})
+def test_every_setting_has_exactly_one_key():
+    # So simulate, gen-topology and sweep reach every scalar config field, each by one name;
+    # a run's seed and a topology's node count are set through ``seeds`` and ``nodes``.
+    owners = {"base": RunConfig, "base.link": LinkConfig, "base.traffic": TrafficConfig,
+              "topology": TopologySpec}
+    settable = [(path, f.name) for path, owner in owners.items() for f in fields(owner)
+                if f.name not in ("link", "traffic")]
+    settable.remove(("base", "seed"))
+    settable.remove(("topology", "node_count"))
+    settable += [("", "seeds"), ("", "node_counts")]
+    assert sorted(SWEEP_FIELDS.values()) == sorted(settable)
 
 
 def test_empty_spec_is_the_dataclass_default():
@@ -29,15 +40,28 @@ def test_empty_spec_is_the_dataclass_default():
     assert asdict(exp) == asdict(ExperimentConfig())
 
 
+def _run_lines(csv_text: str) -> list[str]:
+    """A CSV's first ``# run`` line, its header and its first data row."""
+    return [line for line in csv_text.splitlines()
+            if line.startswith("# run ") or not line.startswith("#")][:3]
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_sweep_row_matches_direct_run(protocol):
+def test_sweep_row_matches_direct_run(protocol, capsys):
     # 20 s of dv on 10 nodes sends triggered updates, so the merge window
     # shows in the overhead columns and the trace hash.
-    (row,), _ = run_sweep(f"protocol={protocol}\nnodes=10\nseeds=1\nduration=20\n")
+    settings = [f"protocol={protocol}", "nodes=10", "seeds=1", "duration=20"]
+    rows, meta = run_sweep("\n".join(settings))
+    (row,) = rows
     direct = run_simulation(RunConfig(protocol=protocol, seed=1, duration_s=20.0),
                             generate_topology(TopologySpec(node_count=10), 1))
     assert row.csv_row() == direct.csv_row()
     assert row.trace_hash == direct.trace_hash
+    # simulate takes the same settings and prints the same run line and data row.
+    swept = io.StringIO()
+    write_csv(swept, rows, meta)
+    assert cli.main(["simulate", *settings]) == 0
+    assert _run_lines(capsys.readouterr().out) == _run_lines(swept.getvalue())
 
 
 @pytest.fixture

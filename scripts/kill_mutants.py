@@ -6,7 +6,9 @@ must fail once the text is replaced. Each mutant is applied to a fresh copy
 of ``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml`` in a temporary
 directory, and only its tests run there, one pytest process per mutant,
 under the ``mutants`` hypothesis profile, which does not shrink a failing
-example:
+example. Only hypothesis's pytest plugin is loaded: pytest rewrites the
+assertions in the whole package of each autoloaded plugin, and without
+cached byte-code that doubles the start-up of every pytest process:
 
     python3 scripts/kill_mutants.py [--list FILE]
 
@@ -35,8 +37,14 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scripts", "pyproject.toml")
 TIMEOUT_S = 120.0
-# pytest's short summary (``-rfE``) names each failed or errored test on its own line.
-FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
+
+
+def failed_in(summary: str, test_id: str) -> bool:
+    """True when a ``FAILED`` or ``ERROR`` line of pytest's short summary
+    (``-rfE``) names ``test_id`` whole, up to the line's end or pytest's `` - ``.
+    The id is matched rather than cut at a space: parametrized ids may hold one."""
+    named = re.compile(rf"^(?:FAILED|ERROR) {re.escape(test_id)}(?: - |$)", re.M)
+    return named.search(summary) is not None
 
 
 def copy_tree(dest: Path) -> None:
@@ -64,10 +72,10 @@ def apply(tree: Path, mutant: dict) -> str | None:
 def failing_tests(tree: Path, ids: list[str]) -> set[str]:
     """Run ``ids`` in ``tree``; the ids that failed. Raises RuntimeError when
     the tests cannot run to completion."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
-           "--hypothesis-profile=mutants", *ids]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p",
+           "_hypothesis_pytestplugin", "--tb=no", "-rfE", "--hypothesis-profile=mutants", *ids]
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
@@ -75,7 +83,7 @@ def failing_tests(tree: Path, ids: list[str]) -> set[str]:
         raise RuntimeError(f"tests did not finish within {TIMEOUT_S:.0f} s") from None
     if proc.returncode not in (0, 1):  # 0: all passed, 1: some failed
         raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    return set(FAILED.findall(proc.stdout))
+    return {i for i in ids if failed_in(proc.stdout, i)}
 
 
 def baseline(ids: list[str]) -> str | None:

@@ -40,7 +40,7 @@ from .geometry import Position, angle_of, ccw_order, euclidean_distance
 from .gpsrq import GpsrqNode, cache_ttl, greedy_choice
 from .links import KeyStorage, PublicChannelStats, QkdLink
 from .metrics import link_metric, local_mean, public_metric, quantum_metric
-from .qos import NO_NODES, PriorityQueueSet, SimPacket, TrafficClass, admission_cost
+from .qos import NO_NODES, NO_PACKETS, PriorityQueueSet, SimPacket, TrafficClass, admission_cost
 from .rng import substream
 from .stats import RunStats
 from .topology import Topology, is_connected
@@ -192,12 +192,13 @@ class Simulation:
             )
             self.links[(u, v)] = QkdLink(u, v, storage, stats, lc.bandwidth_bps)
 
-        # Each direction's L2 queue; its head is the packet on the wire.
-        self.l2: dict[tuple[int, int], deque] = {}
+        # Each direction's L2 queue, NO_PACKETS until its first packet; its
+        # head is the packet on the wire.
+        self.l2: dict[tuple[int, int], deque | tuple] = {}
         self._link_by_dir: dict[tuple[int, int], QkdLink] = {}
         for (u, v), lk in self.links.items():
             for d in ((u, v), (v, u)):
-                self.l2[d] = deque()
+                self.l2[d] = NO_PACKETS
                 self._link_by_dir[d] = lk
 
         self.data_class = cfg.traffic.resolved_class()
@@ -428,7 +429,6 @@ class Simulation:
         has room, and consume its key cost."""
         direction = (at, target)
         lk = self._link_by_dir[direction]
-        queue = self.l2[direction]
         premium = pkt.traffic_class == _PREMIUM
         cost = pkt.key_cost
         if not lk.storage.consume(cost, premium):
@@ -456,6 +456,9 @@ class Simulation:
             st.ovh_bytes += wire
         if self._tracing:
             self._record("tx", pkt.kind, at, target, wire, lk.storage.m_cur)
+        queue = self.l2[direction]
+        if queue is NO_PACKETS:
+            queue = self.l2[direction] = deque()
         queue.append(pkt)
         if len(queue) == 1:
             done = self.now + wire * 8.0 / lk.bandwidth

@@ -8,7 +8,6 @@ completely.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -66,7 +65,7 @@ class PublicChannelStats:
     initial_average: float
     t_last: float = field(init=False)
     t_last_recorded_at: float = field(init=False, default=0.0)
-    samples: deque = field(init=False)
+    samples: list[float] = field(init=False)
     t_average: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -75,12 +74,14 @@ class PublicChannelStats:
         if self.initial_average <= 0.0:
             raise ValueError("initial_average must be positive")
         self.t_last = self.t_average = self.initial_average
-        self.samples = deque(maxlen=self.window_len)
+        self.samples = []
 
     def record_key_round(self, duration: float, now: float) -> None:
         if duration <= 0.0:
             raise ValueError("round duration must be positive")
         self.samples.append(duration)
+        if len(self.samples) > self.window_len:
+            del self.samples[0]
         self.t_last = duration
         self.t_last_recorded_at = now
         self.t_average = sum(self.samples) / len(self.samples)

@@ -27,6 +27,9 @@ class TrafficClass(IntEnum):
 _PREMIUM = TrafficClass.PREMIUM
 # GPSRQ's shared empty set of neighbours: a packet's default exclusions.
 NO_NODES: frozenset = frozenset()
+# The shared stand-in for a queue that has never held a packet; the first
+# packet replaces it with a deque, so an idle queue costs no deque.
+NO_PACKETS: tuple = ()
 
 PRIORITY_ORDER: tuple[TrafficClass, ...] = (
     TrafficClass.PREMIUM,
@@ -67,19 +70,22 @@ class PriorityQueueSet:
     """One bounded FIFO per traffic class with strict priority service.
 
     ``size`` counts the packets in all class queues, so a caller can see an
-    empty set without scanning the queues."""
+    empty set without scanning the queues. A class queue is ``NO_PACKETS``
+    until its first packet arrives."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self.queues: dict[TrafficClass, deque] = {c: deque() for c in PRIORITY_ORDER}
+        self.queues: dict[TrafficClass, deque | tuple] = dict.fromkeys(PRIORITY_ORDER, NO_PACKETS)
         self.size = 0
 
     def enqueue(self, pkt: SimPacket) -> bool:
         q = self.queues[pkt.traffic_class]
         if len(q) >= self.capacity:
             return False
+        if q is NO_PACKETS:
+            q = self.queues[pkt.traffic_class] = deque()
         q.append(pkt)
         self.size += 1
         return True
@@ -98,6 +104,8 @@ class PriorityQueueSet:
 
     def remove(self, pkt: SimPacket) -> bool:
         q = self.queues[pkt.traffic_class]
+        if q is NO_PACKETS:
+            return False
         try:
             q.remove(pkt)
         except ValueError:

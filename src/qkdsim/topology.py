@@ -171,9 +171,10 @@ def generate_topology(spec: TopologySpec, seed: int) -> Topology:
     Euclidean minimum spanning tree. It depends only on ``node_count``,
     ``grid_size`` and ``seed``: no Waxman edges are drawn, and the graph is
     built straight from the points (see ``_gabriel_pairs``) in O(n^2 log n)
-    time and O(n^2) memory, with the edges the Gabriel filter keeps on the
-    complete graph. Either way, generation retries with a derived seed until
-    the result is connected; the retry count lands in ``retries``.
+    time, holding n(n+1)/2 squared distances and one node's scan order, with
+    the edges the Gabriel filter keeps on the complete graph. Either way,
+    generation retries with a derived seed until the result is connected;
+    the retry count lands in ``retries``.
     """
     spec.validate()
     for attempt in range(MAX_CONNECT_RETRIES):
@@ -204,18 +205,25 @@ def _gabriel_pairs(points: list[Position], pairs: Iterable[tuple[int, int]]) -> 
     itself at the latest) ends the scan and keeps the pair. Every squared
     distance is the expression the brute-force test over all w evaluates, so
     the kept pairs are bit-for-bit the same; u and v never pass the test and
-    need no exclusion. Cost: one O(n^2) distance matrix plus one O(n log n)
-    sort per distinct u.
+    need no exclusion. Row u reuses the floats of the rows above it: fl(a - b)
+    is -fl(b - a), and a float squared by ``**`` is the square of its
+    magnitude, so d(u,w)^2 is d(w,u)^2 bit for bit and n(n+1)/2 values are
+    stored. Only the current u's scan order is kept, so ``pairs`` should come
+    grouped by u; a u that comes back is sorted again. Cost: O(n^2) for the
+    distances plus one O(n log n) sort per group.
     """
-    d2 = [[(p.x - q.x) ** 2 + (p.y - q.y) ** 2 for q in points] for p in points]
-    by_distance: dict[int, list[int]] = {}
+    d2: list[list[float]] = []
+    for u, p in enumerate(points):
+        row = [above[u] for above in d2]
+        row += [(p.x - q.x) ** 2 + (p.y - q.y) ** 2 for q in points[u:]]
+        d2.append(row)
     kept: set[tuple[int, int]] = set()
+    scanned, order = None, []
     for u, v in pairs:
         row, dv = d2[u], d2[v]
         duv = row[v]
-        order = by_distance.get(u)
-        if order is None:
-            order = by_distance[u] = sorted(range(len(points)), key=row.__getitem__)
+        if u != scanned:
+            scanned, order = u, sorted(range(len(points)), key=row.__getitem__)
         for w in order:
             duw = row[w]
             if duw >= duv:
@@ -232,13 +240,14 @@ def gabrielize(topo: Topology) -> Topology:
     Edge (u, v) is dropped when some node w satisfies
     d(u,w)^2 + d(w,v)^2 < d(u,v)^2, i.e. w lies strictly inside the circle
     whose diameter is the segment uv. Node set and positions are unchanged.
-    Costs O(n^2) for a distance matrix plus at most one O(n log n) sort per
-    node; each edge's scan stops at d(u,v) (see ``_gabriel_pairs``).
+    The edges are sorted first, so ``_gabriel_pairs`` sorts each node's scan
+    order once: O(n^2) for the distances plus at most one O(n log n) sort
+    per node, and each edge's scan stops at d(u,v).
     """
     ids = topo.node_ids()
     index = {nid: i for i, nid in enumerate(ids)}
     kept = _gabriel_pairs([pos for _, pos in topo.nodes],
-                          ((index[u], index[v]) for u, v in topo.edges))
+                          sorted((index[u], index[v]) for u, v in topo.edges))
     return Topology(
         nodes=list(topo.nodes),
         edges={(ids[i], ids[j]) for i, j in kept},

@@ -181,6 +181,7 @@ def test_topology_range_checks_run_when_the_run_starts():
                  id="simulate---waxman 6 --traffic-rate nan"),
     ("simulate", "beta=0.2,0.6"),
     ("simulate", "seeds=1,2"),
+    ("simulate", "nodes=6 seeds=1,2"),
     ("simulate", "nonsense=1"),
     ("simulate", "bogus"),
     pytest.param("gen-topology", "nodes=5 grid_size=nan",

@@ -321,6 +321,22 @@ def test_dv_two_nodes_converges_and_delivers():
     assert stats.ovh_pkts > 0
 
 
+# --- queues are made on first use --------------------------------------------------
+
+def test_a_queue_holds_a_deque_only_once_a_packet_has_used_it():
+    # Set-up gives every L2 direction and class queue the shared NO_PACKETS; a
+    # deque replaces it at its first packet, so idle queues cost no memory.
+    sim = Simulation(RunConfig(protocol="gpsrq", seed=9, duration_s=2.0),
+                     generate_topology(TopologySpec(node_count=200), 9), trace=True)
+    assert all(q is qos.NO_PACKETS for q in sim.l2.values())
+    assert all(q is qos.NO_PACKETS for qs in sim.queues.values() for q in qs.queues.values())
+    sim.run()
+    # A trace "tx" entry: (now, "tx", kind, at, target, wire, key left).
+    carried = {(e[3], e[4]) for e in sim.trace if e[1] == "tx"}
+    assert 0 < len(carried) < len(sim.l2)
+    assert {d for d, q in sim.l2.items() if q is not qos.NO_PACKETS} == carried
+
+
 # --- signaling overhead closed form ---------------------------------------------
 
 def test_signaling_overhead_matches_schedule():

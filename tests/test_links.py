@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -145,6 +147,16 @@ def test_window_evicts_oldest():
     assert len(ps.samples) == 5
     assert ps.t_average == pytest.approx(sum(values[1:]) / 5.0)
     assert ps.t_last == 6.0
+
+
+@given(st.integers(1, 8), st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40))
+def test_window_mean_matches_a_bounded_deque_bit_for_bit(window, durations):
+    ps = PublicChannelStats(window_len=window, initial_average=7.0)
+    reference = deque(maxlen=window)
+    for i, d in enumerate(durations):
+        ps.record_key_round(d, now=float(i))
+        reference.append(d)
+        assert ps.t_average == sum(reference) / len(reference)
 
 
 def test_average_seeded_before_first_sample():

@@ -11,6 +11,7 @@ from qkdsim.engine import Simulation
 from qkdsim.links import KeyStorage, PublicChannelStats, QkdLink
 from qkdsim.metrics import public_metric
 from qkdsim.qos import (
+    NO_PACKETS,
     PRIORITY_ORDER,
     PriorityQueueSet,
     SimPacket,
@@ -117,6 +118,14 @@ def test_remove_specific_packet():
     assert qs.remove(a)
     assert not qs.remove(a)
     assert qs.head()[1] is b
+
+
+def test_remove_from_a_class_that_never_held_a_packet():
+    qs = PriorityQueueSet(capacity=5)
+    qs.enqueue(_packet(TrafficClass.PREMIUM, uid=1))
+    assert qs.queues[TrafficClass.BEST_EFFORT] is NO_PACKETS
+    assert not qs.remove(_packet(TrafficClass.BEST_EFFORT, uid=2))
+    assert qs.size == 1
 
 
 @given(st.lists(st.sampled_from(list(TrafficClass)), max_size=40))

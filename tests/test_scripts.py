@@ -5,6 +5,7 @@ every mutant it cannot show killed."""
 import ast
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,17 @@ def test_kill_mutants_stops_when_a_listed_test_fails_without_a_mutant(tmp_path, 
                                     "replace": "y", "kills": ["tests/a.py::b"]}]))
     assert script.main(["--list", str(listing)]) == 1
     assert "unmutated: FAIL: fails without a mutant: tests/a.py::b" in capsys.readouterr().out
+
+
+def test_kill_mutants_reads_a_failed_id_that_holds_a_space(tmp_path, monkeypatch):
+    script = _load("kill_mutants")
+    spaced = "tests/test_cli.py::test_bad[simulate-nodes=6 seeds=1,2]"
+    summary = (f"FAILED {spaced} - assert 0 == 2\n"
+               "ERROR tests/a.py::b\n"
+               "FAILED tests/a.py::c[x y]-other - AssertionError\n"
+               "1 failed, 1 error in 0.12s\n")
+    monkeypatch.setattr(script.subprocess, "run",
+                        lambda cmd, **kw: subprocess.CompletedProcess(cmd, 1, summary, ""))
+    ids = [spaced, "tests/a.py::b", "tests/a.py::c[x y]",
+           "tests/test_cli.py::test_bad[simulate-nodes=6"]
+    assert script.failing_tests(tmp_path, ids) == {spaced, "tests/a.py::b"}

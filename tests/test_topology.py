@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -208,6 +209,37 @@ def test_planar_generation_matches_naive_oracle_on_complete_graph(n):
         complete = Topology(nodes=list(topo.nodes), edges=set(combinations(range(n), 2)),
                             grid_size=topo.grid_size)
         assert topo.edges == naive_gabriel_edges(complete)
+
+
+# SHA-256 of the sorted edge list, one "u v" line per edge, at the sizes the
+# benchmark runs; the naive oracle above stops at 30 nodes.
+EDGE_DIGESTS = {
+    (60, 1): "4ebc575a0df98dc59ce3c187f8c743e522b783595af6c2599cde7c37e68e363d",
+    (120, 1): "be7cd779fffaf7b87b91b3caf0658da84902556dfb8cb2a3c5d9e05502f5acbf",
+    (120, 9): "b1de5f23ac107f746d70f853f5037fb5141e2afd346966db066847986a636683",
+    (120, 10): "5cb768dc5e62ecf89d1a38784eb4745146fb37ed52786e84573820305e55d4cf",
+    (120, 11): "7fa0a72a8d00d8fe2a496dda391471c6db6aecfbd4ecbd0d51b5edfd213e85b0",
+    (120, 12): "a882a6c9d734bb3264b84fe8990c160c141da8beee5ae2e27b0b606b5cb1167a",
+    (120, 13): "6493a40497cea023ebcda934905685b291dcfea943d0a16d2836968ddb365ef9",
+    (120, 14): "bbadee6e783b1c137f2e884147003dd45b2315eb3378b310d8e7cd43d1a7557d",
+    (120, 15): "6298bb033f2c09b0d4ae7ada84ab88acd0bbb1852ca9f6c752d654ff93b3e70c",
+    (120, 16): "4ac555a391913a495913596417f0960a8527f9b3323f59086c9ac04dc9ae97f5",
+    (200, 9): "1748bcdecdace4b1d2669b2b78cda519b444e371390fce4a9c747e93a320e890",
+    (200, 10): "7dde54ae9047330b78633287959451a29a78548fa7b3e4493510cf821447d728",
+    (200, 11): "b588a5091a987c53e9d1df90703e387e0f8c006f1c85ba569e15fb0554f35af7",
+    (200, 12): "32dfae8711b9a15fc2eef56188a4cfb1af72145108521108262d86eeeeafd5e8",
+    (200, 13): "dd7aecb98a3de17df62f089b3982237fb60c3727a32f5f16e735b08edd56b3fb",
+    (200, 14): "c91bbecff1b86ac304adb25965c2dacd555ee6aae39c5d4e7c67e0d494c3c027",
+    (200, 15): "81a4a4c799607ec4dbd3365e76fdcefbfb81361cc323ff9537db2b7093339b39",
+    (200, 16): "337d80789cdb4b2c728e2ff66c21e8ae7af21f21c286fa87f2d65f45b4b24e01",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(EDGE_DIGESTS))
+def test_generated_edges_pinned_at_benchmark_sizes(n, seed):
+    topo = generate_topology(TopologySpec(node_count=n), seed)
+    text = "".join(f"{u} {v}\n" for u, v in sorted(topo.edges))
+    assert hashlib.sha256(text.encode()).hexdigest() == EDGE_DIGESTS[n, seed]
 
 
 def test_planar_generation_ignores_waxman_parameters():

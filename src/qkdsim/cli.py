@@ -28,7 +28,7 @@ def _setup_logging() -> None:
 
 
 # The keys that shape a generated topology.
-TOPOLOGY_KEYS = {"nodes", *(key for key, (path, _) in SWEEP_FIELDS.items() if path == "topology")}
+TOPOLOGY_KEYS = {key for key, (path, _) in SWEEP_FIELDS.items() if path == "topology"}
 
 
 def _one_run(settings: list[str], refused: set[str],
@@ -38,10 +38,7 @@ def _one_run(settings: list[str], refused: set[str],
     for key in keys:
         if key in refused:
             raise ConfigError(f"{command} does not take {key!r}")
-    # The default seed goes last, so an error's setting number counts only the given settings.
-    seeds = [] if "seeds" in keys else [f"seeds={RunConfig().seed}"]
-    experiments = parse_sweep_spec("\n".join(settings + seeds), "setting")
-    runs = [run for exp in experiments for run in exp.expand()]
+    runs = parse_sweep_spec("\n".join(settings), "setting")
     if len(runs) != 1:
         raise ConfigError(f"the settings describe {len(runs)} runs; qkdsim sweep runs several")
     return runs[0]

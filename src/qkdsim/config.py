@@ -1,12 +1,14 @@
-"""Dataclass configuration for links, traffic, runs and sweeps (topologies: ``TopologySpec``)."""
+"""Dataclass configuration for links, traffic and runs (topologies: ``TopologySpec``)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .qos import TrafficClass
-from .topology import TopologySpec
+# Not used here: perfbench/workloads.py imports a run's two configs, RunConfig and
+# TopologySpec, from this module.
+from .topology import TopologySpec  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -26,9 +28,8 @@ _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
 def parse_value(default, raw: str):
     """Parse ``raw`` as a value of the same type as a config field's ``default``.
 
-    Bools take on/off words, tuples a ``lo:hi`` pair of floats, lists a
-    comma-separated list of their element type, and a ``None`` default marks
-    an optional float. Range checks are left to ``validate``.
+    Bools take on/off words, tuples a ``lo:hi`` pair of floats, and a ``None``
+    default marks an optional float. Range checks are left to ``validate``.
     """
     raw = raw.strip()
     try:
@@ -37,8 +38,6 @@ def parse_value(default, raw: str):
         if isinstance(default, tuple):
             lo, hi = raw.split(":")
             return float(lo), float(hi)
-        if isinstance(default, list):
-            return [parse_value(default[0], item) for item in raw.split(",")]
         if default is None:
             return float(raw)
         return type(default)(raw)
@@ -162,27 +161,3 @@ class RunConfig:
             raise ConfigError(f"unknown dv_liveness mode {self.dv_liveness!r}")
         self.link.validate()
         self.traffic.validate()
-
-
-@dataclass(slots=True)
-class ExperimentConfig:
-    """A set of runs: the base run config swept over node counts and seeds."""
-
-    node_counts: list[int] = field(default_factory=lambda: [TopologySpec().node_count])
-    seeds: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
-    base: RunConfig = field(default_factory=RunConfig)
-    topology: TopologySpec = field(default_factory=TopologySpec)
-
-    def expand(self) -> list[tuple[RunConfig, TopologySpec]]:
-        if not self.node_counts or not self.seeds:
-            raise ConfigError("node_counts and seeds must be non-empty")
-        out = []
-        for n in self.node_counts:
-            for seed in self.seeds:
-                out.append(
-                    (replace(self.base, seed=seed), replace(self.topology, node_count=n))
-                )
-        return out
-
-    def metadata(self) -> dict:
-        return asdict(self)

@@ -2,9 +2,9 @@
 
 A sweep specification is a plain-text file of ``key=value`` lines where any
 value may be a comma-separated list; runs are the cartesian product of all
-list-valued keys. Each key names one field of the dataclasses in config.py
-(``SWEEP_FIELDS``), which also give its type and default; see README for the
-full table.
+list-valued keys. Each key names one field of a run's ``RunConfig`` or
+``TopologySpec`` (``SWEEP_FIELDS``), which also gives its type and default;
+see README for the full table.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from collections.abc import Iterable
-from copy import copy
 from dataclasses import astuple
 from operator import attrgetter
+from types import SimpleNamespace
 
-from .config import ConfigError, ExperimentConfig, RunConfig, parse_value
+from .config import ConfigError, RunConfig, parse_value
 from .engine import run_simulation
 from .stats import RunStats
 from .topology import Topology, TopologySpec, generate_topology
@@ -47,24 +47,12 @@ class SweepTopologies:
         return topology
 
 
-def run_experiment(exp: ExperimentConfig, topologies: SweepTopologies) -> list[RunStats]:
-    """Execute every (node count, seed) run; failures become error rows."""
-    results: list[RunStats] = []
-    for run_cfg, topo_spec in exp.expand():
-        try:
-            results.append(run_simulation(run_cfg, topologies.take(topo_spec, run_cfg.seed)))
-        except Exception as exc:  # noqa: BLE001 - sweep must continue
-            failed = RunStats.for_run(run_cfg, topo_spec.node_count, error=str(exc))
-            logger.error("run failed (%s): %s", failed.config_cells(), exc)
-            results.append(failed)
-    return results
-
-
-# Sweep key -> (path of the owning config inside ExperimentConfig, field name).
-# A key left out of a spec keeps the dataclass default.
+# Sweep key -> (path of the owning config, field name); a path starts at a run's
+# RunConfig, "base", or at its TopologySpec, "topology". A key left out of a spec
+# keeps the dataclass default.
 SWEEP_FIELDS = {
-    "nodes": ("", "node_counts"),
-    "seeds": ("", "seeds"),
+    "nodes": ("topology", "node_count"),
+    "seeds": ("base", "seed"),
     "protocol": ("base", "protocol"),
     "beta": ("base", "beta"),
     "alpha": ("base", "alpha"),
@@ -99,18 +87,23 @@ SWEEP_FIELDS = {
 }
 
 
-def _owner(exp: ExperimentConfig, path: str):
-    return attrgetter(path)(exp) if path else exp
+def _owner(cfg: RunConfig, spec: TopologySpec, path: str):
+    return attrgetter(path)(SimpleNamespace(base=cfg, topology=spec))
 
 
-def parse_sweep_spec(text: str, line_name: str = "sweep spec line") -> list[ExperimentConfig]:
-    """Parse key=value lines into experiment configs (cartesian product).
+# How fast an axis varies: every other axis in the order of its first line, then nodes, then seeds.
+_AXIS_RANK = {"nodes": 1, "seeds": 2}
 
-    ``nodes`` and ``seeds`` take a whole list per experiment; a list given
-    for any other key is a sweep axis. An error names its line by
-    ``line_name`` and the line's number.
+
+def parse_sweep_spec(text: str,
+                     line_name: str = "sweep spec line") -> list[tuple[RunConfig, TopologySpec]]:
+    """Parse key=value lines into runs: the cartesian product of the keys' values.
+
+    Axes vary in the order of their keys' first lines, except that ``nodes``
+    and then ``seeds`` vary fastest. An error names its line by ``line_name``
+    and the line's number.
     """
-    defaults = ExperimentConfig()
+    default_cfg, default_spec = RunConfig(), TopologySpec()
     values: dict[str, list] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -122,43 +115,43 @@ def parse_sweep_spec(text: str, line_name: str = "sweep spec line") -> list[Expe
         if key not in SWEEP_FIELDS:
             raise ConfigError(f"{line_name} {lineno}: unknown key {key!r}")
         path, name = SWEEP_FIELDS[key]
-        default = getattr(_owner(defaults, path), name)
+        default = getattr(_owner(default_cfg, default_spec, path), name)
         try:
-            if isinstance(default, list):
-                values[key] = [parse_value(default, raw)]
-            else:
-                values[key] = [parse_value(default, item) for item in raw.split(",")]
+            values[key] = [parse_value(default, item) for item in raw.split(",")]
         except ConfigError as exc:
             raise ConfigError(f"{line_name} {lineno}: {key}: {exc}") from None
 
     combos: list[dict] = [{}]
-    for key, vals in values.items():
-        combos = [dict(combo, **{key: v}) for combo in combos for v in vals]
+    for key in sorted(values, key=lambda key: _AXIS_RANK.get(key, 0)):
+        combos = [dict(combo, **{key: v}) for combo in combos for v in values[key]]
 
-    experiments = []
+    runs = []
     for combo in combos:
-        exp = ExperimentConfig()
+        cfg, spec = RunConfig(), TopologySpec()
         for key, value in combo.items():
             path, name = SWEEP_FIELDS[key]
-            # Copied so experiments never share one nodes/seeds list.
-            setattr(_owner(exp, path), name, copy(value))
-        experiments.append(exp)
-    return experiments
+            setattr(_owner(cfg, spec, path), name, value)
+        runs.append((cfg, spec))
+    return runs
 
 
 def run_sweep(text: str) -> tuple[list[RunStats], dict]:
-    """Run every experiment in a sweep spec; returns (rows, metadata).
+    """Execute every run of a sweep spec; returns (rows, metadata).
 
-    A topology that several experiments use is generated once. The metadata
-    echoes every experiment's full parameter set so result files are
-    self-describing.
+    A failed run becomes an error row, and a topology that several runs use
+    is generated once. The metadata lists every key's value in each run, so
+    result files are self-describing.
     """
-    experiments = parse_sweep_spec(text)
-    topologies = SweepTopologies(run for exp in experiments for run in exp.expand())
+    runs = parse_sweep_spec(text)
+    settings = {key: [getattr(_owner(cfg, spec, path), name) for cfg, spec in runs]
+                for key, (path, name) in SWEEP_FIELDS.items()}
+    topologies = SweepTopologies(runs)
     rows: list[RunStats] = []
-    meta: dict = {"experiments": len(experiments)}
-    for i, exp in enumerate(experiments):
-        meta[f"experiment_{i:03d}"] = exp.metadata()
-        rows.extend(run_experiment(exp, topologies))
-    meta["runs"] = len(rows)
-    return rows, meta
+    for run_cfg, topo_spec in runs:
+        try:
+            rows.append(run_simulation(run_cfg, topologies.take(topo_spec, run_cfg.seed)))
+        except Exception as exc:  # noqa: BLE001 - sweep must continue
+            failed = RunStats.for_run(run_cfg, topo_spec.node_count, error=str(exc))
+            logger.error("run failed (%s): %s", failed.config_cells(), exc)
+            rows.append(failed)
+    return rows, {"settings": settings, "runs": len(rows)}

@@ -88,10 +88,10 @@ def test_sweep_spec_parsing_cartesian():
     beta=0.4,0.6
     duration=5
     """
-    experiments = parse_sweep_spec(spec)
-    assert len(experiments) == 4  # protocols x betas
-    runs = [run for exp in experiments for run in exp.expand()]
-    assert len(runs) == 8  # x two seeds
+    runs = parse_sweep_spec(spec)
+    assert [(cfg.protocol, cfg.beta, topo.node_count, cfg.seed, cfg.duration_s)
+            for cfg, topo in runs] == [(p, b, 6, s, 5.0) for p in ("gpsrq", "dv")
+                                       for b in (0.4, 0.6) for s in (1, 2)]
 
 
 def test_sweep_spec_rejects_unknown_key():

@@ -307,7 +307,27 @@ def test_full_sweep_csv_pinned():
     write_csv(out, rows, meta)
     text = out.getvalue()
     assert (len(rows), sum(1 for r in rows if r.error), text.count(",mean,")) == (32, 16, 8)
-    assert _digest([text]) == "ee4a3c83a5d53121"
+    lines = text.splitlines(keepends=True)
+    # Every line but the settings line, "# runs=" included.
+    assert _digest(["".join(lines[:1] + lines[2:])]) == "9c190abd2bc10ec9"
+    # The metadata lines: each key's value in every run, in run order.
+    settings = {
+        "nodes": [10, 10, 12, 12] * 8, "seeds": [1, 2] * 16,
+        "protocol": ["gpsrq"] * 16 + ["dv"] * 16, "beta": ([0.6] * 8 + [1.0] * 8) * 2,
+        "alpha": [0.5] * 32, "t_avg_window": [5] * 32, "cache": [True] * 32,
+        "duration": [3.0] * 32, "queue_capacity": [1000] * 32, "dv_period_s": [15.0] * 32,
+        "dv_merge_window_s": [0.005] * 32, "dv_liveness": ["probe"] * 32,
+        "traffic_rate_bps": [1e6] * 32, "packet_bytes": [512] * 32,
+        "traffic_class": ["best_effort"] * 32, "max_delay_s": [None] * 32,
+        "crypto_mode": ["otp"] * 32, "min_key_bytes": [1e6] * 32, "max_key_bytes": [1e8] * 32,
+        "init_key_bytes": [(5e5, 2.5e7)] * 32, "rate_bps": [1e5] * 32,
+        "charge_period_s": [7.0] * 32, "bandwidth_bps": [1e7] * 32, "auth_key_bits": [256] * 32,
+        "round_load_gain": [2.0] * 32, "round_stddev_frac": [0.1] * 32,
+        "round_floor_s": [0.1] * 32, "gabriel": [True] * 32,
+        "grid_size": ([-1.0] * 4 + [70.710678] * 4) * 4, "theta": [0.4] * 32,
+        "omega": [0.4] * 32, "lambda": [None] * 32, "links_per_node": [2] * 32,
+    }
+    assert lines[:2] == ["# runs=32\n", f"# settings={settings!r}\n"]
 
 
 def test_failed_runs_are_logged_with_their_configuration(caplog):

@@ -39,7 +39,7 @@ def test_cache_and_window_writes_one_csv_per_sweep(tmp_path):
     # each is a spec of its own, whose CSV covers only its own runs.
     key_ranges = {"cache_ablation": (500_000.0, 5_000_000.0),
                   "window_sweep": (500_000.0, 25_000_000.0)}
-    # (t_avg_window, cache) of each mean row: one per experiment of the sweep.
+    # (t_avg_window, cache) of each mean row: one per setting of the sweep's other axes.
     groups = {"cache_ablation": {("5", "on"), ("5", "off")},
               "window_sweep": {("2", "on"), ("5", "on"), ("7", "on"), ("10", "on")}}
     for name, key_range in key_ranges.items():
@@ -52,11 +52,13 @@ def test_cache_and_window_writes_one_csv_per_sweep(tmp_path):
         means = [r for r in rows if r[2] == "mean"]
         assert meta["spec"] == str(spec)
         assert meta["runs"] == len(runs) == 4 * len(groups[name])
-        assert meta["experiments"] == len(means) == len(groups[name])
+        settings = meta["settings"]
+        assert all(len(values) == len(runs) for values in settings.values())
+        combos = set(zip(settings["t_avg_window"], settings["cache"]))
+        assert len(combos) == len(means) == len(groups[name])
         assert {(r[5], r[6]) for r in means} == groups[name]
-        experiments = [meta[f"experiment_{i:03d}"] for i in range(len(groups[name]))]
         # Every run, and so every mean row, has its own sweep's key stores.
-        assert {tuple(e["base"]["link"]["init_key_bytes_range"]) for e in experiments} == {key_range}
+        assert set(settings["init_key_bytes"]) == {key_range}
 
 
 def test_every_kill_list_mutant_changes_text_that_occurs_once():

@@ -5,15 +5,15 @@ drift apart."""
 import io
 import re
 import weakref
-from dataclasses import asdict, fields
+from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from qkdsim import cli, experiment
-from qkdsim.config import (PROTOCOLS, ExperimentConfig, LinkConfig, RunConfig, TrafficConfig,
-                           parse_value)
+from qkdsim.config import PROTOCOLS, LinkConfig, RunConfig, TrafficConfig, parse_value
 from qkdsim.engine import run_simulation
 from qkdsim.experiment import SWEEP_FIELDS, parse_sweep_spec, run_sweep
 from qkdsim.stats import write_csv
@@ -23,21 +23,23 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_setting_has_exactly_one_key():
-    # So simulate, gen-topology and sweep reach every scalar config field, each by one name;
-    # a run's seed and a topology's node count are set through ``seeds`` and ``nodes``.
+    # So simulate, gen-topology and sweep reach every scalar config field, each by one name.
     owners = {"base": RunConfig, "base.link": LinkConfig, "base.traffic": TrafficConfig,
               "topology": TopologySpec}
     settable = [(path, f.name) for path, owner in owners.items() for f in fields(owner)
                 if f.name not in ("link", "traffic")]
-    settable.remove(("base", "seed"))
-    settable.remove(("topology", "node_count"))
-    settable += [("", "seeds"), ("", "node_counts")]
     assert sorted(SWEEP_FIELDS.values()) == sorted(settable)
 
 
 def test_empty_spec_is_the_dataclass_default():
-    (exp,) = parse_sweep_spec("")
-    assert asdict(exp) == asdict(ExperimentConfig())
+    assert parse_sweep_spec("") == [(RunConfig(), TopologySpec())]
+
+
+def test_axes_vary_in_line_order_with_nodes_then_seeds_fastest():
+    runs = parse_sweep_spec("seeds=3,1\nbeta=0.2,0.6\nnodes=12,10\nprotocol=dv,gpsrq\n")
+    assert [(cfg.beta, cfg.protocol, spec.node_count, cfg.seed) for cfg, spec in runs] == [
+        (beta, protocol, nodes, seed) for beta in (0.2, 0.6) for protocol in ("dv", "gpsrq")
+        for nodes in (12, 10) for seed in (3, 1)]
 
 
 def _run_lines(csv_text: str) -> list[str]:
@@ -46,11 +48,14 @@ def _run_lines(csv_text: str) -> list[str]:
             if line.startswith("# run ") or not line.startswith("#")][:3]
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_sweep_row_matches_direct_run(protocol, capsys):
+@pytest.mark.parametrize("protocol,seeds", [*((p, ["seeds=1"]) for p in PROTOCOLS),
+                                            ("gpsrq", [])],
+                         ids=[*PROTOCOLS, "gpsrq-no-seeds-line"])
+def test_sweep_row_matches_direct_run(protocol, seeds, capsys):
     # 20 s of dv on 10 nodes sends triggered updates, so the merge window
-    # shows in the overhead columns and the trace hash.
-    settings = [f"protocol={protocol}", "nodes=10", "seeds=1", "duration=20"]
+    # shows in the overhead columns and the trace hash. Without a seeds line
+    # a sweep runs the one seed 1, as simulate does.
+    settings = [f"protocol={protocol}", "nodes=10", *seeds, "duration=20"]
     rows, meta = run_sweep("\n".join(settings))
     (row,) = rows
     direct = run_simulation(RunConfig(protocol=protocol, seed=1, duration_s=20.0),
@@ -86,8 +91,7 @@ def test_a_sweep_generates_each_topology_once(generated):
 
 
 def test_a_topology_is_released_after_its_last_run(generated):
-    runs = [run for exp in parse_sweep_spec("nodes=10\nseeds=1,2\nbeta=0.2,0.6\n")
-            for run in exp.expand()]
+    runs = parse_sweep_spec("nodes=10\nseeds=1,2\nbeta=0.2,0.6\n")
     topologies = experiment.SweepTopologies(runs)
     taken = [topologies.take(spec, cfg.seed) for cfg, spec in runs]
     assert generated == [1, 2]
@@ -113,9 +117,10 @@ def test_a_later_line_for_a_key_replaces_the_earlier_one():
     # So an experiment spec is shortened by appending lines, and its axes keep their order.
     base = "nodes=30,40\nbeta=0.2,0.6\nseeds=1,2\ncache=on,off\nduration=60\n"
     shortened = parse_sweep_spec(base + "nodes=10,12\nduration=0.5\nbeta=1.0,0.0\n")
-    assert [(e.node_counts, e.base.beta, e.base.cache_enabled, e.base.duration_s)
-            for e in shortened] == [([10, 12], b, c, 0.5)
-                                    for b in (1.0, 0.0) for c in (True, False)]
+    assert [(cfg.beta, cfg.cache_enabled, spec.node_count, cfg.seed, cfg.duration_s)
+            for cfg, spec in shortened] == [(b, c, n, s, 0.5)
+                                            for b in (1.0, 0.0) for c in (True, False)
+                                            for n in (10, 12) for s in (1, 2)]
 
 
 def _readme_keys() -> dict[str, str]:
@@ -128,10 +133,10 @@ def _readme_keys() -> dict[str, str]:
 def test_readme_key_table_matches_parser():
     keys = _readme_keys()
     assert set(keys) == set(SWEEP_FIELDS)
-    exp = ExperimentConfig()
+    defaults = SimpleNamespace(base=RunConfig(), topology=TopologySpec())
     for key, shown in keys.items():
         path, name = SWEEP_FIELDS[key]
-        default = getattr(attrgetter(path)(exp) if path else exp, name)
+        default = getattr(attrgetter(path)(defaults), name)
         if default is None:  # optional field, described in words
             continue
         expected = pytest.approx(default, rel=1e-6) if isinstance(default, float) else default

@@ -3,10 +3,10 @@
 Each entry of ``scripts/mutants.json`` names a file, a source text that
 occurs there exactly once, its replacement and the ids of the tests that
 must fail once the text is replaced. Each mutant is applied to a fresh copy
-of ``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml`` in a temporary
-directory, and only its tests run there, one pytest process per mutant,
-under the ``mutants`` hypothesis profile, which does not shrink a failing
-example. Only hypothesis's pytest plugin is loaded: pytest rewrites the
+of ``src/``, ``tests/``, ``scripts/``, ``pyproject.toml`` and ``README.md``
+(whose key table a test reads) in a temporary directory, and only its tests
+run there, one pytest process per mutant, under the ``mutants`` hypothesis
+profile, which does not shrink a failing example. Only hypothesis's pytest plugin is loaded: pytest rewrites the
 assertions in the whole package of each autoloaded plugin, and without
 cached byte-code that doubles the start-up of every pytest process:
 
@@ -35,7 +35,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "scripts", "pyproject.toml")
+COPIED = ("src", "tests", "scripts", "pyproject.toml", "README.md")
 TIMEOUT_S = 120.0
 
 

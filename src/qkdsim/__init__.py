@@ -6,7 +6,7 @@ stores, and packets are routed either by a QoS-aware geographic protocol
 or by a proactive distance-vector baseline.
 """
 
-from .config import ConfigError, LinkConfig, RunConfig, TrafficConfig
+from .config import ConfigError, RunConfig
 from .engine import Simulation, SimulationError, run_simulation
 from . import dv  # noqa: F401  (registers the dv protocol)
 from .geometry import Position, euclidean_distance
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "KeyStorage",
-    "LinkConfig",
     "Position",
     "PublicChannelStats",
     "QkdLink",
@@ -32,7 +31,6 @@ __all__ = [
     "TopologyError",
     "TopologySpec",
     "TrafficClass",
-    "TrafficConfig",
     "euclidean_distance",
     "gabrielize",
     "generate_topology",

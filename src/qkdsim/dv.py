@@ -14,6 +14,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from .config import AUTH_KEY_BITS
 from .engine import PROTOCOL_SIMULATIONS, QKD_HEADER_BYTES, UDP_IP_BYTES, EventKind, Simulation
 from .metrics import public_metric
 from .qos import SimPacket, TrafficClass
@@ -26,6 +27,10 @@ HELLO_PAYLOAD_BYTES = 8
 HELLO_WIRE_BYTES = QKD_HEADER_BYTES + UDP_IP_BYTES + HELLO_PAYLOAD_BYTES
 DV_FIXED_PAYLOAD_BYTES = 4
 DV_ENTRY_BYTES = 12
+# Seconds between a node's periodic full updates, and the window within which
+# a triggered update merges with an imminent periodic one.
+DV_PERIOD_S = 15.0
+DV_MERGE_WINDOW_S = 0.005
 # Under ``hello`` liveness: seconds between hellos, and of silence that marks a link dead.
 DV_HELLO_INTERVAL_S = 10.0
 DV_DEAD_INTERVAL_S = 40.0
@@ -151,7 +156,7 @@ class DvSimulation(Simulation):
         entries = tuple(entries)
         payload = DV_FIXED_PAYLOAD_BYTES + DV_ENTRY_BYTES * len(entries)
         wire = QKD_HEADER_BYTES + UDP_IP_BYTES + payload
-        key_cost = payload * 8.0 + self.cfg.link.auth_key_bits
+        key_cost = payload * 8.0 + AUTH_KEY_BITS
         for nbr in nbrs:
             pkt = SimPacket(next(self._uid), "dv", nid, nbr, _PREMIUM, wire, self.now,
                             math.inf, key_cost, entries=entries)
@@ -167,14 +172,14 @@ class DvSimulation(Simulation):
         if mode == "periodic":
             dvn.bump_own_sequence()
             self._advertise(nid, dvn.full_dump())
-            self._next_periodic[nid] = self.now + self.cfg.dv_period_s
+            self._next_periodic[nid] = self.now + DV_PERIOD_S
             self.events.push(self._next_periodic[nid], EventKind.DV_TIMER, (nid, "periodic"))
         elif mode == "flush":
             self._flush_pending.discard(nid)
             if dvn.pending:
                 self._advertise(nid, dvn.pending_dump())
         elif mode == "hello":
-            key_cost = HELLO_PAYLOAD_BYTES * 8.0 + self.cfg.link.auth_key_bits
+            key_cost = HELLO_PAYLOAD_BYTES * 8.0 + AUTH_KEY_BITS
             for nbr in self.topo.neighbors(nid):
                 self._send(nid, nbr, self._control_packet("hello", nid, nbr, key_cost,
                                                           HELLO_WIRE_BYTES))
@@ -185,11 +190,10 @@ class DvSimulation(Simulation):
 
     def _schedule_flush(self, nid: int) -> None:
         # Merge with an imminent periodic update instead of a separate burst.
-        merge = self.cfg.dv_merge_window_s
-        if nid in self._flush_pending or self._next_periodic[nid] - self.now <= merge:
+        if nid in self._flush_pending or self._next_periodic[nid] - self.now <= DV_MERGE_WINDOW_S:
             return
         self._flush_pending.add(nid)
-        self.events.push(self.now + merge, EventKind.DV_TIMER, (nid, "flush"))
+        self.events.push(self.now + DV_MERGE_WINDOW_S, EventKind.DV_TIMER, (nid, "flush"))
 
     def _mark_dead(self, nid: int, nbr: int, reason: str) -> None:
         """Mark nid's link to nbr dead, for "probe" (a refusal) or "hello" (silence)."""

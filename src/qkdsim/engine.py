@@ -33,7 +33,7 @@ try:
 except ImportError:  # Python 3.12 and later
     from _sha2 import sha256
 
-from .config import RunConfig
+from .config import AUTH_KEY_BITS, DATA_KEY_BITS, MIN_KEY_BYTES, PACKET_BYTES, RunConfig
 # Not called here: perfbench's tracer wraps ccw_next_neighbor by this module's name.
 from .geometry import ccw_next_neighbor  # noqa: F401
 from .geometry import Position, angle_of, ccw_order, euclidean_distance
@@ -67,6 +67,14 @@ HANDSHAKE_BYTES = 120
 # retry of a GPSRQ node whose head must wait.
 PROPAGATION_DELAY_S = 0.001
 RETRY_FALLBACK_S = 0.1
+# Key establishment: every link charges once per period. A round's duration is
+# drawn around the period with this relative deviation, stretched by
+# (1 + gain * the public channel's utilization since the last charge), and is
+# never shorter than the floor.
+CHARGE_PERIOD_S = 7.0
+ROUND_STDDEV_FRAC = 0.1
+ROUND_LOAD_GAIN = 2.0
+ROUND_FLOOR_S = 0.1
 
 
 class SimulationError(RuntimeError):
@@ -174,23 +182,22 @@ class Simulation:
         self._rng_keys = substream(cfg.seed, "initkeys")
         self._rng_rounds = substream(cfg.seed, "rounds")
 
-        lc = cfg.link
         self.links: dict[tuple[int, int], QkdLink] = {}
         for u, v in sorted(topology.edges):
-            lo, hi = lc.init_key_bytes_range
+            lo, hi = cfg.init_key_bytes
             init_bits = self._rng_keys.uniform(lo, hi) * 8.0
             storage = KeyStorage(
-                m_min=lc.min_key_bytes * 8.0,
-                m_max=lc.max_key_bytes * 8.0,
-                m_cur=min(init_bits, lc.max_key_bytes * 8.0),
-                rate=lc.rate_bps,
-                charge_period=lc.charge_period_s,
+                m_min=MIN_KEY_BYTES * 8.0,
+                m_max=cfg.max_key_bytes * 8.0,
+                m_cur=min(init_bits, cfg.max_key_bytes * 8.0),
+                rate=cfg.rate_bps,
+                charge_period=CHARGE_PERIOD_S,
             )
             stats = PublicChannelStats(
                 window_len=cfg.t_avg_window,
-                initial_average=lc.charge_period_s,
+                initial_average=CHARGE_PERIOD_S,
             )
-            self.links[(u, v)] = QkdLink(u, v, storage, stats, lc.bandwidth_bps)
+            self.links[(u, v)] = QkdLink(u, v, storage, stats, cfg.bandwidth_bps)
 
         # Each direction's L2 queue, NO_PACKETS until its first packet; its
         # head is the packet on the wire.
@@ -201,10 +208,10 @@ class Simulation:
                 self.l2[d] = NO_PACKETS
                 self._link_by_dir[d] = lk
 
-        self.data_class = cfg.traffic.resolved_class()
-        self.data_wire = HEADER_OVERHEAD_BYTES + UDP_IP_BYTES + cfg.traffic.packet_bytes
-        self.data_key_cost = cfg.traffic.key_cost(lc.auth_key_bits)
-        self.data_max_delay = cfg.traffic.resolved_max_delay()
+        self.data_class = cfg.resolved_class()
+        self.data_wire = HEADER_OVERHEAD_BYTES + UDP_IP_BYTES + PACKET_BYTES
+        self.data_key_cost = DATA_KEY_BITS[cfg.crypto_mode]
+        self.data_max_delay = cfg.resolved_max_delay()
 
         self._uid = count()
         self._warned_reserve: set[tuple[int, int]] = set()
@@ -222,9 +229,9 @@ class Simulation:
         self.delay_sum = 0.0
         self.hops_sum = 0
 
-        if lc.rate_bps > 0.0:
+        if cfg.rate_bps > 0.0:
             for key in sorted(self.links):
-                self.events.push(lc.charge_period_s, EventKind.KEY_CHARGE, (key,))
+                self.events.push(CHARGE_PERIOD_S, EventKind.KEY_CHARGE, (key,))
         self.events.push(0.0, EventKind.PACKET_ARRIVAL, (None, self.src, None))
         self._start_protocol()
         self.events.push(cfg.duration_s, EventKind.SIMULATION_END, ())
@@ -372,7 +379,7 @@ class Simulation:
         if pkt is None:
             pkt = self._make_data_packet()
             self.stats.sent += 1
-            nxt = self.now + self.cfg.traffic.packet_bytes * 8.0 / self.cfg.traffic.rate_bps
+            nxt = self.now + PACKET_BYTES * 8.0 / self.cfg.traffic_rate_bps
             self.events.push(nxt, _ARRIVAL, (None, self.src, None))
         if frm is not None:
             pkt.hop_count += 1
@@ -482,12 +489,11 @@ class Simulation:
 
     def _on_key_charge(self, key: tuple[int, int]) -> None:
         lk = self.links[key]
-        lc = self.cfg.link
         lk.storage.charge()
-        base = self._rng_rounds.gauss(lc.charge_period_s, lc.round_stddev_frac * lc.charge_period_s)
-        busy_frac = min(1.0, lk.busy_accum / lc.charge_period_s)
+        base = self._rng_rounds.gauss(CHARGE_PERIOD_S, ROUND_STDDEV_FRAC * CHARGE_PERIOD_S)
+        busy_frac = min(1.0, lk.busy_accum / CHARGE_PERIOD_S)
         lk.busy_accum = 0.0
-        duration = max(lc.round_floor_s, base * (1.0 + lc.round_load_gain * busy_frac))
+        duration = max(ROUND_FLOOR_S, base * (1.0 + ROUND_LOAD_GAIN * busy_frac))
         lk.pub_stats.record_key_round(duration, self.now)
         self._record("charge", key, duration)
         if self.metrics_log is not None:
@@ -498,7 +504,7 @@ class Simulation:
         # Fresh key may unblock waiting heads at both endpoints.
         self._serve(u)
         self._serve(v)
-        self.events.push(self.now + lc.charge_period_s, EventKind.KEY_CHARGE, (key,))
+        self.events.push(self.now + CHARGE_PERIOD_S, EventKind.KEY_CHARGE, (key,))
 
     def _link_metrics(self, u: int, v: int, lk: QkdLink) -> tuple[float, float, float, float]:
         """(q_frac, q_m, p_m, r_m) of the link ``lk`` between u and v as node u sees it."""
@@ -538,9 +544,7 @@ class GpsrqSimulation(Simulation):
             nid: GpsrqNode(nid, cfg.beta, cfg.cache_enabled) for nid, _ in self.topo.nodes
         }
         self.signaling_key_cost = (
-            SIGNALING_PAYLOAD_BYTES * 8.0
-            + cfg.link.auth_key_bits
-            + HANDSHAKE_PACKETS * cfg.link.auth_key_bits
+            SIGNALING_PAYLOAD_BYTES * 8.0 + AUTH_KEY_BITS + HANDSHAKE_PACKETS * AUTH_KEY_BITS
         )
         self._signal_epoch: dict[int, float] = {}
         self._pending_signals: dict[tuple[int, int], SimPacket] = {}

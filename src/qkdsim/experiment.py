@@ -2,9 +2,9 @@
 
 A sweep specification is a plain-text file of ``key=value`` lines where any
 value may be a comma-separated list; runs are the cartesian product of all
-list-valued keys. Each key names one field of a run's ``RunConfig`` or
-``TopologySpec`` (``SWEEP_FIELDS``), which also gives its type and default;
-see README for the full table.
+list-valued keys. Each key is one field of a run's ``RunConfig`` or
+``TopologySpec`` (``SWEEP_FIELDS``), mostly by the field's own name, and the
+field gives its type and default; see README for the full table.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import astuple
-from operator import attrgetter
-from types import SimpleNamespace
+from dataclasses import astuple, fields
 
 from .config import ConfigError, RunConfig, parse_value
 from .engine import run_simulation
@@ -47,48 +45,21 @@ class SweepTopologies:
         return topology
 
 
-# Sweep key -> (path of the owning config, field name); a path starts at a run's
-# RunConfig, "base", or at its TopologySpec, "topology". A key left out of a spec
-# keeps the dataclass default.
-SWEEP_FIELDS = {
-    "nodes": ("topology", "node_count"),
-    "seeds": ("base", "seed"),
-    "protocol": ("base", "protocol"),
-    "beta": ("base", "beta"),
-    "alpha": ("base", "alpha"),
-    "t_avg_window": ("base", "t_avg_window"),
-    "cache": ("base", "cache_enabled"),
-    "duration": ("base", "duration_s"),
-    "queue_capacity": ("base", "queue_capacity"),
-    "dv_period_s": ("base", "dv_period_s"),
-    "dv_merge_window_s": ("base", "dv_merge_window_s"),
-    "dv_liveness": ("base", "dv_liveness"),
-    "traffic_rate_bps": ("base.traffic", "rate_bps"),
-    "packet_bytes": ("base.traffic", "packet_bytes"),
-    "traffic_class": ("base.traffic", "traffic_class"),
-    "max_delay_s": ("base.traffic", "max_delay_s"),
-    "crypto_mode": ("base.traffic", "crypto_mode"),
-    "min_key_bytes": ("base.link", "min_key_bytes"),
-    "max_key_bytes": ("base.link", "max_key_bytes"),
-    "init_key_bytes": ("base.link", "init_key_bytes_range"),
-    "rate_bps": ("base.link", "rate_bps"),
-    "charge_period_s": ("base.link", "charge_period_s"),
-    "bandwidth_bps": ("base.link", "bandwidth_bps"),
-    "auth_key_bits": ("base.link", "auth_key_bits"),
-    "round_load_gain": ("base.link", "round_load_gain"),
-    "round_stddev_frac": ("base.link", "round_stddev_frac"),
-    "round_floor_s": ("base.link", "round_floor_s"),
-    "gabriel": ("topology", "gabriel"),
-    "grid_size": ("topology", "grid_size"),
-    "theta": ("topology", "theta"),
-    "omega": ("topology", "omega"),
-    "lambda": ("topology", "lambda_max"),
-    "links_per_node": ("topology", "links_per_node"),
-}
+# The sweep keys spelled otherwise than their fields: ``lambda`` is a Python
+# keyword, and sweep specs use the other keys as callers' code uses the fields.
+_RENAMED = {"node_count": "nodes", "seed": "seeds", "duration_s": "duration",
+            "cache_enabled": "cache", "lambda_max": "lambda"}
+
+# Sweep key -> (its owner, a run's RunConfig "base" or its TopologySpec
+# "topology"; field name). Every field is a key; one left out of a spec keeps
+# its dataclass default.
+SWEEP_FIELDS = {_RENAMED.get(f.name, f.name): (owner, f.name)
+                for owner, cls in (("base", RunConfig), ("topology", TopologySpec))
+                for f in fields(cls)}
 
 
 def _owner(cfg: RunConfig, spec: TopologySpec, path: str):
-    return attrgetter(path)(SimpleNamespace(base=cfg, topology=spec))
+    return spec if path == "topology" else cfg
 
 
 # How fast an axis varies: every other axis in the order of its first line, then nodes, then seeds.

@@ -186,7 +186,7 @@ def two_node_topology() -> Topology:
 
 def ample_cfg(**kw) -> RunConfig:
     cfg = RunConfig(**kw)
-    cfg.link.init_key_bytes_range = (25_000_000.0, 25_000_000.0)
+    cfg.init_key_bytes = (25_000_000.0, 25_000_000.0)
     return cfg
 
 
@@ -212,9 +212,9 @@ def narrative_topology() -> Topology:
 
 def narrative_sim(trace: bool = False) -> Simulation:
     cfg = RunConfig(seed=1, duration_s=3.0)
-    cfg.link.init_key_bytes_range = (5_000_000.0, 5_000_000.0)
-    cfg.link.rate_bps = 0.0  # no charging: no signaling noise, stable metrics
-    cfg.traffic.rate_bps = 1000.0  # exactly one packet at t=0
+    cfg.init_key_bytes = (5_000_000.0, 5_000_000.0)
+    cfg.rate_bps = 0.0  # no charging: no signaling noise, stable metrics
+    cfg.traffic_rate_bps = 1000.0  # exactly one packet at t=0
     sim = Simulation(cfg, narrative_topology(), trace=trace)
     dead = sim.links[(2, 4)]
     dead.storage.m_cur = 0.0
@@ -233,7 +233,7 @@ def two_closer_sim() -> Simulation:
         grid_size=40.0,
     )
     cfg = ample_cfg(seed=1, duration_s=1.0, beta=0.0)
-    cfg.link.rate_bps = 0.0
+    cfg.rate_bps = 0.0
     sim = Simulation(cfg, topo)
     sim.links[(0, 1)].storage.m_cur = 2 * sim.links[(0, 1)].storage.m_min
     sim.links[(0, 2)].storage.m_cur = sim.links[(0, 2)].storage.m_max

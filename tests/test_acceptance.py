@@ -54,7 +54,7 @@ def _run(protocol="gpsrq", nodes=30, seed=6, beta=0.6, window=5,
                         beta=beta, t_avg_window=window, cache_enabled=cache,
                         dv_liveness=liveness)
         if scarce:
-            cfg.link.init_key_bytes_range = (500_000.0, 5_000_000.0)
+            cfg.init_key_bytes = (500_000.0, 5_000_000.0)
         start = time.monotonic()
         stats = run_simulation(cfg, _topology(nodes, seed))
         _cache[key] = (stats, time.monotonic() - start)
@@ -345,7 +345,7 @@ def test_c12_accounting_invariants():
     # every run (it raises otherwise); re-derive the identity here on a
     # freshly executed starved scenario as an external check.
     cfg = RunConfig(seed=SEEDS[0], duration_s=30.0)
-    cfg.link.init_key_bytes_range = (500_000.0, 5_000_000.0)
+    cfg.init_key_bytes = (500_000.0, 5_000_000.0)
     sim = Simulation(cfg, _topology(30, SEEDS[0]))
     stats = sim.run()
     worst = 0.0

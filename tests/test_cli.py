@@ -126,10 +126,26 @@ def test_sweep_continues_past_failing_run(tmp_path):
 def test_error_row_carries_its_config_columns():
     (row,), _ = run_sweep("protocol=dv\nnodes=6\nseeds=4\nduration=5\nbeta=0.3\nalpha=0.7\n"
                           "t_avg_window=3\ncache=off\ninit_key_bytes=9:1\n")
-    assert "init_key_bytes_range" in row.error
+    assert "init_key_bytes" in row.error
     assert (row.protocol, row.nodes, row.seed, row.beta, row.alpha, row.t_avg_window,
             row.cache) == ("dv", 6, 4, 0.3, 0.7, 3, False)
     assert (row.sent, row.in_flight, row.trace_hash) == (0, 0, "")
+
+
+# Settings that are module constants: once sweep keys, now unknown ones.
+@pytest.mark.parametrize("item", [
+    "min_key_bytes=2000000", "charge_period_s=5", "auth_key_bits=128", "round_stddev_frac=0.2",
+    "round_floor_s=0.2", "round_load_gain=1", "packet_bytes=256", "dv_period_s=10",
+    "dv_merge_window_s=0.01",
+])
+def test_a_fixed_setting_is_not_a_key(tmp_path, capsys, item):
+    spec_path = tmp_path / "sweep.txt"
+    spec_path.write_text(f"nodes=6\nduration=2\n{item}\n", encoding="ascii")
+    assert run_cli(["simulate", "nodes=6", "duration=2", item]) == 2
+    assert run_cli(["sweep", "--spec", str(spec_path)]) == 2
+    key = item.split("=", 1)[0]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") and repr(key) in line for line in err)
 
 
 def test_error_lines_name_their_configuration():

@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, seed, settings, strategies as st
 
 from helpers import (
     NaiveExclusionCache,
@@ -19,7 +19,7 @@ from helpers import (
     two_node_topology,
 )
 from qkdsim import engine, qos
-from qkdsim.config import PROTOCOLS, LinkConfig, RunConfig
+from qkdsim.config import PACKET_BYTES, PROTOCOLS, RunConfig
 from qkdsim.engine import (
     HASH_BATCH_LINES,
     EventKind,
@@ -58,8 +58,8 @@ def test_events_after_the_horizon_are_dropped_without_a_sequence_number():
 
 
 @pytest.mark.parametrize("protocol, nodes, kw", [
-    ("gpsrq", 40, {"duration_s": 20.0, "link": LinkConfig(
-        max_key_bytes=4_000_000, init_key_bytes_range=(1_000_000, 4_000_000))}),
+    ("gpsrq", 40, {"duration_s": 20.0, "max_key_bytes": 4_000_000,
+                   "init_key_bytes": (1_000_000, 4_000_000)}),
     ("dv", 30, {"duration_s": 60.0, "dv_liveness": "hello"}),
 ], ids=["gpsrq-starved-cache-expiry", "dv-hello-timer"])
 def test_no_pending_event_outlives_the_run(protocol, nodes, kw):
@@ -81,8 +81,8 @@ def _hash_case(case: str) -> Simulation:
         return narrative_sim(trace=True)
     protocol, seed, duration, kw = {
         "gpsrq": ("gpsrq", 3, 20.0, {}),
-        "gpsrq-starved": ("gpsrq", 1, 20.0, {"link": LinkConfig(
-            max_key_bytes=4_000_000, init_key_bytes_range=(1_000_000, 4_000_000))}),
+        "gpsrq-starved": ("gpsrq", 1, 20.0, {"max_key_bytes": 4_000_000,
+                                             "init_key_bytes": (1_000_000, 4_000_000)}),
         "dv": ("dv", 3, 5.0, {}),
         "dv-hello": ("dv", 3, 5.0, {"dv_liveness": "hello"}),
     }[case]
@@ -186,8 +186,8 @@ def test_two_node_full_delivery():
 
 def test_zero_key_no_charging_delivers_nothing():
     cfg = RunConfig(seed=3, duration_s=10.0)
-    cfg.link.init_key_bytes_range = (0.0, 0.0)
-    cfg.link.rate_bps = 0.0
+    cfg.init_key_bytes = (0.0, 0.0)
+    cfg.rate_bps = 0.0
     stats = run_simulation(cfg, two_node_topology())
     assert stats.received == 0
     assert stats.pdr == 0.0
@@ -344,7 +344,7 @@ def test_signaling_overhead_matches_schedule():
     cfg = ample_cfg(seed=7, duration_s=20.0)
     sim = Simulation(cfg, topo, trace=True)
     stats = sim.run()
-    epochs = int(20.0 / cfg.link.charge_period_s)  # charges at 7 and 14
+    epochs = int(20.0 / engine.CHARGE_PERIOD_S)  # charges at 7 and 14
     exchanges = 2 * len(topo.edges) * epochs
     assert stats.ovh_pkts == exchanges * 4
     assert stats.ovh_bytes == exchanges * 204
@@ -354,9 +354,9 @@ def test_signaling_overhead_matches_schedule():
 def test_zero_traffic_zero_charging_zero_overhead():
     topo = generate_topology(TopologySpec(node_count=10), 7)
     cfg = ample_cfg(seed=7, duration_s=20.0)
-    cfg.link.rate_bps = 0.0
-    cfg.traffic.rate_bps = 1.0  # first packet only fires at t=0
-    cfg.traffic.packet_bytes = 512
+    cfg.rate_bps = 0.0
+    cfg.traffic_rate_bps = 1.0
+    assert PACKET_BYTES * 8 / cfg.traffic_rate_bps > cfg.duration_s  # only the packet at t=0
     stats = run_simulation(cfg, topo)
     assert stats.ovh_pkts == 0
     assert stats.ovh_bytes == 0
@@ -368,7 +368,7 @@ def test_a_refused_signal_counts_as_a_premium_drop():
     queued signals stay pending. Neither the CSV row nor trace_hash depends
     on the refusals."""
     cfg = RunConfig(protocol="gpsrq", seed=1, duration_s=30.0, queue_capacity=1,
-                    link=LinkConfig(bandwidth_bps=200_000))
+                    bandwidth_bps=200_000)
     sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 1), trace=True)
     stats = sim.run()
     refused = [e for e in sim.trace if e[1] == "signal_refused"]
@@ -386,16 +386,16 @@ def test_a_refused_signal_counts_as_a_premium_drop():
 def test_only_premium_crosses_a_starved_link():
     topo = two_node_topology()
     cfg = RunConfig(seed=1, duration_s=10.0)
-    cfg.link.init_key_bytes_range = (1_000_000.0, 1_000_000.0)  # exactly the reserve
-    cfg.link.rate_bps = 0.0
-    cfg.traffic.traffic_class = "premium"
+    cfg.init_key_bytes = (1_000_000.0, 1_000_000.0)  # exactly the reserve
+    cfg.rate_bps = 0.0
+    cfg.traffic_class = "premium"
     premium = run_simulation(cfg, topo)
     assert premium.received > 0
 
     cfg2 = RunConfig(seed=1, duration_s=10.0)
-    cfg2.link.init_key_bytes_range = (1_000_000.0, 1_000_000.0)
-    cfg2.link.rate_bps = 0.0
-    cfg2.traffic.traffic_class = "best_effort"
+    cfg2.init_key_bytes = (1_000_000.0, 1_000_000.0)
+    cfg2.rate_bps = 0.0
+    cfg2.traffic_class = "best_effort"
     besteffort = run_simulation(cfg2, topo)
     assert besteffort.received == 0
 
@@ -403,9 +403,9 @@ def test_only_premium_crosses_a_starved_link():
 def test_premium_reserve_dip_counted():
     topo = two_node_topology()
     cfg = RunConfig(seed=1, duration_s=10.0)
-    cfg.link.init_key_bytes_range = (1_000_000.0, 1_000_000.0)
-    cfg.link.rate_bps = 0.0
-    cfg.traffic.traffic_class = "premium"
+    cfg.init_key_bytes = (1_000_000.0, 1_000_000.0)
+    cfg.rate_bps = 0.0
+    cfg.traffic_class = "premium"
     stats = run_simulation(cfg, topo)
     assert stats.reserve_dips > 0
 
@@ -540,8 +540,8 @@ def test_all_pairs_delivery_on_planar_graphs(seed):
             ] + [(dst, nodes[dst])]
             topo = Topology(nodes=ordered, edges=set(base.edges), grid_size=base.grid_size)
             cfg = ample_cfg(seed=seed, duration_s=3.0)
-            cfg.link.rate_bps = 0.0
-            cfg.traffic.rate_bps = 1000.0  # a single probe packet
+            cfg.rate_bps = 0.0
+            cfg.traffic_rate_bps = 1000.0  # a single probe packet
             sim = Simulation(cfg, topo, trace=True)
             stats = sim.run()
             assert bfs_reachable(topo, src, dst)
@@ -563,11 +563,11 @@ def _decision_runs(draw):
                              draw(st.integers(1, 10_000)))
     cfg = RunConfig(seed=draw(st.integers(1, 10_000)), duration_s=draw(st.floats(1.0, 20.0)),
                     beta=draw(st.floats(0.0, 1.0)), cache_enabled=draw(st.booleans()))
-    cfg.link.max_key_bytes = draw(st.sampled_from([2_000_000.0, 4_000_000.0, 100_000_000.0]))
-    cfg.link.rate_bps = draw(st.sampled_from([0.0, 10_000.0, 100_000.0]))
+    cfg.max_key_bytes = draw(st.sampled_from([2_000_000.0, 4_000_000.0, 100_000_000.0]))
+    cfg.rate_bps = draw(st.sampled_from([0.0, 10_000.0, 100_000.0]))
     lo = draw(st.floats(1_000_000.0, 1_500_000.0))
-    cfg.link.init_key_bytes_range = (lo, lo + draw(st.floats(0.0, 3_000_000.0)))
-    cfg.traffic.rate_bps = draw(st.sampled_from([3_000_000.0, 1_000_000.0, 300_000.0]))
+    cfg.init_key_bytes = (lo, lo + draw(st.floats(0.0, 3_000_000.0)))
+    cfg.traffic_rate_bps = draw(st.sampled_from([3_000_000.0, 1_000_000.0, 300_000.0]))
     return cfg, topo
 
 
@@ -597,6 +597,14 @@ def test_recovery_computes_each_bearing_order_once(monkeypatch):
     assert len(bearings) == len(sim._ccw_orders) > 0
 
 
+# The seed of the reference test's draw. Under derandomize alone, hypothesis
+# seeds it from a hash of the test's source, so any edit of the test drew other
+# runs. This is the seed that hash gave before the test was last edited, so the
+# draw holds the same 40 runs, and the kill list's mutants still fail on them.
+DECISION_RUNS_SEED = int("f2aaebe2077eff4921a2424fe233edb026c289c7d478ad57"
+                         "1beee4c4674369f90d36b31bbf56624d35da3dec3e486a8c", 16)
+
+
 def test_decision_path_matches_reference(monkeypatch):
     """Reading the per-run distance tables, asking each admission once,
     reading one block time per neighbour and deciding a packet on arrival at
@@ -613,7 +621,12 @@ def test_decision_path_matches_reference(monkeypatch):
 
     monkeypatch.setattr(NaiveExclusionCache, "cache_blocked", counted_circle_test)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    # No shrink phase, as under the ``mutants`` profile: a broken decision path
+    # fails on its first failing run in seconds instead of being minimised for
+    # minutes. The fixed seed draws the same runs every time.
+    @seed(DECISION_RUNS_SEED)
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(_decision_runs())
     def check(run):
         cfg, topo = run
@@ -641,7 +654,7 @@ def _fork_sim() -> Simulation:
         grid_size=40.0,
     )
     cfg = ample_cfg(seed=1, duration_s=1.0)
-    cfg.link.rate_bps = 0.0
+    cfg.rate_bps = 0.0
     return Simulation(cfg, topo)
 
 
@@ -681,8 +694,8 @@ def test_a_replaced_signal_leaves_the_queue_size_exact(monkeypatch):
     monkeypatch.setattr(PriorityQueueSet, "remove",
                         lambda qs, pkt: found.append(remove(qs, pkt)) or found[-1])
     cfg = RunConfig(protocol="gpsrq", seed=1, duration_s=30.0, queue_capacity=5,
-                    link=LinkConfig(init_key_bytes_range=(200, 1000), rate_bps=1000.0))
-    cfg.traffic.traffic_class = "premium"
+                    init_key_bytes=(200, 1000), rate_bps=1000.0)
+    cfg.traffic_class = "premium"
     sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 1))
     sim.run()
     assert found and False not in found

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import ample_cfg, max_deliverable, two_node_topology
-from qkdsim.config import PROTOCOLS, ConfigError, RunConfig, TrafficConfig
+from qkdsim.config import DATA_KEY_BITS, PROTOCOLS, ConfigError, RunConfig
 from qkdsim.dv import INFINITE_METRIC
 from qkdsim import engine
 from qkdsim.engine import PROTOCOL_SIMULATIONS, Simulation, run_simulation
@@ -29,9 +29,9 @@ def chain_topology():
 
 def test_expired_packet_returns_and_source_drops():
     cfg = ample_cfg(seed=2, duration_s=2.0)
-    cfg.link.rate_bps = 0.0
-    cfg.traffic.rate_bps = 1000.0           # single packet
-    cfg.traffic.max_delay_s = 0.001         # expires during the first hop
+    cfg.rate_bps = 0.0
+    cfg.traffic_rate_bps = 1000.0  # single packet
+    cfg.max_delay_s = 0.001  # expires during the first hop
     sim = Simulation(cfg, chain_topology(), trace=True)
     stats = sim.run()
     assert stats.drop_delay == 1
@@ -43,9 +43,9 @@ def test_expired_packet_returns_and_source_drops():
 
 def test_generous_budget_delivers():
     cfg = ample_cfg(seed=2, duration_s=2.0)
-    cfg.link.rate_bps = 0.0
-    cfg.traffic.rate_bps = 1000.0
-    cfg.traffic.max_delay_s = 1.0
+    cfg.rate_bps = 0.0
+    cfg.traffic_rate_bps = 1000.0
+    cfg.max_delay_s = 1.0
     stats = run_simulation(cfg, chain_topology())
     assert stats.received == 1
     assert stats.drop_delay == 0
@@ -53,10 +53,10 @@ def test_generous_budget_delivers():
 
 def test_real_time_class_default_budget():
     cfg = RunConfig(seed=1)
-    cfg.traffic.traffic_class = "real_time"
-    assert cfg.traffic.resolved_max_delay() == 0.5
-    cfg.traffic.traffic_class = "best_effort"
-    assert cfg.traffic.resolved_max_delay() == 5.0
+    cfg.traffic_class = "real_time"
+    assert cfg.resolved_max_delay() == 0.5
+    cfg.traffic_class = "best_effort"
+    assert cfg.resolved_max_delay() == 5.0
 
 
 # --- crypto configuration ----------------------------------------------------------
@@ -66,7 +66,7 @@ def test_aes_mode_consumes_far_less_key():
     otp = run_simulation(base, two_node_topology())
 
     aes_cfg = ample_cfg(seed=3, duration_s=10.0)
-    aes_cfg.traffic.crypto_mode = "aes"
+    aes_cfg.crypto_mode = "aes"
     aes = run_simulation(aes_cfg, two_node_topology())
 
     assert aes.received == otp.received
@@ -115,26 +115,24 @@ def test_unknown_protocol_is_a_config_error():
 
 def test_unknown_crypto_mode_rejected_by_validate():
     cfg = RunConfig()
-    cfg.traffic.crypto_mode = "bogus"
+    cfg.crypto_mode = "bogus"
     with pytest.raises(ConfigError, match="crypto mode"):
         cfg.validate()
 
 
-@pytest.mark.parametrize("path, value", [
-    *[(f, math.nan) for f in (
-        "traffic.rate_bps", "traffic.max_delay_s", "link.rate_bps", "link.charge_period_s",
-        "link.bandwidth_bps", "link.round_stddev_frac", "link.round_floor_s",
-        "link.round_load_gain", "dv_period_s", "dv_merge_window_s")],
+# A case keeps the id it had when the link and traffic fields were nested.
+@pytest.mark.parametrize("name, value", [
+    *[pytest.param(name, math.nan, id=f"{old}-nan") for name, old in (
+        ("traffic_rate_bps", "traffic.rate_bps"), ("max_delay_s", "traffic.max_delay_s"),
+        ("rate_bps", "link.rate_bps"), ("bandwidth_bps", "link.bandwidth_bps"))],
     # An infinite traffic rate schedules packets 0 s apart, so such a run
     # would never end.
-    ("traffic.rate_bps", math.inf),
-    ("link.charge_period_s", math.inf),
+    pytest.param("traffic_rate_bps", math.inf, id="traffic.rate_bps-inf"),
 ])
-def test_non_finite_values_rejected_by_validate(path, value):
+def test_non_finite_values_rejected_by_validate(name, value):
     # Checked through validate only: a run with an infinite traffic rate never ends.
     cfg = RunConfig()
-    *owner, name = path.split(".")
-    setattr(cfg if not owner else getattr(cfg, owner[0]), name, value)
+    setattr(cfg, name, value)
     with pytest.raises(ConfigError):
         cfg.validate()
 
@@ -193,7 +191,7 @@ def test_dv_poisons_dead_link_and_recovers():
     # data until the first charge lifts it over the threshold.
     topo = chain_topology()
     cfg = RunConfig(protocol="dv", seed=4, duration_s=40.0)
-    cfg.link.init_key_bytes_range = (25_000_000.0, 25_000_000.0)
+    cfg.init_key_bytes = (25_000_000.0, 25_000_000.0)
     sim = Simulation(cfg, topo, trace=True)
     weak = sim.links[(1, 2)]
     weak.storage.m_cur = 7.9e6
@@ -215,7 +213,7 @@ def test_data_never_leaves_storage_below_reserve_in_trace():
     reserve, while premium signaling may dip below it."""
     topo = two_node_topology()
     cfg = RunConfig(seed=5, duration_s=30.0)
-    cfg.link.init_key_bytes_range = (1_100_000.0, 1_100_000.0)  # thin surplus
+    cfg.init_key_bytes = (1_100_000.0, 1_100_000.0)  # thin surplus
     sim = Simulation(cfg, topo, trace=True)
     sim.run()
     m_min = sim.links[(0, 1)].storage.m_min
@@ -233,14 +231,14 @@ def test_blocked_packets_wait_and_flow_after_charges():
     charging lifts the store past the reserve."""
     topo = two_node_topology()
     cfg = RunConfig(seed=8, duration_s=40.0)
-    cfg.link.init_key_bytes_range = (990_000.0, 990_000.0)  # just under reserve
-    cfg.traffic.rate_bps = 50_000.0  # ~12 packets/s, queue holds them all
+    cfg.init_key_bytes = (990_000.0, 990_000.0)  # just under reserve
+    cfg.traffic_rate_bps = 50_000.0  # ~12 packets/s, queue holds them all
     sim = Simulation(cfg, topo, trace=True)
     stats = sim.run()
     # Reserve is 8 Mbit, fill starts at 7.92 Mbit and charges 0.7 Mbit per
     # 7 s: the first deliveries need a couple of epochs.
     first_delivery = min(e[0] for e in sim.trace if e[1] == "deliver")
-    assert first_delivery > cfg.link.charge_period_s
+    assert first_delivery > engine.CHARGE_PERIOD_S
     assert stats.received > 0
     assert stats.drop_queue == 0  # everything waited, nothing overflowed
 
@@ -263,8 +261,8 @@ def test_threshold_exchange_worked_neighborhood():
         grid_size=40.0,
     )
     cfg = RunConfig(seed=1, duration_s=8.0)  # one charging epoch at t=7
-    cfg.link.rate_bps = 1e-9                 # epoch fires, fill change negligible
-    cfg.traffic.rate_bps = 1.0               # a single packet of background traffic
+    cfg.rate_bps = 1e-9  # epoch fires, fill change negligible
+    cfg.traffic_rate_bps = 1.0  # a single packet of background traffic
     sim = Simulation(cfg, topo)
     fills = {(0, 1): 60e6, (0, 2): 20e6, (0, 3): 30e6, (3, 4): 20e6}
     for key, bits in fills.items():
@@ -293,7 +291,7 @@ def test_deliverable_payload_division():
                          rate=1e5, charge_period=7.0)
     key_bits = max_deliverable(storage, 0.0)
     assert key_bits == 8000.0
-    payload = key_bits / (TrafficConfig(crypto_mode="otp").key_cost(256) / (512 * 8))
+    payload = key_bits / (DATA_KEY_BITS["otp"] / (512 * 8))
     assert payload == pytest.approx(8000.0 / 1.0625)
 
 

@@ -42,7 +42,7 @@ from functools import lru_cache
 import pytest
 
 from helpers import narrative_sim
-from qkdsim.config import LinkConfig, RunConfig, TrafficConfig
+from qkdsim.config import RunConfig
 from qkdsim.engine import Simulation
 from qkdsim.experiment import run_sweep
 from qkdsim.stats import write_csv
@@ -55,20 +55,20 @@ def _sim(protocol, nodes, seed, duration, metrics=False, **kw) -> Simulation:
                       metrics_log=metrics, trace=True)
 
 
-def _starved_link() -> LinkConfig:
-    return LinkConfig(max_key_bytes=4_000_000, init_key_bytes_range=(1_000_000, 4_000_000))
+def _starved_link() -> dict:
+    return {"max_key_bytes": 4_000_000, "init_key_bytes": (1_000_000, 4_000_000)}
 
 
-def _slow_link() -> LinkConfig:
-    return LinkConfig(bandwidth_bps=200_000)
+def _slow_link() -> dict:
+    return {"bandwidth_bps": 200_000}
 
 
-def _thin_link() -> LinkConfig:
-    return LinkConfig(init_key_bytes_range=(200, 1000), rate_bps=1000.0)
+def _thin_link() -> dict:
+    return {"init_key_bytes": (200, 1000), "rate_bps": 1000.0}
 
 
-def _aes_real_time() -> TrafficConfig:
-    return TrafficConfig(crypto_mode="aes", traffic_class="real_time")
+def _aes_real_time() -> dict:
+    return {"crypto_mode": "aes", "traffic_class": "real_time"}
 
 
 RUNS = {
@@ -78,20 +78,20 @@ RUNS = {
     "gpsrq-30-s1": lambda: _sim("gpsrq", 30, 1, 90.0),
     "dv-probe": lambda: _sim("dv", 30, 1, 60.0, metrics=True),
     "dv-hello": lambda: _sim("dv", 30, 1, 60.0, dv_liveness="hello"),
-    "gpsrq-40-s1-starved": lambda: _sim("gpsrq", 40, 1, 20.0, link=_starved_link()),
-    "dv-40-s1-starved": lambda: _sim("dv", 40, 1, 20.0, link=_starved_link()),
-    "gpsrq-60-s2-aes-rt": lambda: _sim("gpsrq", 60, 2, 30.0, traffic=_aes_real_time()),
-    "dv-40-s2-aes-rt": lambda: _sim("dv", 40, 2, 30.0, traffic=_aes_real_time()),
+    "gpsrq-40-s1-starved": lambda: _sim("gpsrq", 40, 1, 20.0, **_starved_link()),
+    "dv-40-s1-starved": lambda: _sim("dv", 40, 1, 20.0, **_starved_link()),
+    "gpsrq-60-s2-aes-rt": lambda: _sim("gpsrq", 60, 2, 30.0, **_aes_real_time()),
+    "dv-40-s2-aes-rt": lambda: _sim("dv", 40, 2, 30.0, **_aes_real_time()),
     "gpsrq-10-s2-starved-nocache": lambda: _sim("gpsrq", 10, 2, 20.0, cache_enabled=False,
-                                                link=_starved_link()),
-    "gpsrq-10-s1-l2full": lambda: _sim("gpsrq", 10, 1, 5.0, queue_capacity=1, link=_slow_link()),
-    "dv-10-s1-l2full": lambda: _sim("dv", 10, 1, 5.0, queue_capacity=1, link=_slow_link()),
-    "gpsrq-10-s1-signal": lambda: _sim("gpsrq", 10, 1, 30.0, queue_capacity=5, link=_thin_link(),
-                                       traffic=TrafficConfig(traffic_class="premium")),
+                                                **_starved_link()),
+    "gpsrq-10-s1-l2full": lambda: _sim("gpsrq", 10, 1, 5.0, queue_capacity=1, **_slow_link()),
+    "dv-10-s1-l2full": lambda: _sim("dv", 10, 1, 5.0, queue_capacity=1, **_slow_link()),
+    "gpsrq-10-s1-signal": lambda: _sim("gpsrq", 10, 1, 30.0, queue_capacity=5, **_thin_link(),
+                                       traffic_class="premium"),
     "dv-10-s2-hello-dead": lambda: _sim("dv", 10, 2, 150.0, dv_liveness="hello", queue_capacity=1,
-                                        link=LinkConfig(bandwidth_bps=150_000)),
+                                        bandwidth_bps=150_000),
     "gpsrq-10-s3-starved-nocache": lambda: _sim("gpsrq", 10, 3, 30.0, cache_enabled=False,
-                                                link=_starved_link()),
+                                                **_starved_link()),
     "gpsrq-10-s1-7s": lambda: _sim("gpsrq", 10, 1, 7.0),
 }
 
@@ -312,20 +312,16 @@ def test_full_sweep_csv_pinned():
     assert _digest(["".join(lines[:1] + lines[2:])]) == "9c190abd2bc10ec9"
     # The metadata lines: each key's value in every run, in run order.
     settings = {
-        "nodes": [10, 10, 12, 12] * 8, "seeds": [1, 2] * 16,
-        "protocol": ["gpsrq"] * 16 + ["dv"] * 16, "beta": ([0.6] * 8 + [1.0] * 8) * 2,
-        "alpha": [0.5] * 32, "t_avg_window": [5] * 32, "cache": [True] * 32,
-        "duration": [3.0] * 32, "queue_capacity": [1000] * 32, "dv_period_s": [15.0] * 32,
-        "dv_merge_window_s": [0.005] * 32, "dv_liveness": ["probe"] * 32,
-        "traffic_rate_bps": [1e6] * 32, "packet_bytes": [512] * 32,
+        "protocol": ["gpsrq"] * 16 + ["dv"] * 16, "seeds": [1, 2] * 16, "duration": [3.0] * 32,
+        "beta": ([0.6] * 8 + [1.0] * 8) * 2, "alpha": [0.5] * 32, "t_avg_window": [5] * 32,
+        "cache": [True] * 32, "queue_capacity": [1000] * 32, "dv_liveness": ["probe"] * 32,
+        "max_key_bytes": [1e8] * 32, "init_key_bytes": [(5e5, 2.5e7)] * 32,
+        "rate_bps": [1e5] * 32, "bandwidth_bps": [1e7] * 32, "traffic_rate_bps": [1e6] * 32,
         "traffic_class": ["best_effort"] * 32, "max_delay_s": [None] * 32,
-        "crypto_mode": ["otp"] * 32, "min_key_bytes": [1e6] * 32, "max_key_bytes": [1e8] * 32,
-        "init_key_bytes": [(5e5, 2.5e7)] * 32, "rate_bps": [1e5] * 32,
-        "charge_period_s": [7.0] * 32, "bandwidth_bps": [1e7] * 32, "auth_key_bits": [256] * 32,
-        "round_load_gain": [2.0] * 32, "round_stddev_frac": [0.1] * 32,
-        "round_floor_s": [0.1] * 32, "gabriel": [True] * 32,
+        "crypto_mode": ["otp"] * 32, "nodes": [10, 10, 12, 12] * 8,
         "grid_size": ([-1.0] * 4 + [70.710678] * 4) * 4, "theta": [0.4] * 32,
         "omega": [0.4] * 32, "lambda": [None] * 32, "links_per_node": [2] * 32,
+        "gabriel": [True] * 32,
     }
     assert lines[:2] == ["# runs=32\n", f"# settings={settings!r}\n"]
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from helpers import two_closer_sim
 from qkdsim.config import (
-    AES_REFRESH_PACKETS, AES_SESSION_KEY_BITS, CLASS_NAMES, RunConfig, TrafficConfig,
+    AES_REFRESH_PACKETS, AES_SESSION_KEY_BITS, CLASS_NAMES, DATA_KEY_BITS, RunConfig,
 )
 from qkdsim.engine import Simulation
 from qkdsim.links import KeyStorage, PublicChannelStats, QkdLink
@@ -49,7 +49,7 @@ def test_application_flow_class_respected():
     # and the signaling under PREMIUM.
     for name in ("best_effort", "real_time"):
         cfg = RunConfig(seed=2, duration_s=10.0)
-        cfg.traffic.traffic_class = name
+        cfg.traffic_class = name
         sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 2), trace=True)
         served = sim.run().served_by_class
         sent = Counter(entry[2] for entry in sim.trace if entry[1] == "tx")
@@ -63,18 +63,17 @@ def test_application_flow_class_respected():
 # --- crypto accounting ----------------------------------------------------------
 
 def test_otp_key_cost_512_byte_packet():
-    assert TrafficConfig(crypto_mode="otp").key_cost(256) == 4096 + 256
+    assert DATA_KEY_BITS["otp"] == 4096 + 256
 
 
 def test_otp_ratio_above_one():
-    assert TrafficConfig(crypto_mode="otp").key_cost(256) / (512 * 8) > 1.0
+    assert DATA_KEY_BITS["otp"] / (512 * 8) > 1.0
 
 
 def test_aes_key_cost_amortized():
-    traffic = TrafficConfig(crypto_mode="aes")
     assert (AES_SESSION_KEY_BITS, AES_REFRESH_PACKETS) == (256, 100)
-    assert traffic.key_cost(256) == pytest.approx(AES_SESSION_KEY_BITS / AES_REFRESH_PACKETS + 256)
-    assert traffic.key_cost(256) / (512 * 8) < 1.0
+    assert DATA_KEY_BITS["aes"] == pytest.approx(AES_SESSION_KEY_BITS / AES_REFRESH_PACKETS + 256)
+    assert DATA_KEY_BITS["aes"] / (512 * 8) < 1.0
 
 
 # --- priority queues -------------------------------------------------------------

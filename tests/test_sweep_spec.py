@@ -8,12 +8,11 @@ import weakref
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from qkdsim import cli, experiment
-from qkdsim.config import PROTOCOLS, LinkConfig, RunConfig, TrafficConfig, parse_value
+from qkdsim.config import PROTOCOLS, RunConfig, parse_value
 from qkdsim.engine import run_simulation
 from qkdsim.experiment import SWEEP_FIELDS, parse_sweep_spec, run_sweep
 from qkdsim.stats import write_csv
@@ -23,12 +22,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_setting_has_exactly_one_key():
-    # So simulate, gen-topology and sweep reach every scalar config field, each by one name.
-    owners = {"base": RunConfig, "base.link": LinkConfig, "base.traffic": TrafficConfig,
-              "topology": TopologySpec}
-    settable = [(path, f.name) for path, owner in owners.items() for f in fields(owner)
-                if f.name not in ("link", "traffic")]
+    # So simulate, gen-topology and sweep reach every config field, each by one name:
+    # RunConfig's 17 and TopologySpec's 7.
+    settable = [(path, f.name) for path, owner in (("base", RunConfig), ("topology", TopologySpec))
+                for f in fields(owner)]
     assert sorted(SWEEP_FIELDS.values()) == sorted(settable)
+    # No two fields share a key, and each renamed field exists.
+    assert len(SWEEP_FIELDS) == len(settable) == 24
+    assert set(experiment._RENAMED) <= {name for _, name in settable}
 
 
 def test_empty_spec_is_the_dataclass_default():
@@ -133,10 +134,10 @@ def _readme_keys() -> dict[str, str]:
 def test_readme_key_table_matches_parser():
     keys = _readme_keys()
     assert set(keys) == set(SWEEP_FIELDS)
-    defaults = SimpleNamespace(base=RunConfig(), topology=TopologySpec())
+    defaults = {"base": RunConfig(), "topology": TopologySpec()}
     for key, shown in keys.items():
         path, name = SWEEP_FIELDS[key]
-        default = getattr(attrgetter(path)(defaults), name)
+        default = getattr(defaults[path], name)
         if default is None:  # optional field, described in words
             continue
         expected = pytest.approx(default, rel=1e-6) if isinstance(default, float) else default

@@ -10,7 +10,6 @@ from .config import ConfigError, RunConfig
 from .engine import Simulation, SimulationError, run_simulation
 from . import dv  # noqa: F401  (registers the dv protocol)
 from .geometry import Position, euclidean_distance
-from .links import KeyStorage, PublicChannelStats, QkdLink
 from .qos import TrafficClass
 from .stats import RunStats
 from .topology import Topology, TopologyError, TopologySpec, gabrielize, generate_topology
@@ -19,10 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "KeyStorage",
     "Position",
-    "PublicChannelStats",
-    "QkdLink",
     "RunConfig",
     "RunStats",
     "Simulation",

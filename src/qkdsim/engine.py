@@ -345,8 +345,6 @@ class Simulation:
         pop, hash_event, dispatch = self.events.pop, self._hash_event, self._dispatch
         while True:
             ev = pop()
-            if ev is None:
-                break
             fire_at, _, kind, payload = ev
             if fire_at < self.now - 1e-9:
                 raise SimulationError("event fired before current time")

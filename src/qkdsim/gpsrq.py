@@ -31,8 +31,6 @@ def greedy_choice(candidates: list[tuple[int, float, float]], beta: float) -> in
     """
     if not candidates:
         return None
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError("beta must lie in [0, 1]")
     d_max = 0.0
     for _, _, d in candidates:
         if d > d_max:

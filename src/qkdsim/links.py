@@ -21,16 +21,6 @@ class KeyStorage:
     charged_total: float = 0.0
     consumed_total: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.m_min < self.m_max):
-            raise ValueError("require 0 < m_min < m_max")
-        if not (0.0 <= self.m_cur <= self.m_max):
-            raise ValueError("require 0 <= m_cur <= m_max")
-        if self.rate < 0.0:
-            raise ValueError("charging rate must be non-negative")
-        if self.charge_period <= 0.0:
-            raise ValueError("charge_period must be positive")
-
     def charge(self) -> None:
         """Add one charging burst, discarding overflow."""
         added = min(self.m_max, self.m_cur + self.rate * self.charge_period) - self.m_cur
@@ -38,8 +28,6 @@ class KeyStorage:
         self.charged_total += added
 
     def can_consume(self, key_bits: float, premium: bool) -> bool:
-        if key_bits <= 0.0:
-            raise ValueError("key_bits must be positive")
         if premium:
             return self.m_cur >= key_bits
         return self.m_cur > self.m_min and self.m_cur - key_bits >= self.m_min
@@ -69,16 +57,10 @@ class PublicChannelStats:
     t_average: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.window_len < 1:
-            raise ValueError("window_len must be at least 1")
-        if self.initial_average <= 0.0:
-            raise ValueError("initial_average must be positive")
         self.t_last = self.t_average = self.initial_average
         self.samples = []
 
     def record_key_round(self, duration: float, now: float) -> None:
-        if duration <= 0.0:
-            raise ValueError("round duration must be positive")
         self.samples.append(duration)
         if len(self.samples) > self.window_len:
             del self.samples[0]
@@ -102,10 +84,6 @@ class QkdLink:
     busy_accum: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.node_a == self.node_b:
-            raise ValueError("link endpoints must differ")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
         self.initial_key = self.storage.m_cur
 
     def key(self) -> tuple[int, int]:

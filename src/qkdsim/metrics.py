@@ -18,8 +18,6 @@ from .links import PublicChannelStats
 def local_mean(m_cur_values: Iterable[float]) -> float:
     """Mean current key level over the links adjacent to one node."""
     values = list(m_cur_values)
-    if not values:
-        raise ValueError("node has no adjacent links")
     return sum(values) / len(values)
 
 
@@ -32,8 +30,6 @@ def threshold(li: float, lj: float) -> float:
 
 def quantum_metric(m_cur: float, m_thr: float, m_max: float) -> tuple[float, float]:
     """Return (fill fraction, quantum-channel metric), both in [0, 1]."""
-    if m_max <= 0.0:
-        raise ValueError("m_max must be positive")
     if not (0.0 <= m_cur <= m_max) or not (0.0 <= m_thr <= m_max):
         raise ValueError("m_cur and m_thr must lie in [0, m_max]")
     q_frac = (m_cur * m_cur * m_thr) / (m_max ** 3)
@@ -53,6 +49,4 @@ def public_metric(stats: PublicChannelStats, now: float) -> float:
 
 def link_metric(q_m: float, p_m: float, alpha: float) -> float:
     """Blend of quantum and public channel state; alpha=1 is quantum-only."""
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
     return alpha * q_m + (1.0 - alpha) * p_m

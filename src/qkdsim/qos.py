@@ -74,8 +74,6 @@ class PriorityQueueSet:
     until its first packet arrives."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self.queues: dict[TrafficClass, deque | tuple] = dict.fromkeys(PRIORITY_ORDER, NO_PACKETS)
         self.size = 0

@@ -101,8 +101,6 @@ class Topology:
 
 def waxman_edge_probability(d: float, spec: TopologySpec) -> float:
     """Probability of interconnecting two nodes at distance d."""
-    if d < 0.0:
-        raise ValueError("distance must be non-negative")
     return spec.theta * math.exp(-d / (spec.omega * spec.resolved_lambda()))
 
 

@@ -174,14 +174,13 @@ def test_topology_range_checks_run_when_the_run_starts():
     ("sweep", "nodes=6,x"),
     ("sweep", "seeds="),
     ("link", "rate_bps=abc"),
-    ("link", "auth_key_bits=1.5"),
     pytest.param("link", "init_key_bytes=5", id="link-init_key_bytes_range=5"),
     ("link", "rate_bps=nan"),
-    ("link", "charge_period_s=nan"),
     ("link", "bandwidth_bps=nan"),
-    ("link", "round_floor_s=nan"),
-    ("link", "round_stddev_frac=nan"),
     ("link", "max_key_bytes=inf"),
+    ("link", "max_key_bytes=1000000"),
+    ("link", "rate_bps=-1"),
+    ("link", "bandwidth_bps=0"),
     pytest.param("link", "init_key_bytes=1:inf", id="link-init_key_bytes_range=1:inf"),
     ("sweep", "# caf\u00e9"),
     pytest.param("simulate", "nodes=1 gabriel=off", id="simulate---waxman 1"),
@@ -199,6 +198,10 @@ def test_topology_range_checks_run_when_the_run_starts():
     ("simulate", "seeds=1,2"),
     ("simulate", "nodes=6 seeds=1,2"),
     ("simulate", "nonsense=1"),
+    ("simulate", "alpha=1.5"),
+    ("simulate", "beta=-0.1"),
+    ("simulate", "t_avg_window=0"),
+    ("simulate", "queue_capacity=0"),
     ("simulate", "bogus"),
     pytest.param("gen-topology", "nodes=5 grid_size=nan",
                  id="gen-topology---nodes 5 --grid-size nan --gabriel"),

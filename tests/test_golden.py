@@ -24,7 +24,11 @@ send none. The seed-3 starved run without the cache keeps its trace
 records: there a greedy forward from a walk's entry node reaches a node
 other than the destination, so clearing the recovery state on that
 forward decides whether that node records a ``recovery_exit``. The 7 s
-run ends exactly at the first key charge, which must still fire.
+run ends exactly at the first key charge, which must still fire. The
+30-node ``starved-l2full`` run (seed 2, 4 MB stores, queue capacity 1,
+200 kbit/s links) makes perimeter picks toward a full L2 queue after
+19 s, both on a walk in transit and at its entry node, where the packet
+must wait rather than join the queue.
 
 With the default 100 MB key stores the quantum metric is about 1 on every
 link, so the link metric hardly varies between neighbours. The two
@@ -93,6 +97,8 @@ RUNS = {
     "gpsrq-10-s3-starved-nocache": lambda: _sim("gpsrq", 10, 3, 30.0, cache_enabled=False,
                                                 **_starved_link()),
     "gpsrq-10-s1-7s": lambda: _sim("gpsrq", 10, 1, 7.0),
+    "gpsrq-30-s2-starved-l2full": lambda: _sim("gpsrq", 30, 2, 20.0, queue_capacity=1,
+                                               **_starved_link(), **_slow_link()),
 }
 
 # name -> (CSV row, trace_hash)
@@ -179,6 +185,11 @@ GOLDEN = {
         "gpsrq,10,1,0.6,0.5,5,on,1709,1709,1.0,0.002921600000000073,"
         "2.0,0,0,14875136.0,0.0,0,0,0,0",
         "4a92baacfce5250eb84a76b2e907a298b07557161e8d9409ceb5a4d2c5952f2d",
+    ),
+    "gpsrq-30-s2-starved-l2full": (
+        "gpsrq,30,2,0.6,0.5,5,on,4883,852,0.17491274892219258,0.16437076056314148,"
+        "4.985915492957746,240,12240,19536128.0,65280.0,4019,0,0,0",
+        "259f8356ce5378dde41417b9fe577c71df27ccccf12883b8c493acc19df02384",
     ),
 }
 

@@ -175,8 +175,6 @@ def test_scores_blend_convexly():
     assert greedy_choice([(1, 0.4, 8.0), (2, 0.3, 10.0)], beta=0.5) == 1
     assert greedy_choice([(1, 0.4, 8.0), (2, 0.3, 10.0)], beta=0.0) == 2
     assert greedy_choice([(1, 0.4, 8.0), (2, 0.1, 10.0)], beta=1.0) == 1
-    with pytest.raises(ValueError):
-        greedy_choice([(1, 0.4, 8.0)], beta=1.2)
 
 
 def test_candidates_all_at_the_destination_are_scored_by_link_alone():

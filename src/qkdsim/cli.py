@@ -58,6 +58,7 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     refused = TOPOLOGY_KEYS if args.topology else set()
     run_cfg, spec = _one_run(args.settings, refused, "simulate --topology")
+    # Refuse a bad setting before a Gabriel topology builds n(n+1)/2 squared distances.
     run_cfg.validate()
     topo = load_topology(args.topology) if args.topology else generate_topology(spec, run_cfg.seed)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .links import MIN_KEY_BYTES
 from .qos import TrafficClass
 # Not used here: perfbench/workloads.py imports a run's two configs, RunConfig and
 # TopologySpec, from this module.
@@ -16,11 +17,10 @@ class ConfigError(ValueError):
 
 
 PROTOCOLS = ("gpsrq", "dv")
-# A data packet's payload, the authentication key drawn per packet and per
-# handshake message, and the key reserve of every link.
+# A data packet's payload and the authentication key drawn per packet and per
+# handshake message.
 PACKET_BYTES = 512
 AUTH_KEY_BITS = 256
-MIN_KEY_BYTES = 1_000_000.0
 # In "aes" mode one session key of this many bits serves this many data packets.
 AES_SESSION_KEY_BITS = 256
 AES_REFRESH_PACKETS = 100

@@ -33,12 +33,12 @@ try:
 except ImportError:  # Python 3.12 and later
     from _sha2 import sha256
 
-from .config import AUTH_KEY_BITS, DATA_KEY_BITS, MIN_KEY_BYTES, PACKET_BYTES, RunConfig
+from .config import AUTH_KEY_BITS, DATA_KEY_BITS, PACKET_BYTES, RunConfig
 # Not called here: perfbench's tracer wraps ccw_next_neighbor by this module's name.
 from .geometry import ccw_next_neighbor  # noqa: F401
 from .geometry import Position, angle_of, ccw_order, euclidean_distance
 from .gpsrq import GpsrqNode, cache_ttl, greedy_choice
-from .links import KeyStorage, PublicChannelStats, QkdLink
+from .links import CHARGE_PERIOD_S, MIN_KEY_BITS, KeyStorage, PublicChannelStats, QkdLink
 from .metrics import link_metric, local_mean, public_metric, quantum_metric
 from .qos import NO_NODES, NO_PACKETS, PriorityQueueSet, SimPacket, TrafficClass, admission_cost
 from .rng import substream
@@ -67,11 +67,10 @@ HANDSHAKE_BYTES = 120
 # retry of a GPSRQ node whose head must wait.
 PROPAGATION_DELAY_S = 0.001
 RETRY_FALLBACK_S = 0.1
-# Key establishment: every link charges once per period. A round's duration is
-# drawn around the period with this relative deviation, stretched by
-# (1 + gain * the public channel's utilization since the last charge), and is
-# never shorter than the floor.
-CHARGE_PERIOD_S = 7.0
+# Key establishment: every link charges once per ``CHARGE_PERIOD_S``. A round's
+# duration is drawn around the period with this relative deviation, stretched
+# by (1 + gain * the public channel's utilization since the last charge), and
+# is never shorter than the floor.
 ROUND_STDDEV_FRAC = 0.1
 ROUND_LOAD_GAIN = 2.0
 ROUND_FLOOR_S = 0.1
@@ -144,9 +143,7 @@ class EventQueue:
         if fire_at <= self.horizon:
             heappush(self._heap, _new_tuple(SimEvent, (fire_at, next(self._seq), kind, payload)))
 
-    def pop(self) -> SimEvent | None:
-        if not self._heap:
-            return None
+    def pop(self) -> SimEvent:
         return heappop(self._heap)
 
     def __len__(self) -> int:
@@ -186,17 +183,9 @@ class Simulation:
         for u, v in sorted(topology.edges):
             lo, hi = cfg.init_key_bytes
             init_bits = self._rng_keys.uniform(lo, hi) * 8.0
-            storage = KeyStorage(
-                m_min=MIN_KEY_BYTES * 8.0,
-                m_max=cfg.max_key_bytes * 8.0,
-                m_cur=min(init_bits, cfg.max_key_bytes * 8.0),
-                rate=cfg.rate_bps,
-                charge_period=CHARGE_PERIOD_S,
-            )
-            stats = PublicChannelStats(
-                window_len=cfg.t_avg_window,
-                initial_average=CHARGE_PERIOD_S,
-            )
+            m_max = cfg.max_key_bytes * 8.0
+            storage = KeyStorage(m_max=m_max, m_cur=min(init_bits, m_max), rate=cfg.rate_bps)
+            stats = PublicChannelStats(window_len=cfg.t_avg_window)
             self.links[(u, v)] = QkdLink(u, v, storage, stats, cfg.bandwidth_bps)
 
         # Each direction's L2 queue, NO_PACKETS until its first packet; its
@@ -445,7 +434,7 @@ class Simulation:
         else:
             st.key_routing_bits += cost
             lk.consumed_routing += cost
-        if premium and lk.storage.m_cur < lk.storage.m_min:
+        if premium and lk.storage.m_cur < MIN_KEY_BITS:
             st.reserve_dips += 1
             if lk.key() not in self._warned_reserve:
                 self._warned_reserve.add(lk.key())

@@ -45,10 +45,9 @@ class SweepTopologies:
         return topology
 
 
-# The sweep keys spelled otherwise than their fields: ``lambda`` is a Python
-# keyword, and sweep specs use the other keys as callers' code uses the fields.
+# The sweep keys spelled otherwise than their fields, as sweep specs use them.
 _RENAMED = {"node_count": "nodes", "seed": "seeds", "duration_s": "duration",
-            "cache_enabled": "cache", "lambda_max": "lambda"}
+            "cache_enabled": "cache"}
 
 # Sweep key -> (its owner, a run's RunConfig "base" or its TopologySpec
 # "topology"; field name). Every field is a key; one left out of a spec keeps

@@ -1,7 +1,7 @@
 """Key-material token bucket and public-channel timing history of a QKD link.
 
 All key quantities are kept in bits internally. The storage charges in
-discrete bursts of rate * charge_period bits; consumption is gated by the
+discrete bursts of rate * CHARGE_PERIOD_S bits; consumption is gated by the
 pre-shared reserve except for premium traffic, which may drain the bucket
 completely.
 """
@@ -10,27 +10,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# The key reserve of every link, in bytes and in bits.
+MIN_KEY_BYTES = 1_000_000.0
+MIN_KEY_BITS = MIN_KEY_BYTES * 8.0
+# Key establishment: every link charges once per period, and before its first
+# round a link's public channel takes the period as its round average.
+CHARGE_PERIOD_S = 7.0
+
 
 @dataclass
 class KeyStorage:
-    m_min: float
     m_max: float
     m_cur: float
     rate: float
-    charge_period: float
     charged_total: float = 0.0
     consumed_total: float = 0.0
 
     def charge(self) -> None:
         """Add one charging burst, discarding overflow."""
-        added = min(self.m_max, self.m_cur + self.rate * self.charge_period) - self.m_cur
+        added = min(self.m_max, self.m_cur + self.rate * CHARGE_PERIOD_S) - self.m_cur
         self.m_cur += added
         self.charged_total += added
 
     def can_consume(self, key_bits: float, premium: bool) -> bool:
         if premium:
             return self.m_cur >= key_bits
-        return self.m_cur > self.m_min and self.m_cur - key_bits >= self.m_min
+        return self.m_cur > MIN_KEY_BITS and self.m_cur - key_bits >= MIN_KEY_BITS
 
     def consume(self, key_bits: float, premium: bool) -> bool:
         """Deduct key material; False signals refusal (the packet must wait)."""
@@ -46,18 +51,17 @@ class PublicChannelStats:
     """Sliding window over recent key-establishment round durations.
 
     Before the first recorded round the average (and the last duration) fall
-    back to ``initial_average`` so freshness ratios are defined from t=0.
+    back to ``CHARGE_PERIOD_S`` so freshness ratios are defined from t=0.
     """
 
     window_len: int
-    initial_average: float
     t_last: float = field(init=False)
     t_last_recorded_at: float = field(init=False, default=0.0)
     samples: list[float] = field(init=False)
     t_average: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self.t_last = self.t_average = self.initial_average
+        self.t_last = self.t_average = CHARGE_PERIOD_S
         self.samples = []
 
     def record_key_round(self, duration: float, now: float) -> None:

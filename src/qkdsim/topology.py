@@ -21,44 +21,35 @@ class TopologyError(Exception):
 DEFAULT_GRID_SIZE = 100.0 / math.sqrt(2.0)
 
 
+# Waxman's edge-probability shape theta and omega, and the edges each new node
+# attempts to place (Waxman, IEEE JSAC 1988).
+WAXMAN_THETA = 0.4
+WAXMAN_OMEGA = 0.4
+WAXMAN_LINKS_PER_NODE = 2
+
+
 @dataclass(slots=True)
 class TopologySpec:
     """A random topology: node placement on a square grid, then its edges.
 
     With ``gabriel`` set, the nodes are connected as the Gabriel graph of
-    their positions and the Waxman parameters have no effect. Otherwise
-    Waxman edges are drawn: the edge probability between nodes at distance d
-    is theta * exp(-d / (omega * lambda_max)), and each new node attempts to
-    place ``links_per_node`` undirected edges toward already-placed nodes.
-    When ``lambda_max`` is omitted it defaults to the grid diagonal, the
-    largest possible inter-node distance.
+    their positions. Otherwise Waxman edges are drawn: the edge probability
+    between nodes at distance d is WAXMAN_THETA * exp(-d / (WAXMAN_OMEGA *
+    lambda)), where lambda is the grid diagonal, the largest possible
+    inter-node distance, and each new node attempts to place
+    ``WAXMAN_LINKS_PER_NODE`` undirected edges toward already-placed nodes.
     """
 
     node_count: int = 30
     grid_size: float = DEFAULT_GRID_SIZE
-    theta: float = 0.4
-    omega: float = 0.4
-    lambda_max: float | None = None
-    links_per_node: int = 2
     gabriel: bool = True
 
     def validate(self) -> None:
         # Written so that NaN fails each check.
         if not self.node_count >= 2:
             raise TopologyError("node_count must be at least 2")
-        if not (0.0 < self.theta <= 1.0 and 0.0 < self.omega <= 1.0):
-            raise TopologyError("theta and omega must lie in (0, 1]")
         if not (0.0 < self.grid_size < math.inf):
             raise TopologyError("grid_size must be positive and finite")
-        if self.lambda_max is not None and not (0.0 < self.lambda_max < math.inf):
-            raise TopologyError("lambda_max must be positive and finite")
-        if not self.links_per_node >= 1:
-            raise TopologyError("links_per_node must be at least 1")
-
-    def resolved_lambda(self) -> float:
-        if self.lambda_max is not None:
-            return self.lambda_max
-        return self.grid_size * math.sqrt(2.0)
 
 
 @dataclass
@@ -101,7 +92,8 @@ class Topology:
 
 def waxman_edge_probability(d: float, spec: TopologySpec) -> float:
     """Probability of interconnecting two nodes at distance d."""
-    return spec.theta * math.exp(-d / (spec.omega * spec.resolved_lambda()))
+    lambda_max = spec.grid_size * math.sqrt(2.0)
+    return WAXMAN_THETA * math.exp(-d / (WAXMAN_OMEGA * lambda_max))
 
 
 def _place(spec: TopologySpec, rng: random.Random) -> list[Position]:
@@ -118,7 +110,7 @@ def _grow(spec: TopologySpec, rng: random.Random) -> Topology:
     points = _place(spec, rng)
     edges: set[tuple[int, int]] = set()
     for i in range(1, n):
-        wanted = min(spec.links_per_node, i)
+        wanted = min(WAXMAN_LINKS_PER_NODE, i)
         pool = list(range(i))
         weights = [
             waxman_edge_probability(euclidean_distance(points[i], points[j]), spec)

@@ -8,7 +8,7 @@ from qkdsim.config import RunConfig
 from qkdsim.engine import HANDSHAKE_BYTES, HANDSHAKE_PACKETS, GpsrqSimulation, Simulation
 from qkdsim.geometry import Position, angle_of, ccw_next_neighbor, euclidean_distance
 from qkdsim.gpsrq import GpsrqNode, cache_ttl, greedy_choice
-from qkdsim.links import KeyStorage
+from qkdsim.links import MIN_KEY_BITS, KeyStorage
 from qkdsim.qos import SimPacket, admission_cost
 from qkdsim.topology import Topology, TopologySpec, waxman_edge_probability
 
@@ -93,7 +93,7 @@ def max_deliverable(storage: KeyStorage, horizon: float, premium: bool = False) 
     """Key bits a store can serve over the next ``horizon`` seconds, floored at zero."""
     if horizon < 0.0:
         raise ValueError("horizon must be non-negative")
-    reserve = 0.0 if premium else storage.m_min
+    reserve = 0.0 if premium else MIN_KEY_BITS
     return max(0.0, storage.rate * horizon + storage.m_cur - reserve)
 
 
@@ -235,7 +235,7 @@ def two_closer_sim() -> Simulation:
     cfg = ample_cfg(seed=1, duration_s=1.0, beta=0.0)
     cfg.rate_bps = 0.0
     sim = Simulation(cfg, topo)
-    sim.links[(0, 1)].storage.m_cur = 2 * sim.links[(0, 1)].storage.m_min
+    sim.links[(0, 1)].storage.m_cur = 2 * MIN_KEY_BITS
     sim.links[(0, 2)].storage.m_cur = sim.links[(0, 2)].storage.m_max
     return sim
 

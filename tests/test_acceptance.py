@@ -92,7 +92,7 @@ def test_c01_metric_exactness():
         link_metric(0.7, 0.3, 0.0) == 0.3,
     ]
     # public metric boundary cases
-    ps = PublicChannelStats(window_len=1, initial_average=7.0)
+    ps = PublicChannelStats(window_len=1)
     ps.record_key_round(5.0, now=0.0)
     checks.append(close(public_metric(ps, now=0.0), 0.5))
     checks.append(close(public_metric(ps, now=5.0), 1.0))
@@ -113,7 +113,7 @@ def test_c02_token_bucket_limit():
     rate = 100_000.0
 
     def measured_rate(horizon):
-        s = KeyStorage(m_min=8e6, m_max=8e8, m_cur=9e6, rate=rate, charge_period=7.0)
+        s = KeyStorage(m_max=8e8, m_cur=9e6, rate=rate)
         consumed = max_deliverable(s, 0.0)
         s.consume(consumed, premium=False)
         t = 7.0
@@ -157,7 +157,7 @@ def test_c03_gabriel_planarity_oracle():
 # ---------------------------------------------------------------------------
 
 def test_c04_waxman_statistics():
-    cfg = TopologySpec(lambda_max=100.0)
+    cfg = TopologySpec()
     rng = random.Random(20260808)
     worst = 0.0
     for d in (0.0, 20.0, 40.0, 80.0):

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from qkdsim import cli
 from qkdsim.cli import main
 from qkdsim.config import ConfigError, RunConfig
 from qkdsim.engine import run_simulation
@@ -136,7 +137,7 @@ def test_error_row_carries_its_config_columns():
 @pytest.mark.parametrize("item", [
     "min_key_bytes=2000000", "charge_period_s=5", "auth_key_bits=128", "round_stddev_frac=0.2",
     "round_floor_s=0.2", "round_load_gain=1", "packet_bytes=256", "dv_period_s=10",
-    "dv_merge_window_s=0.01",
+    "dv_merge_window_s=0.01", "theta=0.5", "omega=0.5", "lambda=50", "links_per_node=3",
 ])
 def test_a_fixed_setting_is_not_a_key(tmp_path, capsys, item):
     spec_path = tmp_path / "sweep.txt"
@@ -160,12 +161,21 @@ def test_error_lines_name_their_configuration():
 
 
 def test_topology_range_checks_run_when_the_run_starts():
-    rows, meta = run_sweep("nodes=10\nseeds=1\nduration=3\ntheta=0\n")
+    rows, meta = run_sweep("nodes=1\nseeds=1\nduration=3\n")
     out = io.StringIO()
     write_csv(out, rows, meta)
     errors = [line for line in out.getvalue().splitlines() if line.startswith("# error")]
-    assert errors == ["# error protocol=gpsrq nodes=10 seed=1 beta=0.6 alpha=0.5 "
-                      "t_avg_window=5 cache=on: theta and omega must lie in (0, 1]"]
+    assert errors == ["# error protocol=gpsrq nodes=1 seed=1 beta=0.6 alpha=0.5 "
+                      "t_avg_window=5 cache=on: node_count must be at least 2"]
+
+
+def test_simulate_refuses_a_bad_setting_before_it_generates_the_topology(monkeypatch, capsys):
+    def no_topology(spec, seed):
+        raise AssertionError("topology generated before the run config was checked")
+
+    monkeypatch.setattr(cli, "generate_topology", no_topology)
+    assert run_cli(["simulate", "nodes=6", "beta=2"]) == 2
+    assert capsys.readouterr().err == "error: beta and alpha must lie in [0, 1]\n"
 
 
 # A ported case keeps the id it had when simulate and gen-topology took flags.
@@ -208,14 +218,6 @@ def test_topology_range_checks_run_when_the_run_starts():
     pytest.param("gen-topology", "nodes=5 gabriel=off grid_size=inf",
                  id="gen-topology---nodes 5 --grid-size inf"),
     pytest.param("gen-topology", "nodes=1 gabriel=off", id="gen-topology---nodes 1"),
-    pytest.param("gen-topology", "nodes=5 gabriel=off theta=0",
-                 id="gen-topology---nodes 5 --theta 0"),
-    pytest.param("gen-topology", "nodes=5 gabriel=off omega=1.5",
-                 id="gen-topology---nodes 5 --omega 1.5"),
-    pytest.param("gen-topology", "nodes=5 gabriel=off links_per_node=0",
-                 id="gen-topology---nodes 5 --links-per-node 0"),
-    pytest.param("gen-topology", "nodes=5 gabriel=off lambda=nan",
-                 id="gen-topology---nodes 5 --lambda nan"),
     ("gen-topology", "nodes=5 beta=0.5"),
     ("topology", "topology v1 x 1 10"),
     ("topology", "topology v1 1 0 10\nN 0 a 1"),

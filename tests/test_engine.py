@@ -44,7 +44,7 @@ def test_events_ordered_by_time_then_sequence():
     q.push(5.0, EventKind.RETRY_TIMER, ("c",))
     order = [q.pop().payload[0] for _ in range(3)]
     assert order == ["b", "a", "c"]
-    assert q.pop() is None
+    assert len(q) == 0
 
 
 def test_events_after_the_horizon_are_dropped_without_a_sequence_number():
@@ -68,7 +68,8 @@ def test_no_pending_event_outlives_the_run(protocol, nodes, kw):
     sim = Simulation(cfg, generate_topology(TopologySpec(node_count=nodes), 1))
     sim.run()
     late = []
-    while (ev := sim.events.pop()) is not None:
+    while sim.events:
+        ev = sim.events.pop()
         if ev.fire_at > cfg.duration_s:
             late.append(ev.kind)
     assert late == []

@@ -13,6 +13,7 @@ from qkdsim.dv import INFINITE_METRIC
 from qkdsim import engine
 from qkdsim.engine import PROTOCOL_SIMULATIONS, Simulation, run_simulation
 from qkdsim.geometry import Position
+from qkdsim.links import MIN_KEY_BITS
 from qkdsim.qos import PriorityQueueSet
 from qkdsim.topology import Topology, TopologySpec, generate_topology
 
@@ -216,12 +217,11 @@ def test_data_never_leaves_storage_below_reserve_in_trace():
     cfg.init_key_bytes = (1_100_000.0, 1_100_000.0)  # thin surplus
     sim = Simulation(cfg, topo, trace=True)
     sim.run()
-    m_min = sim.links[(0, 1)].storage.m_min
     data_tx = [e for e in sim.trace if e[1] == "tx" and e[2] == "data"]
     signaling_tx = [e for e in sim.trace if e[1] == "tx" and e[2] == "signaling"]
     assert data_tx, "expected data transmissions"
-    assert all(e[6] >= m_min for e in data_tx)
-    assert any(e[6] < m_min for e in signaling_tx)
+    assert all(e[6] >= MIN_KEY_BITS for e in data_tx)
+    assert any(e[6] < MIN_KEY_BITS for e in signaling_tx)
 
 
 # --- queued reprocessing on key charges --------------------------------------------
@@ -287,8 +287,7 @@ def test_deliverable_payload_division():
     # 8000 surplus key bits over the reserve secure 8000/ratio payload bits.
     from qkdsim.links import KeyStorage
 
-    storage = KeyStorage(m_min=8e6, m_max=8e8, m_cur=8e6 + 8000.0,
-                         rate=1e5, charge_period=7.0)
+    storage = KeyStorage(m_max=8e8, m_cur=8e6 + 8000.0, rate=1e5)
     key_bits = max_deliverable(storage, 0.0)
     assert key_bits == 8000.0
     payload = key_bits / (DATA_KEY_BITS["otp"] / (512 * 8))

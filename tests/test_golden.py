@@ -330,9 +330,7 @@ def test_full_sweep_csv_pinned():
         "rate_bps": [1e5] * 32, "bandwidth_bps": [1e7] * 32, "traffic_rate_bps": [1e6] * 32,
         "traffic_class": ["best_effort"] * 32, "max_delay_s": [None] * 32,
         "crypto_mode": ["otp"] * 32, "nodes": [10, 10, 12, 12] * 8,
-        "grid_size": ([-1.0] * 4 + [70.710678] * 4) * 4, "theta": [0.4] * 32,
-        "omega": [0.4] * 32, "lambda": [None] * 32, "links_per_node": [2] * 32,
-        "gabriel": [True] * 32,
+        "grid_size": ([-1.0] * 4 + [70.710678] * 4) * 4, "gabriel": [True] * 32,
     }
     assert lines[:2] == ["# runs=32\n", f"# settings={settings!r}\n"]
 

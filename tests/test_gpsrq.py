@@ -125,21 +125,21 @@ def test_pruned_cache_retains_no_records():
 # --- cache validity interval ---------------------------------------------------
 
 def test_cache_ttl_equals_rolling_average():
-    ps = PublicChannelStats(window_len=3, initial_average=7.0)
+    ps = PublicChannelStats(window_len=3)
     ps.record_key_round(5.0, now=0.0)
     assert cache_ttl(ps) == 5.0
 
 
 def test_cache_ttl_tracks_average():
-    ps = PublicChannelStats(window_len=2, initial_average=7.0)
+    ps = PublicChannelStats(window_len=2)
     ps.record_key_round(6.0, now=0.0)
     ps.record_key_round(8.0, now=1.0)
     assert cache_ttl(ps) == pytest.approx(7.0)
 
 
 def test_cache_ttl_monotone_in_average():
-    slow = PublicChannelStats(window_len=1, initial_average=7.0)
-    fast = PublicChannelStats(window_len=1, initial_average=7.0)
+    slow = PublicChannelStats(window_len=1)
+    fast = PublicChannelStats(window_len=1)
     slow.record_key_round(9.0, now=0.0)
     fast.record_key_round(3.0, now=0.0)
     assert cache_ttl(slow) > cache_ttl(fast)

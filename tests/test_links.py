@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import max_deliverable
-from qkdsim.links import KeyStorage, PublicChannelStats, QkdLink
+from qkdsim.links import MIN_KEY_BITS, KeyStorage, PublicChannelStats, QkdLink
 
 
-def fresh_storage(m_cur=0.0, m_min=8e6, m_max=8e8, rate=100_000.0, period=7.0):
-    return KeyStorage(m_min=m_min, m_max=m_max, m_cur=m_cur, rate=rate, charge_period=period)
+def fresh_storage(m_cur=0.0, m_max=8e8, rate=100_000.0):
+    return KeyStorage(m_max=m_max, m_cur=m_cur, rate=rate)
 
 
 # --- charging ---------------------------------------------------------------
@@ -35,7 +35,7 @@ def test_two_charges_additive_below_capacity():
 # --- consumption rules ------------------------------------------------------
 
 def test_non_premium_refused_at_reserve():
-    s = fresh_storage(m_cur=8e6)  # exactly m_min
+    s = fresh_storage(m_cur=8e6)  # exactly the reserve
     assert not s.consume(1.0, premium=False)
     assert s.m_cur == 8e6
 
@@ -106,7 +106,7 @@ def test_storage_bounds_hold_under_any_interleaving(ops):
             if not s.consume(amount, premium=False):
                 assert s.m_cur == before
             else:
-                assert s.m_cur >= s.m_min
+                assert s.m_cur >= MIN_KEY_BITS
         else:
             s.consume(amount, premium=True)
         assert 0.0 <= s.m_cur <= s.m_max
@@ -117,7 +117,7 @@ def test_storage_bounds_hold_under_any_interleaving(ops):
 # --- public channel stats ---------------------------------------------------
 
 def test_first_round_sets_both_values():
-    ps = PublicChannelStats(window_len=5, initial_average=7.0)
+    ps = PublicChannelStats(window_len=5)
     ps.record_key_round(5.0, now=10.0)
     assert ps.t_last == 5.0
     assert ps.t_average == 5.0
@@ -125,7 +125,7 @@ def test_first_round_sets_both_values():
 
 
 def test_window_mean():
-    ps = PublicChannelStats(window_len=5, initial_average=7.0)
+    ps = PublicChannelStats(window_len=5)
     ps.record_key_round(4.0, now=1.0)
     ps.record_key_round(6.0, now=2.0)
     assert ps.t_average == pytest.approx(5.0)
@@ -134,7 +134,7 @@ def test_window_mean():
 
 
 def test_window_evicts_oldest():
-    ps = PublicChannelStats(window_len=5, initial_average=7.0)
+    ps = PublicChannelStats(window_len=5)
     values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     for i, v in enumerate(values):
         ps.record_key_round(v, now=float(i))
@@ -145,7 +145,7 @@ def test_window_evicts_oldest():
 
 @given(st.integers(1, 8), st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40))
 def test_window_mean_matches_a_bounded_deque_bit_for_bit(window, durations):
-    ps = PublicChannelStats(window_len=window, initial_average=7.0)
+    ps = PublicChannelStats(window_len=window)
     reference = deque(maxlen=window)
     for i, d in enumerate(durations):
         ps.record_key_round(d, now=float(i))
@@ -154,7 +154,7 @@ def test_window_mean_matches_a_bounded_deque_bit_for_bit(window, durations):
 
 
 def test_average_seeded_before_first_sample():
-    ps = PublicChannelStats(window_len=5, initial_average=7.0)
+    ps = PublicChannelStats(window_len=5)
     assert ps.t_average == 7.0
     assert ps.t_last == 7.0
 
@@ -166,7 +166,7 @@ def _link():
         node_a=0,
         node_b=1,
         storage=fresh_storage(m_cur=1e7),
-        pub_stats=PublicChannelStats(window_len=5, initial_average=7.0),
+        pub_stats=PublicChannelStats(window_len=5),
         bandwidth=1e7,
     )
 

@@ -102,7 +102,7 @@ def test_fill_outweighs_threshold_in_worked_neighborhood():
 # --- public metric --------------------------------------------------------------
 
 def _stats(t_last, t_average_samples, recorded_at=0.0):
-    ps = PublicChannelStats(window_len=len(t_average_samples), initial_average=7.0)
+    ps = PublicChannelStats(window_len=len(t_average_samples))
     for i, v in enumerate(t_average_samples):
         ps.record_key_round(v, now=recorded_at)
     ps.t_last = t_last

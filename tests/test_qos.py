@@ -165,12 +165,12 @@ def test_size_counts_the_queued_packets(classes, ops):
 
 # --- admission ------------------------------------------------------------------
 
-def _link(m_cur, window=5, period=7.0):
+def _link(m_cur, window=5):
     return QkdLink(
         node_a=0,
         node_b=1,
-        storage=KeyStorage(m_min=8e6, m_max=8e8, m_cur=m_cur, rate=1e5, charge_period=period),
-        pub_stats=PublicChannelStats(window_len=window, initial_average=period),
+        storage=KeyStorage(m_max=8e8, m_cur=m_cur, rate=1e5),
+        pub_stats=PublicChannelStats(window_len=window),
         bandwidth=1e7,
     )
 

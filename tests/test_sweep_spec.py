@@ -23,12 +23,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_every_setting_has_exactly_one_key():
     # So simulate, gen-topology and sweep reach every config field, each by one name:
-    # RunConfig's 17 and TopologySpec's 7.
+    # RunConfig's 17 and TopologySpec's 3.
     settable = [(path, f.name) for path, owner in (("base", RunConfig), ("topology", TopologySpec))
                 for f in fields(owner)]
     assert sorted(SWEEP_FIELDS.values()) == sorted(settable)
     # No two fields share a key, and each renamed field exists.
-    assert len(SWEEP_FIELDS) == len(settable) == 24
+    assert len(SWEEP_FIELDS) == len(settable) == 20
     assert set(experiment._RENAMED) <= {name for _, name in settable}
 
 

@@ -23,35 +23,34 @@ from qkdsim.topology import (
 
 # --- edge probability -------------------------------------------------------
 
+# The default grid's diagonal, lambda, is 100 length units.
+
 def test_probability_at_zero_distance_is_theta():
-    assert waxman_edge_probability(0.0, TopologySpec(lambda_max=100.0)) == pytest.approx(0.4)
+    assert waxman_edge_probability(0.0, TopologySpec()) == pytest.approx(0.4)
 
 
 def test_probability_at_omega_lambda():
     # d = omega * lambda: theta / e
-    cfg = TopologySpec(lambda_max=100.0)
+    cfg = TopologySpec()
     assert waxman_edge_probability(40.0, cfg) == pytest.approx(0.4 / math.e, rel=1e-12)
 
 
 def test_probability_monotone_decreasing():
-    cfg = TopologySpec(lambda_max=100.0)
+    cfg = TopologySpec()
     probs = [waxman_edge_probability(d, cfg) for d in range(0, 200, 10)]
     assert all(a > b for a, b in zip(probs, probs[1:]))
     assert waxman_edge_probability(1e9, cfg) < 1e-6
 
 
-def test_probability_scales_linearly_with_theta():
-    lo = waxman_edge_probability(25.0, TopologySpec(theta=0.2, lambda_max=100.0))
-    hi = waxman_edge_probability(25.0, TopologySpec(theta=0.4, lambda_max=100.0))
-    assert hi == pytest.approx(2.0 * lo, rel=1e-12)
-
-
 def test_lambda_defaults_to_grid_diagonal():
-    assert TopologySpec(grid_size=10.0).resolved_lambda() == pytest.approx(10.0 * math.sqrt(2.0))
+    # d = omega * lambda on a 10-unit grid: theta / e
+    d = 0.4 * 10.0 * math.sqrt(2.0)
+    assert waxman_edge_probability(d, TopologySpec(grid_size=10.0)) == pytest.approx(
+        0.4 / math.e, rel=1e-12)
 
 
 def test_bernoulli_acceptance_matches_probability():
-    cfg = TopologySpec(lambda_max=100.0)
+    cfg = TopologySpec()
     rng = random.Random(7)
     for d in (0.0, 40.0):
         hits = sum(waxman_accepts(d, cfg, rng) for _ in range(10_000))
@@ -61,7 +60,7 @@ def test_bernoulli_acceptance_matches_probability():
 # --- generation -------------------------------------------------------------
 
 def test_two_nodes_yield_single_edge():
-    topo = generate_topology(TopologySpec(node_count=2, links_per_node=1, gabriel=False), 1)
+    topo = generate_topology(TopologySpec(node_count=2, gabriel=False), 1)
     assert len(topo.nodes) == 2
     assert len(topo.edges) == 1
 
@@ -93,23 +92,12 @@ def test_positions_inside_grid():
 
 
 def test_invalid_configs_rejected():
-    theta_omega = r"theta and omega must lie in \(0, 1\]"
     cases = [
         ({"node_count": 1}, "node_count must be at least 2"),
-        ({"theta": 0.0}, theta_omega),
-        ({"omega": 1.5}, theta_omega),
         ({"grid_size": -1.0}, "grid_size must be positive and finite"),
-        ({"lambda_max": 0.0}, "lambda_max must be positive and finite"),
-        ({"links_per_node": 0}, "links_per_node must be at least 1"),
     ]
     for bad in (math.nan, math.inf):
-        cases += [
-            ({"theta": bad}, theta_omega),
-            ({"omega": bad}, theta_omega),
-            ({"grid_size": bad}, "grid_size must be positive and finite"),
-            ({"lambda_max": bad}, "lambda_max must be positive and finite"),
-        ]
-    # The Gabriel path ignores the Waxman parameters but still checks them.
+        cases += [({"grid_size": bad}, "grid_size must be positive and finite")]
     for gabriel in (True, False):
         for kw, message in cases:
             with pytest.raises(TopologyError, match=message):
@@ -240,13 +228,6 @@ def test_generated_edges_pinned_at_benchmark_sizes(n, seed):
     topo = generate_topology(TopologySpec(node_count=n), seed)
     text = "".join(f"{u} {v}\n" for u, v in sorted(topo.edges))
     assert hashlib.sha256(text.encode()).hexdigest() == EDGE_DIGESTS[n, seed]
-
-
-def test_planar_generation_ignores_waxman_parameters():
-    base = generate_topology(TopologySpec(node_count=25), 4)
-    other = generate_topology(TopologySpec(node_count=25, theta=0.9, omega=0.1,
-                                           lambda_max=3.0, links_per_node=5), 4)
-    assert (other.nodes, other.edges) == (base.nodes, base.edges)
 
 
 # --- topology container and file format -------------------------------------

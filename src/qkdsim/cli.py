@@ -12,11 +12,11 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict
+from contextlib import nullcontext
 
 from .config import ConfigError, RunConfig
 from .engine import Simulation, SimulationError
-from .experiment import SWEEP_FIELDS, parse_sweep_spec, run_sweep
+from .experiment import SWEEP_FIELDS, parse_sweep_spec, run_settings, run_sweep
 from .stats import write_csv
 from .topology import TopologyError, TopologySpec, generate_topology, load_topology, save_topology
 
@@ -42,6 +42,11 @@ def _one_run(settings: list[str], refused: set[str],
     if len(runs) != 1:
         raise ConfigError(f"the settings describe {len(runs)} runs; qkdsim sweep runs several")
     return runs[0]
+
+
+def _output(path: str | None):
+    """Where a command writes its CSV: the file at ``path``, or stdout."""
+    return open(path, "w", encoding="ascii") if path else nullcontext(sys.stdout)
 
 
 def _add_simulate(sub: argparse._SubParsersAction) -> None:
@@ -74,16 +79,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for line in sim.dump_caches():
             print(line)
 
-    meta = {
-        "command": "simulate",
-        "config": asdict(run_cfg),
-        "topology_retries": topo.retries,
-    }
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            write_csv(fh, [stats], metadata=meta, aggregate=False)
-    else:
-        write_csv(sys.stdout, [stats], metadata=meta, aggregate=False)
+    # A loaded topology's keys were refused, so they would echo defaults: echo its file.
+    settings = {key: values for key, values in run_settings([(run_cfg, spec)]).items()
+                if key not in refused}
+    meta = {"command": "simulate", "settings": settings, "topology_retries": topo.retries}
+    if args.topology:
+        meta["topology"] = args.topology
+    with _output(args.out) as out:
+        write_csv(out, [stats], metadata=meta, aggregate=False)
     return 0
 
 
@@ -115,11 +118,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows, meta = run_sweep(text)
     meta["command"] = "sweep"
     meta["spec"] = args.spec
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            write_csv(fh, rows, metadata=meta)
-    else:
-        write_csv(sys.stdout, rows, metadata=meta)
+    with _output(args.out) as out:
+        write_csv(out, rows, metadata=meta)
     return 0
 
 

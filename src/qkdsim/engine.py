@@ -427,13 +427,18 @@ class Simulation:
         cost = pkt.key_cost
         if not lk.storage.consume(cost, premium):
             raise SimulationError("admission raced ahead of consumption")
-        st = self.stats
+        st, wire = self.stats, pkt.wire
         if pkt.kind == "data":
             st.key_data_bits += cost
             lk.consumed_data += cost
         else:
             st.key_routing_bits += cost
             lk.consumed_routing += cost
+            st.ovh_pkts += 1
+            st.ovh_bytes += wire
+            if pkt.kind == "signaling":
+                st.ovh_pkts += HANDSHAKE_PACKETS
+                st.ovh_bytes += HANDSHAKE_BYTES
         if premium and lk.storage.m_cur < MIN_KEY_BITS:
             st.reserve_dips += 1
             if lk.key() not in self._warned_reserve:
@@ -441,13 +446,6 @@ class Simulation:
                 logger.warning(
                     "premium traffic dipped below the pre-shared reserve on link %s", lk.key()
                 )
-        wire = pkt.wire
-        if pkt.kind == "signaling":
-            st.ovh_pkts += 1 + HANDSHAKE_PACKETS
-            st.ovh_bytes += wire + HANDSHAKE_BYTES
-        elif pkt.kind in ("dv", "hello"):
-            st.ovh_pkts += 1
-            st.ovh_bytes += wire
         if self._tracing:
             self._record("tx", pkt.kind, at, target, wire, lk.storage.m_cur)
         queue = self.l2[direction]
@@ -527,9 +525,7 @@ class GpsrqSimulation(Simulation):
             nid: PriorityQueueSet(cfg.queue_capacity) for nid in self.topo.node_ids()
         }
         self._retry_pending: set[int] = set()
-        self.gpsrq_nodes = {
-            nid: GpsrqNode(nid, cfg.beta, cfg.cache_enabled) for nid, _ in self.topo.nodes
-        }
+        self.gpsrq_nodes = {nid: GpsrqNode(nid) for nid, _ in self.topo.nodes}
         self.signaling_key_cost = (
             SIGNALING_PAYLOAD_BYTES * 8.0 + AUTH_KEY_BITS + HANDSHAKE_PACKETS * AUTH_KEY_BITS
         )
@@ -597,13 +593,16 @@ class GpsrqSimulation(Simulation):
         self._serve(at)
 
     def _add_exclusion(self, node: GpsrqNode, via: int, block: int) -> None:
-        """Exclude ``via`` for the region around the destination reaching halfway to ``block``."""
+        """Exclude ``via`` for the region around the destination reaching halfway
+        to ``block``; a run with its cache off keeps no exclusion."""
+        if not self.cfg.cache_enabled:
+            return
         at, dst_pos = node.node_id, self._dst_pos
         radius = euclidean_distance(self.position(block), dst_pos) / 2.0
         ttl = cache_ttl(self.link(at, via).pub_stats)
-        if node.add_cache(via, radius, self.now, ttl):
-            self.events.push(self.now + ttl, EventKind.CACHE_EXPIRY, self._node_payload[at])
-            self._record("cache_add", at, via, dst_pos.x, dst_pos.y, radius)
+        node.add_cache(via, radius, self.now, ttl)
+        self.events.push(self.now + ttl, EventKind.CACHE_EXPIRY, self._node_payload[at])
+        self._record("cache_add", at, via, dst_pos.x, dst_pos.y, radius)
 
     def _absorb_return(self, node: GpsrqNode, pkt: SimPacket, frm: int) -> bool:
         """Process a packet returned with the loop flag set.
@@ -684,7 +683,7 @@ class GpsrqSimulation(Simulation):
         scored = [(v, link_metric(quantum_metric(s.m_cur, node.m_thr(v, s.m_max), s.m_max)[1],
                                   p_m, alpha), d)
                   for v, d, s, p_m in admitted]
-        return greedy_choice(scored, node.beta), unasked
+        return greedy_choice(scored, self.cfg.beta), unasked
 
     def _all_refused(self, at: int, pkt: SimPacket, unasked: list[int]) -> bool:
         """True when no link out of ``at`` admits ``pkt``, given that the greedy

@@ -10,9 +10,7 @@ field gives its type and default; see README for the full table.
 from __future__ import annotations
 
 import logging
-from collections import Counter
-from collections.abc import Iterable
-from dataclasses import astuple, fields
+from dataclasses import fields
 
 from .config import ConfigError, RunConfig, parse_value
 from .engine import run_simulation
@@ -25,24 +23,6 @@ logger = logging.getLogger(__name__)
 # A run's topology step, kept as its own name so a caller can swap it to time sweep set-up.
 def topology_for(spec: TopologySpec, seed: int) -> Topology:
     return generate_topology(spec, seed)
-
-
-class SweepTopologies:
-    """The topologies of a known list of runs: each ``(spec, seed)`` is
-    generated once and kept only while a later run still needs it. A failed
-    generation is not kept, so every run of it fails on its own."""
-
-    def __init__(self, runs: Iterable[tuple[RunConfig, TopologySpec]]):
-        self._left = Counter((astuple(spec), cfg.seed) for cfg, spec in runs)
-        self._kept: dict[tuple, Topology] = {}
-
-    def take(self, spec: TopologySpec, seed: int) -> Topology:
-        key = (astuple(spec), seed)
-        self._left[key] -= 1
-        topology = self._kept.pop(key, None) or topology_for(spec, seed)
-        if self._left[key] > 0:
-            self._kept[key] = topology
-        return topology
 
 
 # The sweep keys spelled otherwise than their fields, as sweep specs use them.
@@ -105,23 +85,25 @@ def parse_sweep_spec(text: str,
     return runs
 
 
+def run_settings(runs: list[tuple[RunConfig, TopologySpec]]) -> dict[str, list]:
+    """Every sweep key's value in each of ``runs``, as a result file echoes them."""
+    return {key: [getattr(_owner(cfg, spec, path), name) for cfg, spec in runs]
+            for key, (path, name) in SWEEP_FIELDS.items()}
+
+
 def run_sweep(text: str) -> tuple[list[RunStats], dict]:
     """Execute every run of a sweep spec; returns (rows, metadata).
 
-    A failed run becomes an error row, and a topology that several runs use
-    is generated once. The metadata lists every key's value in each run, so
-    result files are self-describing.
+    A failed run becomes an error row. The metadata lists every key's value
+    in each run, so result files are self-describing.
     """
     runs = parse_sweep_spec(text)
-    settings = {key: [getattr(_owner(cfg, spec, path), name) for cfg, spec in runs]
-                for key, (path, name) in SWEEP_FIELDS.items()}
-    topologies = SweepTopologies(runs)
     rows: list[RunStats] = []
     for run_cfg, topo_spec in runs:
         try:
-            rows.append(run_simulation(run_cfg, topologies.take(topo_spec, run_cfg.seed)))
+            rows.append(run_simulation(run_cfg, topology_for(topo_spec, run_cfg.seed)))
         except Exception as exc:  # noqa: BLE001 - sweep must continue
             failed = RunStats.for_run(run_cfg, topo_spec.node_count, error=str(exc))
             logger.error("run failed (%s): %s", failed.config_cells(), exc)
             rows.append(failed)
-    return rows, {"settings": settings, "runs": len(rows)}
+    return rows, {"settings": run_settings(runs), "runs": len(rows)}

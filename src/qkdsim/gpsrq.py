@@ -55,10 +55,8 @@ class GpsrqNode:
     ``prune_cache`` deletes expired regions and blocks.
     """
 
-    def __init__(self, node_id: int, beta: float, cache_enabled: bool):
+    def __init__(self, node_id: int):
         self.node_id = node_id
-        self.beta = beta
-        self.cache_enabled = cache_enabled
         self.cache: dict[tuple[int, float], float] = {}
         self.blocked_until: dict[int, float] = {}
         self.l_sent: float | None = None
@@ -71,14 +69,11 @@ class GpsrqNode:
             return m_max if received is None else received
         return self.l_sent if received is None else threshold(self.l_sent, received)
 
-    def add_cache(self, via: int, radius: float, now: float, ttl: float) -> bool:
+    def add_cache(self, via: int, radius: float, now: float, ttl: float) -> None:
         """Exclude ``via`` toward the destination region until ``now + ttl`` or later."""
-        if not self.cache_enabled:
-            return False
         region = (via, radius)
         self.cache[region] = max(self.cache.get(region, now), now + ttl)
         self.blocked_until[via] = max(self.blocked_until.get(via, now), now + ttl)
-        return True
 
     def cache_blocked(self, via: int, now: float) -> bool:
         """True while a live exclusion of ``via`` exists."""

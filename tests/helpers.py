@@ -328,7 +328,7 @@ class ReferenceGpsrqSimulation(GpsrqSimulation):
             d = euclidean_distance(self.position(v), dst_pos)
             if d < base and self._admit(at, v, pkt) is not None:
                 out.append((v, self._link_metrics(at, v, self.link(at, v))[3], d))
-        return greedy_choice(out, node.beta)
+        return greedy_choice(out, self.cfg.beta)
 
     def _ccw_pick(self, at: int, pkt: SimPacket, node: GpsrqNode, exclude: set,
                   toward: int | None) -> int | None:

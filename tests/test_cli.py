@@ -53,6 +53,23 @@ def test_simulate_waxman_flag(tmp_path):
     assert f"trace_hash={direct.trace_hash}" in out_path.read_text()
 
 
+def test_simulate_echoes_its_topology(tmp_path, capsys):
+    # A loaded topology is echoed by its file, since its keys were refused;
+    # a generated one by its keys, as a one-run sweep echoes them.
+    topo_path = tmp_path / "topo.txt"
+    assert run_cli(["gen-topology", "--out", str(topo_path), "nodes=6"]) == 0
+    capsys.readouterr()
+    assert run_cli(["simulate", "--topology", str(topo_path), "duration=2"]) == 0
+    meta = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# ")]
+    assert f"# topology={str(topo_path)!r}" in meta
+    (settings,) = [line for line in meta if line.startswith("# settings=")]
+    assert not any(f"'{key}':" in settings for key in cli.TOPOLOGY_KEYS)
+    assert run_cli(["simulate", "nodes=6", "duration=2", "gabriel=off"]) == 0
+    (settings,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("# settings=")]
+    assert "'gabriel': [False]" in settings and "'nodes': [6]" in settings
+
+
 def test_simulate_rejects_bad_config(capsys):
     rc = run_cli(["simulate", "nodes=6", "seeds=2", "duration=-5"])
     assert rc == 2

@@ -741,7 +741,7 @@ def test_two_admissible_closer_neighbours_are_scored():
     sim = two_closer_sim()
     pkt, node = sim._make_data_packet(), sim.gpsrq_nodes[0]
     scored = [(v, sim._link_metrics(0, v, sim.link(0, v))[3], sim._to_dst[v]) for v in (1, 2)]
-    assert greedy_choice(scored, node.beta) == 2  # not the first candidate
+    assert greedy_choice(scored, sim.cfg.beta) == 2  # not the first candidate
     assert sim._greedy_pick(0, pkt, node) == (2, [])
 
 

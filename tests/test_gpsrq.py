@@ -2,33 +2,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import NaiveExclusionCache
+from qkdsim.config import RunConfig
+from qkdsim.engine import Simulation
 from qkdsim.geometry import Position
 from qkdsim.gpsrq import GpsrqNode, cache_ttl, greedy_choice
 from qkdsim.links import PublicChannelStats
-
-
-def _node(**kw):
-    base = dict(node_id=0, beta=0.6, cache_enabled=True)
-    base.update(kw)
-    return GpsrqNode(**base)
+from qkdsim.topology import TopologySpec, generate_topology
 
 
 # --- cache records -----------------------------------------------------------
 
 def test_destination_at_center_is_blocked():
-    node = _node()
+    node = GpsrqNode(0)
     node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
     assert node.cache_blocked(1, now=1.0)
 
 
 def test_other_neighbor_not_blocked():
-    node = _node()
+    node = GpsrqNode(0)
     node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
     assert not node.cache_blocked(2, now=1.0)
 
 
 def test_expired_record_ignored_and_pruned():
-    node = _node()
+    node = GpsrqNode(0)
     node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
     assert not node.cache_blocked(1, now=5.0)
     node.prune_cache(now=5.0)
@@ -36,16 +33,21 @@ def test_expired_record_ignored_and_pruned():
 
 
 def test_disabled_cache_stores_nothing():
-    node = _node(cache_enabled=False)
-    assert node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0) is False
-    assert not node.cache_blocked(1, now=1.0)
-    assert node.cache == {}
+    # The key-starved 10-node run (seed 3) enters perimeter recovery, where a
+    # run with its cache on adds exclusions.
+    for cache in (True, False):
+        cfg = RunConfig(seed=3, duration_s=30.0, cache_enabled=cache, max_key_bytes=4_000_000,
+                        init_key_bytes=(1_000_000, 4_000_000))
+        sim = Simulation(cfg, generate_topology(TopologySpec(node_count=10), 3), trace=True)
+        sim.run()
+        assert any(entry[1] == "cache_add" for entry in sim.trace) is cache
+    assert all(node.cache == {} for node in sim.gpsrq_nodes.values())
 
 
 def test_re_adding_a_region_never_shortens_it():
-    node = _node()
-    assert node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
-    assert node.add_cache(via=1, radius=2.5, now=1.0, ttl=1.0)
+    node = GpsrqNode(0)
+    node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
+    node.add_cache(via=1, radius=2.5, now=1.0, ttl=1.0)
     assert node.cache == {(1, 2.5): 5.0}
     assert node.cache_blocked(1, now=4.0)
     node.add_cache(via=1, radius=2.5, now=4.0, ttl=3.0)
@@ -53,7 +55,7 @@ def test_re_adding_a_region_never_shortens_it():
 
 
 def test_second_region_expiring_earlier_never_shortens_the_block():
-    node = _node()
+    node = GpsrqNode(0)
     node.add_cache(via=1, radius=2.5, now=0.0, ttl=5.0)
     node.add_cache(via=1, radius=1.0, now=1.0, ttl=1.0)
     assert node.cache == {(1, 2.5): 5.0, (1, 1.0): 2.0}
@@ -89,18 +91,17 @@ def _live_regions(records, now):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4).flatmap(_cache_ops), st.booleans())
-def test_cache_matches_naive_oracle(steps, cache_enabled):
-    node = _node(cache_enabled=cache_enabled)
-    oracle = NaiveExclusionCache(cache_enabled)
+@given(st.integers(1, 4).flatmap(_cache_ops))
+def test_cache_matches_naive_oracle(steps):
+    node = GpsrqNode(0)
+    oracle = NaiveExclusionCache()
     now = 0.0
     for dt, (name, *args) in steps:
         now += dt
         if name == "add":
             via, radius, ttl = args
-            got = node.add_cache(via, radius, now, ttl)
-            want = oracle.add_cache(via, _DST, radius, now, ttl)
-            assert got == (want is not None)
+            node.add_cache(via, radius, now, ttl)
+            oracle.add_cache(via, _DST, radius, now, ttl)
         elif name == "blocked":
             (via,) = args
             assert node.cache_blocked(via, now) == oracle.cache_blocked(via, _DST, now)
@@ -112,7 +113,7 @@ def test_cache_matches_naive_oracle(steps, cache_enabled):
 
 
 def test_pruned_cache_retains_no_records():
-    node = _node()
+    node = GpsrqNode(0)
     for i in range(40):
         node.add_cache(via=1 + i % 4, radius=float(i), now=i * 0.25, ttl=1.0 + i % 3)
     node.prune_cache(now=3.0)
@@ -184,12 +185,12 @@ def test_candidates_all_at_the_destination_are_scored_by_link_alone():
 # --- threshold views -------------------------------------------------------------
 
 def test_threshold_optimistic_before_exchange():
-    node = _node()
+    node = GpsrqNode(0)
     assert node.m_thr(1, m_max=100.0) == 100.0
 
 
 def test_threshold_min_of_sent_and_received():
-    node = _node()
+    node = GpsrqNode(0)
     node.l_sent = 36.66
     node.recv_l[1] = 25.0
     assert node.m_thr(1, m_max=100.0) == 25.0

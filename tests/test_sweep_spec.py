@@ -4,7 +4,6 @@ drift apart."""
 
 import io
 import re
-import weakref
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
@@ -44,9 +43,9 @@ def test_axes_vary_in_line_order_with_nodes_then_seeds_fastest():
 
 
 def _run_lines(csv_text: str) -> list[str]:
-    """A CSV's first ``# run`` line, its header and its first data row."""
+    """A CSV's ``# settings=`` line, its first ``# run`` line, its header and its first data row."""
     return [line for line in csv_text.splitlines()
-            if line.startswith("# run ") or not line.startswith("#")][:3]
+            if line.startswith(("# settings=", "# run ")) or not line.startswith("#")][:4]
 
 
 @pytest.mark.parametrize("protocol,seeds", [*((p, ["seeds=1"]) for p in PROTOCOLS),
@@ -63,7 +62,7 @@ def test_sweep_row_matches_direct_run(protocol, seeds, capsys):
                             generate_topology(TopologySpec(node_count=10), 1))
     assert row.csv_row() == direct.csv_row()
     assert row.trace_hash == direct.trace_hash
-    # simulate takes the same settings and prints the same run line and data row.
+    # simulate takes the same settings and prints the same settings line, run line and data row.
     swept = io.StringIO()
     write_csv(swept, rows, meta)
     assert cli.main(["simulate", *settings]) == 0
@@ -80,26 +79,15 @@ def generated(monkeypatch):
     return seeds
 
 
-def test_a_sweep_generates_each_topology_once(generated):
+def test_a_sweep_generates_each_runs_topology(generated):
     rows, meta = run_sweep("nodes=10\nseeds=1,2\nduration=3\nbeta=0.2,0.6,1.0\n")
-    assert sorted(generated) == [1, 2]
+    assert generated == [1, 2, 1, 2, 1, 2]
     assert meta["runs"] == len(rows) == 6
     for row in rows:
         cfg = RunConfig(seed=row.seed, duration_s=3.0, beta=row.beta)
         direct = run_simulation(cfg, generate_topology(TopologySpec(node_count=10), row.seed))
         assert row.csv_row() == direct.csv_row()
         assert row.trace_hash == direct.trace_hash
-
-
-def test_a_topology_is_released_after_its_last_run(generated):
-    runs = parse_sweep_spec("nodes=10\nseeds=1,2\nbeta=0.2,0.6\n")
-    topologies = experiment.SweepTopologies(runs)
-    taken = [topologies.take(spec, cfg.seed) for cfg, spec in runs]
-    assert generated == [1, 2]
-    assert taken[0] is taken[2] and taken[1] is taken[3]
-    kept = [weakref.ref(topology) for topology in taken]
-    del taken
-    assert [ref() for ref in kept] == [None] * 4
 
 
 def test_a_failed_topology_fails_every_run_that_needs_it(generated):

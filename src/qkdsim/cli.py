@@ -2,8 +2,11 @@
 
 ``simulate`` and ``gen-topology`` take sweep keys as ``KEY=VALUE`` settings of one run.
 
-Exit status is 0 on success and 2 on configuration errors. The environment
-variable QKDSIM_LOG selects log verbosity (debug, info, warning, error).
+Exit status is 0 on success, 2 on configuration errors and 141, a shell's
+status for a command that SIGPIPE killed, when the reader closes stdout
+early. A broken engine invariant ends with a traceback and status 1. The
+environment variable QKDSIM_LOG selects log verbosity (debug, info, warning,
+error).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from contextlib import nullcontext
 
 from .config import ConfigError, RunConfig
-from .engine import Simulation, SimulationError
+from .engine import Simulation
 from .experiment import SWEEP_FIELDS, parse_sweep_spec, run_settings, run_sweep
 from .stats import write_csv
 from .topology import TopologyError, TopologySpec, generate_topology, load_topology, save_topology
@@ -60,7 +63,7 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("settings", nargs="*", metavar="KEY=VALUE", help="sweep keys, one value each")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     refused = TOPOLOGY_KEYS if args.topology else set()
     run_cfg, spec = _one_run(args.settings, refused, "simulate --topology")
     # Refuse a bad setting before a Gabriel topology builds n(n+1)/2 squared distances.
@@ -87,7 +90,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         meta["topology"] = args.topology
     with _output(args.out) as out:
         write_csv(out, [stats], metadata=meta, aggregate=False)
-    return 0
 
 
 def _add_gen_topology(sub: argparse._SubParsersAction) -> None:
@@ -96,14 +98,13 @@ def _add_gen_topology(sub: argparse._SubParsersAction) -> None:
     p.add_argument("settings", nargs="*", metavar="KEY=VALUE", help="topology keys, nodes, seeds")
 
 
-def _cmd_gen_topology(args: argparse.Namespace) -> int:
+def _cmd_gen_topology(args: argparse.Namespace) -> None:
     refused = SWEEP_FIELDS.keys() - TOPOLOGY_KEYS - {"seeds"}
     run_cfg, spec = _one_run(args.settings, refused, "gen-topology")
     topo = generate_topology(spec, run_cfg.seed)
     save_topology(topo, args.out)
     print(f"wrote {args.out}: {len(topo.nodes)} nodes, {len(topo.edges)} edges, "
           f"{topo.retries} regeneration(s)")
-    return 0
 
 
 def _add_sweep(sub: argparse._SubParsersAction) -> None:
@@ -112,7 +113,7 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     with open(args.spec, encoding="ascii") as fh:
         text = fh.read()
     rows, meta = run_sweep(text)
@@ -120,7 +121,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     meta["spec"] = args.spec
     with _output(args.out) as out:
         write_csv(out, rows, metadata=meta)
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,13 +139,21 @@ def main(argv: list[str] | None = None) -> int:
         args.settings += late
     try:
         if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "gen-topology":
-            return _cmd_gen_topology(args)
-        return _cmd_sweep(args)
-    except (ConfigError, TopologyError, SimulationError, OSError, UnicodeDecodeError) as exc:
+            _cmd_simulate(args)
+        elif args.command == "gen-topology":
+            _cmd_gen_topology(args)
+        else:
+            _cmd_sweep(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: point stdout at the null device, so that the
+        # interpreter's last flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ConfigError, TopologyError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

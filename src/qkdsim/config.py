@@ -40,8 +40,8 @@ _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
 def parse_value(default, raw: str):
     """Parse ``raw`` as a value of the same type as a config field's ``default``.
 
-    Bools take on/off words, tuples a ``lo:hi`` pair of floats, and a ``None``
-    default marks an optional float. Range checks are left to ``validate``.
+    Bools take on/off words and tuples a ``lo:hi`` pair of floats. Range
+    checks are left to ``validate``.
     """
     raw = raw.strip()
     try:
@@ -50,8 +50,6 @@ def parse_value(default, raw: str):
         if isinstance(default, tuple):
             lo, hi = raw.split(":")
             return float(lo), float(hi)
-        if default is None:
-            return float(raw)
         return type(default)(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"cannot parse {raw!r}") from None
@@ -63,7 +61,9 @@ CLASS_NAMES = {
     "premium": TrafficClass.PREMIUM,
 }
 
-DEFAULT_MAX_DELAY_S = {
+# Each class's delay budget: a data packet older than its class's budget
+# returns toward the source.
+MAX_DELAY_S = {
     TrafficClass.BEST_EFFORT: 5.0,
     TrafficClass.REAL_TIME: 0.5,
     TrafficClass.PREMIUM: 5.0,
@@ -90,7 +90,6 @@ class RunConfig:
     # The source's data traffic.
     traffic_rate_bps: float = 1_000_000.0
     traffic_class: str = "best_effort"
-    max_delay_s: float | None = None
     crypto_mode: str = "otp"
 
     def validate(self) -> None:
@@ -122,15 +121,5 @@ class RunConfig:
             raise ConfigError("traffic_rate_bps must be positive and finite")
         if self.traffic_class not in CLASS_NAMES:
             raise ConfigError(f"unknown traffic class {self.traffic_class!r}")
-        if self.max_delay_s is not None and not self.max_delay_s > 0.0:
-            raise ConfigError("max_delay_s must be positive")
         if self.crypto_mode not in DATA_KEY_BITS:
             raise ConfigError(f"unknown crypto mode {self.crypto_mode!r}")
-
-    def resolved_class(self) -> TrafficClass:
-        return CLASS_NAMES[self.traffic_class]
-
-    def resolved_max_delay(self) -> float:
-        if self.max_delay_s is not None:
-            return self.max_delay_s
-        return DEFAULT_MAX_DELAY_S[self.resolved_class()]

@@ -25,6 +25,8 @@ INFINITE_METRIC = 1 << 16
 # Wire sizes in bytes; an update's payload holds one entry per route.
 HELLO_PAYLOAD_BYTES = 8
 HELLO_WIRE_BYTES = QKD_HEADER_BYTES + UDP_IP_BYTES + HELLO_PAYLOAD_BYTES
+# Key bits a hello consumes: its payload and one authentication key.
+HELLO_KEY_BITS = HELLO_PAYLOAD_BYTES * 8.0 + AUTH_KEY_BITS
 DV_FIXED_PAYLOAD_BYTES = 4
 DV_ENTRY_BYTES = 12
 # Seconds between a node's periodic full updates, and the window within which
@@ -179,9 +181,8 @@ class DvSimulation(Simulation):
             if dvn.pending:
                 self._advertise(nid, dvn.pending_dump())
         elif mode == "hello":
-            key_cost = HELLO_PAYLOAD_BYTES * 8.0 + AUTH_KEY_BITS
             for nbr in self.topo.neighbors(nid):
-                self._send(nid, nbr, self._control_packet("hello", nid, nbr, key_cost,
+                self._send(nid, nbr, self._control_packet("hello", nid, nbr, HELLO_KEY_BITS,
                                                           HELLO_WIRE_BYTES))
                 last = self._last_hello.get((nid, nbr), 0.0)
                 if self.now - last > DV_DEAD_INTERVAL_S and (nid, nbr) not in self._dead_links:

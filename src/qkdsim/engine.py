@@ -33,7 +33,7 @@ try:
 except ImportError:  # Python 3.12 and later
     from _sha2 import sha256
 
-from .config import AUTH_KEY_BITS, DATA_KEY_BITS, PACKET_BYTES, RunConfig
+from .config import AUTH_KEY_BITS, CLASS_NAMES, DATA_KEY_BITS, MAX_DELAY_S, PACKET_BYTES, RunConfig
 # Not called here: perfbench's tracer wraps ccw_next_neighbor by this module's name.
 from .geometry import ccw_next_neighbor  # noqa: F401
 from .geometry import Position, angle_of, ccw_order, euclidean_distance
@@ -43,7 +43,7 @@ from .metrics import link_metric, local_mean, public_metric, quantum_metric
 from .qos import NO_NODES, NO_PACKETS, PriorityQueueSet, SimPacket, TrafficClass, admission_cost
 from .rng import substream
 from .stats import RunStats
-from .topology import Topology, is_connected
+from .topology import Topology, TopologyError, is_connected
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +59,15 @@ UDP_IP_BYTES = 28
 TCP_IP_BYTES = 40
 SIGNALING_PAYLOAD_BYTES = 8
 SIGNALING_WIRE_BYTES = HEADER_OVERHEAD_BYTES + TCP_IP_BYTES + SIGNALING_PAYLOAD_BYTES
+DATA_WIRE_BYTES = HEADER_OVERHEAD_BYTES + UDP_IP_BYTES + PACKET_BYTES
 # Modeled reliable-transport handshake around each signaling exchange.
 HANDSHAKE_PACKETS = 3
 HANDSHAKE_BYTES = 120
+# Key bits one signaling message consumes: its payload, and an authentication
+# key for it and for each handshake packet.
+SIGNALING_KEY_BITS = (
+    SIGNALING_PAYLOAD_BYTES * 8.0 + AUTH_KEY_BITS + HANDSHAKE_PACKETS * AUTH_KEY_BITS
+)
 
 # Fixed timings in seconds: every link's propagation delay and the fallback
 # retry of a GPSRQ node whose head must wait.
@@ -134,7 +140,7 @@ class EventQueue:
     sequence number. A run's ``SimulationEnd`` sits at the horizon and is
     pushed before the run starts, so a dropped event could never have fired."""
 
-    def __init__(self, horizon: float = math.inf) -> None:
+    def __init__(self, horizon: float) -> None:
         self.horizon = horizon
         self._heap: list[SimEvent] = []
         self._seq = count()
@@ -166,9 +172,9 @@ class Simulation:
     def __init__(self, cfg: RunConfig, topology: Topology, metrics_log: bool = False,
                  trace: bool = False):
         if len(topology.nodes) < 2:
-            raise SimulationError("need at least two nodes")
+            raise TopologyError("need at least two nodes")
         if not is_connected(topology):
-            raise SimulationError("topology must be connected")
+            raise TopologyError("topology must be connected")
         self.cfg = cfg
         self.topo = topology
         self.now = 0.0
@@ -197,10 +203,9 @@ class Simulation:
                 self.l2[d] = NO_PACKETS
                 self._link_by_dir[d] = lk
 
-        self.data_class = cfg.resolved_class()
-        self.data_wire = HEADER_OVERHEAD_BYTES + UDP_IP_BYTES + PACKET_BYTES
+        self.data_class = CLASS_NAMES[cfg.traffic_class]
         self.data_key_cost = DATA_KEY_BITS[cfg.crypto_mode]
-        self.data_max_delay = cfg.resolved_max_delay()
+        self.data_max_delay = MAX_DELAY_S[self.data_class]
 
         self._uid = count()
         self._warned_reserve: set[tuple[int, int]] = set()
@@ -306,7 +311,7 @@ class Simulation:
             src=self.src,
             dst=self.dst,
             traffic_class=self.data_class,
-            wire=self.data_wire,
+            wire=DATA_WIRE_BYTES,
             created_at=self.now,
             max_delay=self.data_max_delay,
             key_cost=self.data_key_cost,
@@ -526,9 +531,6 @@ class GpsrqSimulation(Simulation):
         }
         self._retry_pending: set[int] = set()
         self.gpsrq_nodes = {nid: GpsrqNode(nid) for nid, _ in self.topo.nodes}
-        self.signaling_key_cost = (
-            SIGNALING_PAYLOAD_BYTES * 8.0 + AUTH_KEY_BITS + HANDSHAKE_PACKETS * AUTH_KEY_BITS
-        )
         self._signal_epoch: dict[int, float] = {}
         self._pending_signals: dict[tuple[int, int], SimPacket] = {}
         # Nodes do not move and every data packet goes to ``self.dst``, so each
@@ -862,7 +864,7 @@ class GpsrqSimulation(Simulation):
         self._record("signal", nid, value)
         queue = self.queues[nid]
         for nbr in self.topo.neighbors(nid):
-            pkt = self._control_packet("signaling", nid, nbr, self.signaling_key_cost,
+            pkt = self._control_packet("signaling", nid, nbr, SIGNALING_KEY_BITS,
                                        SIGNALING_WIRE_BYTES, signal_value=value)
             old = self._pending_signals.pop((nid, nbr), None)
             if old is not None:

@@ -29,8 +29,6 @@ def greedy_choice(candidates: list[tuple[int, float, float]], beta: float) -> in
     beta mixes two [0, 1] quantities, and beta=1 is distance-only. Ties break
     toward the smaller id.
     """
-    if not candidates:
-        return None
     d_max = 0.0
     for _, _, d in candidates:
         if d > d_max:

@@ -100,16 +100,9 @@ class PriorityQueueSet:
         self.size -= 1
         return pkt
 
-    def remove(self, pkt: SimPacket) -> bool:
-        q = self.queues[pkt.traffic_class]
-        if q is NO_PACKETS:
-            return False
-        try:
-            q.remove(pkt)
-        except ValueError:
-            return False
+    def remove(self, pkt: SimPacket) -> None:
+        self.queues[pkt.traffic_class].remove(pkt)
         self.size -= 1
-        return True
 
 
 def admission_cost(link: QkdLink, pkt: SimPacket, now: float,

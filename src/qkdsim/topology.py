@@ -117,10 +117,7 @@ def _grow(spec: TopologySpec, rng: random.Random) -> Topology:
             for j in pool
         ]
         for _ in range(wanted):
-            total = sum(weights)
-            if total <= 0.0:
-                break
-            pick = rng.random() * total
+            pick = rng.random() * sum(weights)
             acc = 0.0
             chosen = len(pool) - 1
             for idx, w in enumerate(weights):
@@ -140,8 +137,6 @@ def _grow(spec: TopologySpec, rng: random.Random) -> Topology:
 
 def is_connected(topo: Topology) -> bool:
     ids = topo.node_ids()
-    if not ids:
-        return False
     seen = {ids[0]}
     stack = [ids[0]]
     while stack:

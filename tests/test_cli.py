@@ -1,12 +1,16 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 from qkdsim import cli
 from qkdsim.cli import main
 from qkdsim.config import ConfigError, RunConfig
-from qkdsim.engine import run_simulation
+from qkdsim.engine import SimulationError, run_simulation
 from qkdsim.experiment import parse_sweep_spec, run_sweep
+from qkdsim.links import KeyStorage
 from qkdsim.stats import write_csv
 from qkdsim.topology import TopologySpec, generate_topology, load_topology, save_topology
 
@@ -83,6 +87,25 @@ def test_simulate_rejects_bad_link_override(capsys):
     assert capsys.readouterr().err == "error: setting 3: rate_bps: cannot parse 'abc'\n"
 
 
+def test_a_closed_stdout_exits_141():
+    # A reader that has gone: the pipe's read end is closed before the run starts.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "qkdsim.cli", "simulate", "nodes=6",
+                               "duration=2"], stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
+def test_an_engine_fault_is_not_a_configuration_error(monkeypatch):
+    # A broken invariant ends with a traceback (status 1), not an exit 2.
+    monkeypatch.setattr(KeyStorage, "consume", lambda self, key_bits, premium: False)
+    with pytest.raises(SimulationError, match="admission raced ahead of consumption"):
+        main(["simulate", "nodes=6", "duration=2"])
+
+
 def test_dump_caches_and_metrics_csv(tmp_path, capsys):
     # Settings may follow the options as well as precede them.
     metrics_path = tmp_path / "metrics.csv"
@@ -155,6 +178,7 @@ def test_error_row_carries_its_config_columns():
     "min_key_bytes=2000000", "charge_period_s=5", "auth_key_bits=128", "round_stddev_frac=0.2",
     "round_floor_s=0.2", "round_load_gain=1", "packet_bytes=256", "dv_period_s=10",
     "dv_merge_window_s=0.01", "theta=0.5", "omega=0.5", "lambda=50", "links_per_node=3",
+    "max_delay_s=1",
 ])
 def test_a_fixed_setting_is_not_a_key(tmp_path, capsys, item):
     spec_path = tmp_path / "sweep.txt"

@@ -32,13 +32,13 @@ from qkdsim.experiment import run_sweep
 from qkdsim.geometry import Position, euclidean_distance
 from qkdsim.gpsrq import GpsrqNode, greedy_choice
 from qkdsim.qos import NO_NODES, PriorityQueueSet, SimPacket, TrafficClass
-from qkdsim.topology import Topology, TopologySpec, generate_topology
+from qkdsim.topology import Topology, TopologyError, TopologySpec, generate_topology
 
 
 # --- event queue -------------------------------------------------------------
 
 def test_events_ordered_by_time_then_sequence():
-    q = EventQueue()
+    q = EventQueue(math.inf)
     q.push(5.0, EventKind.KEY_CHARGE, ("a",))
     q.push(1.0, EventKind.KEY_CHARGE, ("b",))
     q.push(5.0, EventKind.RETRY_TIMER, ("c",))
@@ -215,7 +215,7 @@ def test_disconnected_topology_rejected():
         edges={(0, 1), (2, 3)},
         grid_size=20.0,
     )
-    with pytest.raises(SimulationError):
+    with pytest.raises(TopologyError, match="topology must be connected"):
         Simulation(RunConfig(seed=1), topo)
 
 

@@ -32,8 +32,8 @@ def test_expired_packet_returns_and_source_drops():
     cfg = ample_cfg(seed=2, duration_s=2.0)
     cfg.rate_bps = 0.0
     cfg.traffic_rate_bps = 1000.0  # single packet
-    cfg.max_delay_s = 0.001  # expires during the first hop
     sim = Simulation(cfg, chain_topology(), trace=True)
+    sim.data_max_delay = 0.001  # expires during the first hop
     stats = sim.run()
     assert stats.drop_delay == 1
     assert stats.received == 0
@@ -45,8 +45,7 @@ def test_expired_packet_returns_and_source_drops():
 def test_generous_budget_delivers():
     cfg = ample_cfg(seed=2, duration_s=2.0)
     cfg.rate_bps = 0.0
-    cfg.traffic_rate_bps = 1000.0
-    cfg.max_delay_s = 1.0
+    cfg.traffic_rate_bps = 1000.0  # one packet, well inside the 5 s best-effort budget
     stats = run_simulation(cfg, chain_topology())
     assert stats.received == 1
     assert stats.drop_delay == 0
@@ -55,9 +54,9 @@ def test_generous_budget_delivers():
 def test_real_time_class_default_budget():
     cfg = RunConfig(seed=1)
     cfg.traffic_class = "real_time"
-    assert cfg.resolved_max_delay() == 0.5
+    assert Simulation(cfg, two_node_topology()).data_max_delay == 0.5
     cfg.traffic_class = "best_effort"
-    assert cfg.resolved_max_delay() == 5.0
+    assert Simulation(cfg, two_node_topology()).data_max_delay == 5.0
 
 
 # --- crypto configuration ----------------------------------------------------------
@@ -124,8 +123,8 @@ def test_unknown_crypto_mode_rejected_by_validate():
 # A case keeps the id it had when the link and traffic fields were nested.
 @pytest.mark.parametrize("name, value", [
     *[pytest.param(name, math.nan, id=f"{old}-nan") for name, old in (
-        ("traffic_rate_bps", "traffic.rate_bps"), ("max_delay_s", "traffic.max_delay_s"),
-        ("rate_bps", "link.rate_bps"), ("bandwidth_bps", "link.bandwidth_bps"))],
+        ("traffic_rate_bps", "traffic.rate_bps"), ("rate_bps", "link.rate_bps"),
+        ("bandwidth_bps", "link.bandwidth_bps"))],
     # An infinite traffic rate schedules packets 0 s apart, so such a run
     # would never end.
     pytest.param("traffic_rate_bps", math.inf, id="traffic.rate_bps-inf"),

